@@ -145,7 +145,7 @@ def _virtual_scores_for_histogram(net, bundle, resolved, seed):
     feats = net.forward(data.x).feats
     pool = feats
     if cfg.expansion:
-        pool = expand_features(feats, cfg.alpha2, cfg.n_mix or len(feats), rng.child("expand")).points
+        pool = expand_features(feats, cfg.alpha2, len(feats), rng.child("expand")).points
     model = estimate_outlier_region(pool, ridge_scale=cfg.ridge_scale)
     m_eff = min(cfg.m_candidates, len(pool))
     t_eff = min(cfg.t_rank, m_eff)
@@ -255,11 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, data=True, checkpoint=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser(
-        "ablate",
-        help="run the ablation matrix",
-        epilog="The ARES_THREADS environment variable caps concurrent variant workers.",
-    )
+    p = sub.add_parser("ablate", help="run the ablation matrix")
     _add_common(p, data=True)
     p.add_argument("--stage-mask", choices=STAGE_MASKS, default=None)
     p.add_argument("--loss", choices=("jsd", "ce", "nce"), default=None)

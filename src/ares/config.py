@@ -43,7 +43,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "alpha1": "3.0",
         "max_iters": "4",
         "p_mix": "0.9",
-        "reescape_each_epoch": "false",
     },
     "train": {
         "total_epochs": "500",
@@ -60,12 +59,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "stage_escape": "true",
         "stage_expansion": "true",
         "stage_estimation": "true",
-        "feature_refresh": "anchor",
         "beta_warmup_epochs": "10",
-        "expand_per_batch": "false",
-        "grad_through_fit": "false",
-        "vos_style_sampling": "false",
-        "n_mix": "0",
         "hidden_dims": "64,64",
         "feature_dim": "16",
         "nce_temperature": "0.1",
@@ -87,13 +81,9 @@ PRESETS: dict[str, dict[tuple[str, str], str]] = {
 }
 
 _BOOL_KEYS = {
-    ("escape", "reescape_each_epoch"),
     ("train", "stage_escape"),
     ("train", "stage_expansion"),
     ("train", "stage_estimation"),
-    ("train", "expand_per_batch"),
-    ("train", "grad_through_fit"),
-    ("train", "vos_style_sampling"),
     ("train", "debug_gradcheck"),
 }
 
@@ -183,17 +173,7 @@ def to_train_config(resolved: dict[str, dict[str, str]]) -> TrainConfig:
             estimation=_parse_bool("train", "stage_estimation", t["stage_estimation"]),
             max_iters=int(e["max_iters"]),
             p_mix=float(e["p_mix"]),
-            reescape_each_epoch=_parse_bool(
-                "escape", "reescape_each_epoch", e["reescape_each_epoch"]
-            ),
-            feature_refresh=t["feature_refresh"],
             beta_warmup_epochs=int(t["beta_warmup_epochs"]),
-            expand_per_batch=_parse_bool("train", "expand_per_batch", t["expand_per_batch"]),
-            grad_through_fit=_parse_bool("train", "grad_through_fit", t["grad_through_fit"]),
-            vos_style_sampling=_parse_bool(
-                "train", "vos_style_sampling", t["vos_style_sampling"]
-            ),
-            n_mix=int(t["n_mix"]),
             hidden_dims=hidden,
             feature_dim=int(t["feature_dim"]),
             nce_temperature=float(t["nce_temperature"]),

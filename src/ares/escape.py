@@ -20,7 +20,6 @@ class EscapeConfig:
     alpha1: float = 3.0          # Beta parameter for the mixing coefficient
     max_iters: int = 4           # iteration budget per instance, uniform in [1, max_iters]
     p_mix: float = 0.9           # per-iteration probability of aux-mix over transform
-    reescape_each_epoch: bool = False
 
     def __post_init__(self):
         if not 1 <= self.max_iters <= 4:

@@ -12,8 +12,6 @@ the headline metric stays literal.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,15 +216,12 @@ def run_ablation_suite(
     base_cfg: TrainConfig,
     bundle: DataBundle,
     only: str | None = None,
-    threads: int | None = None,
 ) -> list[RunReport]:
     """Train and evaluate every ablation variant with shared data and seed.
 
     ``only`` restricts the matrix to "stages", "losses", or "epochs".
     Per-variant failures are captured in the report's ``error`` field
-    without aborting the suite. ``threads`` (default: the ARES_THREADS
-    environment variable, else 1) fans independent trainings out across a
-    thread pool; results are deterministic regardless of scheduling.
+    without aborting the suite.
     """
     matrix = ablation_variants(base_cfg)
     if only == "stages":
@@ -241,36 +236,11 @@ def run_ablation_suite(
         # without the full run present, shared rows train for themselves
         matrix = [(name, cfg if cfg is not None else base_cfg) for name, cfg in matrix]
 
-    if threads is None:
-        threads = int(os.environ.get("ARES_THREADS", "1"))
-
-    jobs = [(name, cfg) for name, cfg in matrix if cfg is not None]
-    results: dict[str, RunReport] = {}
-
-    def run_one(item):
-        name, cfg = item
-        try:
-            report, _net, _log = _train_and_evaluate(name, cfg, bundle)
-        except Exception as err:  # per-variant isolation is the contract
-            report = _failed_report(name, cfg.seed, err)
-        return name, report
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for name, report in pool.map(run_one, jobs):
-                results[name] = report
-    else:
-        for item in jobs:
-            name, report = run_one(item)
-            results[name] = report
-
-    full = results.get("full")
-    ordered = []
+    reports: dict[str, RunReport] = {}
     for name, cfg in matrix:
-        if cfg is not None:
-            ordered.append(results[name])
-        elif full is not None:
-            shared = RunReport(
+        if cfg is None:  # shares the full run, which comes first in the matrix
+            full = reports["full"]
+            reports[name] = RunReport(
                 variant=name,
                 seed=full.seed,
                 gamma=full.gamma,
@@ -280,8 +250,12 @@ def run_ablation_suite(
                 error=full.error,
                 extra={"shared_with": "full"},
             )
-            ordered.append(shared)
-    return ordered
+            continue
+        try:
+            reports[name], _net, _log = _train_and_evaluate(name, cfg, bundle)
+        except Exception as err:  # per-variant isolation is the contract
+            reports[name] = _failed_report(name, cfg.seed, err)
+    return list(reports.values())
 
 
 def write_reports_csv(path, reports: list[RunReport]) -> None:

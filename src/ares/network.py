@@ -115,23 +115,14 @@ class MlpNetwork:
 
     # ---- backward ---------------------------------------------------------
 
-    def backward(
-        self,
-        cache: "ForwardCache",
-        tape: "GradientTape",
-        dlogits: np.ndarray,
-        dfeats_extra: np.ndarray | None = None,
-    ) -> None:
+    def backward(self, cache: "ForwardCache", tape: "GradientTape", dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients for a scalar loss given its
-        gradient w.r.t. the cached logits (and optionally w.r.t. the cached
-        features directly)."""
+        gradient w.r.t. the cached logits."""
         if cache.version != self.version:
             raise RuntimeError("backward: forward cache is stale (parameters were updated)")
         tape.add("cls_w", cache.feats.T @ dlogits)
         tape.add("cls_b", dlogits.sum(axis=0))
         dact = dlogits @ self.cls_w.T
-        if dfeats_extra is not None:
-            dact = dact + dfeats_extra
         for i in range(len(self.ext_w) - 1, -1, -1):
             dz = dact * (cache.pres[i] > 0.0)
             inputs = cache.x if i == 0 else np.maximum(cache.pres[i - 1], 0.0)

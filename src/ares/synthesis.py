@@ -20,7 +20,6 @@ __all__ = [
     "OutlierBatch",
     "estimate_outlier_region",
     "expand_features",
-    "sample_gaussian_candidates",
     "sample_virtual_outliers",
     "select_epsilon",
 ]
@@ -62,8 +61,8 @@ def _as_points(xs) -> np.ndarray:
     return pts
 
 
-def expand_features(feats: np.ndarray, alpha2: float, n_mix: int, rng: Rng) -> ExpandedSet:
-    """Mix ``n_mix`` random pairs of distinct feature vectors.
+def expand_features(feats: np.ndarray, alpha2: float, n_pairs: int, rng: Rng) -> ExpandedSet:
+    """Mix ``n_pairs`` random pairs of distinct feature vectors.
 
     Coefficients are Beta(alpha2, alpha2); every output is a convex
     combination of two inputs, so the pool never leaves the coordinate-wise
@@ -75,10 +74,10 @@ def expand_features(feats: np.ndarray, alpha2: float, n_mix: int, rng: Rng) -> E
         raise ValueError(f"expand_features: need at least 2 feature vectors, got {n}")
     if not np.isfinite(alpha2) or alpha2 <= 0:
         raise ValueError(f"expand_features: alpha2 must be finite and > 0, got {alpha2}")
-    idx_i = rng.integers(0, n, n_mix)
-    idx_j = rng.integers(0, n - 1, n_mix)
+    idx_i = rng.integers(0, n, n_pairs)
+    idx_j = rng.integers(0, n - 1, n_pairs)
     idx_j = idx_j + (idx_j >= idx_i)  # uniform over pairs with j != i
-    lam = rng.beta(alpha2, alpha2, n_mix)
+    lam = rng.beta(alpha2, alpha2, n_pairs)
     points = lam[:, None] * feats[idx_i] + (1.0 - lam)[:, None] * feats[idx_j]
     return ExpandedSet(points=points, idx_i=idx_i, idx_j=idx_j, lam=lam)
 
@@ -146,10 +145,3 @@ def sample_virtual_outliers(
     return OutlierBatch(
         points=pts[take].copy(), epsilon=float(epsilon), loglik=loglik[take], indices=take
     )
-
-
-def sample_gaussian_candidates(model: GaussianModel, n: int, rng: Rng) -> np.ndarray:
-    """Draw candidates from the fitted Gaussian itself instead of the
-    expanded pool (the boundary-style alternative selection scheme)."""
-    z = rng.standard_normal((n, model.dim))
-    return model.mu + z @ model.chol.T

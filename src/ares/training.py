@@ -38,7 +38,7 @@ from .network import (
 )
 from .numerics import fit_gaussian
 from .rng import Rng
-from .synthesis import expand_features, sample_gaussian_candidates, sample_virtual_outliers
+from .synthesis import expand_features, sample_virtual_outliers
 
 __all__ = ["EpochRecord", "TrainConfig", "TrainLog", "cosine_lr", "sgd_step", "train"]
 
@@ -66,13 +66,6 @@ class TrainConfig:
     # escape details
     max_iters: int = 4
     p_mix: float = 0.9
-    reescape_each_epoch: bool = False
-    # synthesis cadence / alternatives
-    feature_refresh: str = "anchor"  # anchor | epoch | step
-    expand_per_batch: bool = False
-    grad_through_fit: bool = False
-    vos_style_sampling: bool = False
-    n_mix: int = 0  # 0 -> one mixed point per surrogate instance
     beta_warmup_epochs: int = 10  # per-step linear ramp into the joint phase; 0 = off
     # architecture
     hidden_dims: tuple = (64, 64)
@@ -96,14 +89,6 @@ class TrainConfig:
             )
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.feature_refresh not in ("anchor", "epoch", "step"):
-            raise ConfigError(
-                f"feature_refresh must be anchor, epoch, or step, got {self.feature_refresh!r}"
-            )
-        if self.grad_through_fit and not self.expand_per_batch:
-            raise ConfigError("grad_through_fit requires expand_per_batch")
-        if self.grad_through_fit and self.vos_style_sampling:
-            raise ConfigError("grad_through_fit is incompatible with vos_style_sampling")
         if self.m_candidates < 1 or self.t_rank < 1:
             raise ConfigError("m_candidates and t_rank must be >= 1")
         if self.beta_warmup_epochs < 0:
@@ -194,36 +179,23 @@ def _checkpoint_of(net_snapshot: MlpNetwork, epoch: int, checkpoint_dir) -> str:
 
 
 class _SynthesisState:
-    """Per-epoch candidate pool, fitted region model, and selection order."""
+    """Per-epoch candidate pool and fitted region model."""
 
     def __init__(self, cfg: TrainConfig, feats: np.ndarray, expand_rng, eps_rng):
-        self.expanded = None
+        pool = feats
         if cfg.expansion:
-            n_mix = cfg.n_mix or feats.shape[0]
-            self.expanded = expand_features(feats, cfg.alpha2, n_mix, expand_rng)
-            pool = self.expanded.points
-        else:
-            pool = feats
-        self.pool = pool
+            pool = expand_features(feats, cfg.alpha2, feats.shape[0], expand_rng).points
         self.model = None
         self.candidates = pool
-        self.cand_sources = None  # (idx_i, idx_j, lam) rows aligned with candidates
-        if cfg.expansion:
-            self.cand_sources = (self.expanded.idx_i, self.expanded.idx_j, self.expanded.lam)
         if cfg.estimation:
             self.model = fit_gaussian(pool, ridge_scale=cfg.ridge_scale)
-            if cfg.vos_style_sampling:
-                self.candidates = sample_gaussian_candidates(self.model, len(pool), eps_rng)
-                self.cand_sources = None
-            elif len(pool) > cfg.m_candidates:
+            if len(pool) > cfg.m_candidates:
                 keep = np.sort(eps_rng.choice(len(pool), size=cfg.m_candidates, replace=False))
                 self.candidates = pool[keep]
-                if self.cand_sources is not None:
-                    self.cand_sources = tuple(arr[keep] for arr in self.cand_sources)
 
-    def draw_outliers(self, b_eff: int, eps_rng, context: str):
+    def draw_outliers(self, b_eff: int, eps_rng, context: str) -> np.ndarray:
         """Bottom-``b_eff`` virtual outliers (or a uniform draw when the
-        estimation stage is masked off). Returns (points, indices).
+        estimation stage is masked off).
 
         Selection is the order statistic directly (ties resolved by
         candidate index), which stays well-defined even when densities tie
@@ -234,9 +206,8 @@ class _SynthesisState:
             raise SynthesisUnderflowError(requested=b_eff, available=len(cand), context=context)
         if self.model is None:
             idx = eps_rng.choice(len(cand), size=b_eff, replace=False)
-            return cand[idx], idx
-        batch = sample_virtual_outliers(cand, self.model, np.inf, count=b_eff)
-        return batch.points, batch.indices
+            return cand[idx]
+        return sample_virtual_outliers(cand, self.model, np.inf, count=b_eff).points
 
 
 def divergence_terms(
@@ -247,18 +218,14 @@ def divergence_terms(
     v_pts: np.ndarray,
     cfg: TrainConfig,
     tape: GradientTape,
-    v_sources=None,
 ):
     """Discrimination term of one joint batch.
 
     Computes the energy scores of the batch and of the virtual outliers,
     the configured discrimination loss, and its gradient contributions:
-    returns ``(dis, batch_total, dlogits, dfeats_extra)`` where ``dlogits``
-    now includes the divergence path and head/energy/classifier gradients
-    for the outlier path have been accumulated on the tape. With
-    ``v_sources = (idx_i, idx_j, lam)`` (feature-space provenance of each
-    outlier into the cached batch), gradients also flow through the outlier
-    coordinates back into the extractor.
+    returns ``(dis, batch_total, dlogits)`` where ``dlogits`` now includes
+    the divergence path and head/energy/classifier gradients for the
+    outlier path have been accumulated on the tape.
     """
     logits_v = v_pts @ net.cls_w + net.cls_b
     e_id, dedz_id = energy_gradients(net, cache.logits)
@@ -284,15 +251,7 @@ def divergence_terms(
     tape.add("energy_u", (scale * de_id) @ dedz_id + (scale * de_v) @ dedz_v)
     tape.add("cls_w", v_pts.T @ dlogits_v)
     tape.add("cls_b", dlogits_v.sum(axis=0))
-
-    dfeats_extra = None
-    if cfg.grad_through_fit and v_sources is not None:
-        dfeat_v = dlogits_v @ net.cls_w.T
-        src_i, src_j, lam = v_sources
-        dfeats_extra = np.zeros_like(cache.feats)
-        np.add.at(dfeats_extra, src_i, lam[:, None] * dfeat_v)
-        np.add.at(dfeats_extra, src_j, (1.0 - lam)[:, None] * dfeat_v)
-    return dis, batch_total, dlogits, dfeats_extra
+    return dis, batch_total, dlogits
 
 
 def compute_batch_gradients(
@@ -306,12 +265,11 @@ def compute_batch_gradients(
     cls_loss, dlogits = cross_entropy_batch(cache.logits, yb)
     dis = 0.0
     batch_total = cls_loss
-    dfeats_extra = None
     if v_pts is not None:
-        dis, batch_total, dlogits, dfeats_extra = divergence_terms(
+        dis, batch_total, dlogits = divergence_terms(
             net, cache, cls_loss, dlogits, np.asarray(v_pts, dtype=float), cfg, tape
         )
-    net.backward(cache, tape, dlogits, dfeats_extra=dfeats_extra)
+    net.backward(cache, tape, dlogits)
     return cls_loss, dis, batch_total, tape
 
 
@@ -408,7 +366,6 @@ def train(
         alpha1=cfg.alpha1,
         max_iters=cfg.max_iters,
         p_mix=cfg.p_mix,
-        reescape_each_epoch=cfg.reescape_each_epoch,
     )
 
     escape_s0 = 0.0
@@ -426,11 +383,6 @@ def train(
     for epoch in range(start_epoch, cfg.total_epochs):
         lr = cosine_lr(epoch, cfg.total_epochs, cfg.lr_start, cfg.lr_end)
         esc_s = escape_s0 if epoch == start_epoch else 0.0
-        if cfg.escape and cfg.reescape_each_epoch and epoch > start_epoch:
-            t0 = time.perf_counter()
-            dstar = escape_dataset(data.id_train, data.aux, ecfg, root.child("escape", epoch))
-            esc_s = time.perf_counter() - t0
-
         order = root.child("shuffle", epoch).permutation(len(dstar))
         joint = epoch >= cfg.pretrain_epochs and cfg.beta != 0.0
         eps_rng = root.child("epsilon", epoch)
@@ -439,13 +391,11 @@ def train(
 
         exp_s = est_s = div_s = 0.0
         synth = None
-        per_batch_pool = cfg.feature_refresh == "step" or cfg.expand_per_batch
-        if joint and not per_batch_pool:
+        if joint:
             t0 = time.perf_counter()
-            # "anchor" keeps the joint-start feature snapshot; fresh mixtures
-            # are still drawn from it every epoch. Re-escaped data invalidates
-            # the snapshot, so it refreshes alongside.
-            if cfg.feature_refresh == "epoch" or cfg.reescape_each_epoch or anchor_feats is None:
+            # the features are snapshotted once at joint start; fresh
+            # mixtures are still drawn from the snapshot every epoch
+            if anchor_feats is None:
                 anchor_feats = net.forward(dstar.x).feats
             t1 = time.perf_counter()
             synth = _SynthesisState(cfg, anchor_feats, root.child("expand", epoch), eps_rng)
@@ -464,32 +414,16 @@ def train(
             cache = net.forward(dstar.x[idx])
             cls_loss, dlogits = cross_entropy_batch(cache.logits, dstar.y[idx])
             batch_total = cls_loss
-            dfeats_extra = None
             check_cfg, check_v = cfg, None
 
             if joint:
-                b_eff = len(idx)
-                if per_batch_pool:
-                    t0 = time.perf_counter()
-                    feats_src = cache.feats if cfg.expand_per_batch else net.forward(dstar.x).feats
-                    local_cfg = cfg if not cfg.expand_per_batch else cfg.replace(
-                        n_mix=cfg.n_mix or 4 * b_eff
-                    )
-                    synth = _SynthesisState(
-                        local_cfg, feats_src, root.child("expand", epoch, b), eps_rng
-                    )
-                    est_s += time.perf_counter() - t0
-
                 t0 = time.perf_counter()
-                v_pts, v_idx = synth.draw_outliers(
-                    b_eff, eps_rng, context=f"epoch {epoch}, batch {b}"
+                v_pts = synth.draw_outliers(
+                    len(idx), eps_rng, context=f"epoch {epoch}, batch {b}"
                 )
                 est_s += time.perf_counter() - t0
 
                 t0 = time.perf_counter()
-                v_sources = None
-                if cfg.grad_through_fit and synth.cand_sources is not None:
-                    v_sources = tuple(arr[v_idx] for arr in synth.cand_sources)
                 # ramp the discrimination weight over the first joint steps;
                 # the raw reciprocal gradient at near-zero divergence is
                 # otherwise large enough to destroy the warmed-up network
@@ -498,8 +432,8 @@ def train(
                     done = (epoch - cfg.pretrain_epochs) * steps_per_epoch + b
                     if done + 1 < warmup_steps:
                         step_cfg = cfg.replace(beta=cfg.beta * (done + 1) / warmup_steps)
-                dis, batch_total, dlogits, dfeats_extra = divergence_terms(
-                    net, cache, cls_loss, dlogits, v_pts, step_cfg, tape, v_sources=v_sources
+                dis, batch_total, dlogits = divergence_terms(
+                    net, cache, cls_loss, dlogits, v_pts, step_cfg, tape
                 )
                 check_cfg, check_v = step_cfg, v_pts
                 dis_sum += dis
@@ -510,12 +444,8 @@ def train(
                 path = _checkpoint_of(last_good, last_good_epoch, checkpoint_dir)
                 raise TrainingDiverged(epoch=epoch, batch=b, checkpoint_path=path)
 
-            net.backward(cache, tape, dlogits, dfeats_extra=dfeats_extra)
-            if (
-                cfg.debug_gradcheck
-                and (epoch * steps_per_epoch + b) % 10 == 0
-                and not cfg.grad_through_fit
-            ):
+            net.backward(cache, tape, dlogits)
+            if cfg.debug_gradcheck and (epoch * steps_per_epoch + b) % 10 == 0:
                 _debug_gradient_spot_check(net, tape, dstar.x[idx], dstar.y[idx], check_cfg, check_v)
             sgd_step(net, tape, lr)
             cls_sum += cls_loss

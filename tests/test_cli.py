@@ -70,11 +70,19 @@ def test_gen_unknown_generator_names_field(tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[train]\nlearning_rate = 0.1\n")
-    rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "learning_rate" in capsys.readouterr().err
+    # the last three are keys of training modes that no longer exist
+    cases = [
+        ("train", "learning_rate", "0.1"),
+        ("train", "feature_refresh", "epoch"),
+        ("train", "n_mix", "8"),
+        ("escape", "reescape_each_epoch", "true"),
+    ]
+    for section, key, value in cases:
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2, key
+        assert key in capsys.readouterr().err
 
 
 def test_train_artifacts_and_progress(smoke, capsys):

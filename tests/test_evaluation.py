@@ -284,14 +284,6 @@ def test_suite_isolates_variant_failures(micro_bundle, monkeypatch):
     assert by_name["full"].error is None
 
 
-def test_suite_thread_fanout_deterministic(micro_bundle):
-    seq = run_ablation_suite(micro_cfg(), micro_bundle, only="stages", threads=1)
-    par = run_ablation_suite(micro_cfg(), micro_bundle, only="stages", threads=4)
-    for a, b in zip(seq, par):
-        assert a.variant == b.variant
-        assert a.average == b.average
-
-
 def test_reports_csv_layout(tmp_path, micro_bundle):
     reports = run_ablation_suite(micro_cfg(), micro_bundle, only="stages")
     path = tmp_path / "ablation.csv"

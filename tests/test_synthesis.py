@@ -8,7 +8,6 @@ from ares.synthesis import (
     ExpandedSet,
     estimate_outlier_region,
     expand_features,
-    sample_gaussian_candidates,
     sample_virtual_outliers,
     select_epsilon,
 )
@@ -209,11 +208,3 @@ def test_outlier_mean_density_below_pool_mean(pool_and_model):
     batch = sample_virtual_outliers(pts, model, epsilon=np.inf, count=100)
     assert batch.loglik.mean() < gaussian_logpdf(model, pts).mean()
 
-
-def test_gaussian_candidates_shape_and_spread():
-    model = GaussianModel.from_moments([1.0, -1.0], np.diag([4.0, 0.25]))
-    pts = sample_gaussian_candidates(model, 20_000, Rng(18))
-    assert pts.shape == (20_000, 2)
-    assert abs(pts[:, 0].mean() - 1.0) < 0.05
-    assert abs(pts[:, 0].std() - 2.0) < 0.05
-    assert abs(pts[:, 1].std() - 0.5) < 0.02

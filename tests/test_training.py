@@ -114,8 +114,6 @@ def test_config_validation():
         TrainConfig(lr_start=1e-6, lr_end=0.1).validate()
     with pytest.raises(ConfigError):
         TrainConfig(loss_kind="wasserstein").validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(grad_through_fit=True).validate()
     TrainConfig(total_epochs=10, pretrain_epochs=10).validate()  # boundary allowed
 
 
@@ -179,12 +177,6 @@ def test_stage_masks_run(mask):
 @pytest.mark.parametrize(
     "flags",
     [
-        {"feature_refresh": "step"},
-        {"feature_refresh": "epoch"},
-        {"expand_per_batch": True},
-        {"expand_per_batch": True, "grad_through_fit": True},
-        {"vos_style_sampling": True},
-        {"reescape_each_epoch": True},
         {"loss_kind": "ce"},
         {"loss_kind": "nce"},
     ],
@@ -240,8 +232,8 @@ def test_divergence_abort_carries_checkpoint(tmp_path, monkeypatch):
 
 def test_synthesis_underflow_reports_context():
     bundle = tiny_bundle(n=120)
-    # 8 mixture candidates can never cover a 30-point batch
-    cfg = tiny_cfg(n_mix=8, total_epochs=3, pretrain_epochs=0)
+    # 8 sampled candidates can never cover a 30-point batch
+    cfg = tiny_cfg(m_candidates=8, total_epochs=3, pretrain_epochs=0)
     with pytest.raises(SynthesisUnderflowError) as exc:
         train(cfg, bundle)
     assert "epoch 0" in str(exc.value)
