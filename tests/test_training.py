@@ -174,11 +174,14 @@ def test_stage_masks_run(mask):
     assert len(log.records) == 6
 
 
+# case ids are pinned so a case keeps its name when others are added or removed
 @pytest.mark.parametrize(
     "flags",
     [
-        {"loss_kind": "ce"},
-        {"loss_kind": "nce"},
+        pytest.param({"beta_warmup_epochs": 0}, id="flags0"),
+        pytest.param({"beta_warmup_epochs": 0, "loss_kind": "ce"}, id="flags1"),
+        pytest.param({"loss_kind": "ce"}, id="flags6"),
+        pytest.param({"loss_kind": "nce"}, id="flags7"),
     ],
 )
 def test_alternative_modes_run(flags):
