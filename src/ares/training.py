@@ -185,13 +185,17 @@ class _SynthesisState:
         pool = feats
         if cfg.expansion:
             pool = expand_features(feats, cfg.alpha2, feats.shape[0], expand_rng).points
-        self.model = None
         self.candidates = pool
+        self.ranked = None
         if cfg.estimation:
-            self.model = fit_gaussian(pool, ridge_scale=cfg.ridge_scale)
+            model = fit_gaussian(pool, ridge_scale=cfg.ridge_scale)
             if len(pool) > cfg.m_candidates:
                 keep = np.sort(eps_rng.choice(len(pool), size=cfg.m_candidates, replace=False))
                 self.candidates = pool[keep]
+            # the pool and the model are fixed for the epoch, so every
+            # batch's bottom-B is a prefix of this one ranking
+            cand = self.candidates
+            self.ranked = sample_virtual_outliers(cand, model, np.inf, count=len(cand)).points
 
     def draw_outliers(self, b_eff: int, eps_rng, context: str) -> np.ndarray:
         """Bottom-``b_eff`` virtual outliers (or a uniform draw when the
@@ -204,10 +208,10 @@ class _SynthesisState:
         cand = self.candidates
         if len(cand) < b_eff:
             raise SynthesisUnderflowError(requested=b_eff, available=len(cand), context=context)
-        if self.model is None:
+        if self.ranked is None:
             idx = eps_rng.choice(len(cand), size=b_eff, replace=False)
             return cand[idx]
-        return sample_virtual_outliers(cand, self.model, np.inf, count=b_eff).points
+        return self.ranked[:b_eff]
 
 
 def divergence_terms(

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
+
+import ares.numerics as numerics_mod
 
 from ares.errors import NumericalError
 from ares.numerics import (
@@ -121,6 +124,137 @@ def test_fit_permutation_invariant_bitwise():
     assert np.array_equal(m1.mu, m2.mu)
     assert np.array_equal(m1.sigma, m2.sigma)
     assert np.array_equal(m1.chol, m2.chol)
+
+
+# ---- exact column sums --------------------------------------------------------
+
+def fsum_columns(a: np.ndarray) -> np.ndarray:
+    """Per-column math.fsum (test-suite oracle)."""
+    return np.array([math.fsum(a[:, j]) for j in range(a.shape[1])])
+
+
+def assert_matches_fsum(a: np.ndarray) -> None:
+    """Bitwise equal to the oracle, or the same exception type; the kernel
+    itself must never overflow or produce a NaN on finite input."""
+    try:
+        want = fsum_columns(a)
+    except (OverflowError, ValueError) as err:
+        with pytest.raises(type(err)), np.errstate(over="raise", invalid="raise"):
+            numerics_mod._exact_colsum(a)
+        return
+    with np.errstate(over="raise", invalid="raise"):
+        got = numerics_mod._exact_colsum(a)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def fsum_input_lengths(monkeypatch, a: np.ndarray) -> list[int]:
+    """Lengths of the sequences ``_exact_colsum(a)`` hands to math.fsum."""
+    lengths = []
+    real = math.fsum
+
+    def counting(xs):
+        xs = list(xs)
+        lengths.append(len(xs))
+        return real(xs)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    try:
+        numerics_mod._exact_colsum(a)
+    except OverflowError:
+        pass
+    monkeypatch.undo()
+    return lengths
+
+
+def adversarial_columns(rng: np.random.Generator, n: int) -> np.ndarray:
+    """One (n, 9) array; each column stresses a different part of the kernel."""
+    cols = [
+        rng.standard_normal(n),
+        rng.standard_normal(n) * 10.0 ** rng.integers(-30, 31, size=n),
+        rng.standard_normal(n) * 1e300,
+        rng.standard_normal(n) * 1e-300,
+        np.zeros(n),
+        np.where(np.arange(n) == rng.integers(n), rng.standard_normal(), 0.0),
+        rng.standard_normal(n) * 5e-324 * 2.0 ** rng.integers(0, 60, size=n),
+    ]
+    half = rng.standard_normal((n - 1) // 2) * 10.0 ** rng.integers(-30, 31, size=(n - 1) // 2)
+    tail = [1e-40] * (n - 2 * len(half))
+    cols.append(np.concatenate([half, -half, tail]))
+    cols.append(-np.zeros(n))
+    return np.stack(cols, axis=1)[rng.permutation(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 255, 1200, 5000])
+def test_exact_colsum_matches_fsum_adversarial(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        a = adversarial_columns(rng, n)
+        assert_matches_fsum(a)
+        for j in range(a.shape[1]):
+            assert_matches_fsum(a[:, j : j + 1])
+
+
+@given(
+    a=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=300),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_exact_colsum_matches_fsum_property(a):
+    assert_matches_fsum(a)
+
+
+@given(
+    scale=st.integers(-270, 270),
+    n=st.integers(2, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_exact_colsum_matches_fsum_scaled(scale, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-30, 31, size=(n, 3))
+    assert_matches_fsum(a * 10.0**scale)
+
+
+def test_exact_colsum_cancellation_and_zeros():
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((2500, 4)) * 10.0 ** rng.integers(-30, 31, size=(2500, 4))
+    tiny = np.array([[1e-300, -5e-324, 0.0, 3e-17]])
+    a = np.vstack([b, -b, tiny])[rng.permutation(5001)]
+    assert_matches_fsum(a)
+    assert np.array_equal(numerics_mod._exact_colsum(a), tiny[0])
+    assert_matches_fsum(np.zeros((10, 3)))
+    assert_matches_fsum(-np.zeros((10, 3)))
+
+
+def test_exact_colsum_takes_the_fast_path(monkeypatch):
+    # ordinary data is summed by extraction: math.fsum only ever sees the
+    # few exact partials of each column, never a raw column
+    a = np.random.default_rng(6).standard_normal((1200, 152))
+    lengths = fsum_input_lengths(monkeypatch, a)
+    assert len(lengths) == 152
+    assert max(lengths) <= 6
+    assert_matches_fsum(a)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [1e308, -1e308, 3.0, 1.7e308],  # sigma would overflow
+        [1e308, 1e308, -1e308, 1.0],  # fsum itself overflows
+        [1.0, 1e-300, -1.0, 2.0],  # a remainder too small for a normal sigma
+        [5e-324, 1e-310, 0.0, 2e-320],  # subnormals only
+    ],
+)
+def test_exact_colsum_out_of_range_falls_back(monkeypatch, column):
+    a = np.array([column, [0.5, -0.25, 2.0, 8.0]]).T
+    assert_matches_fsum(a)
+    lengths = fsum_input_lengths(monkeypatch, a)
+    # math.fsum sees raw columns (it stops at the first one that overflows)
+    assert lengths and all(k == 4 for k in lengths)
 
 
 def test_fit_sigma_symmetric_and_factor_consistent():

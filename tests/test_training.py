@@ -197,6 +197,56 @@ def test_alternative_modes_run(flags):
     assert all(np.isfinite(r.total_loss) for r in log.records)
 
 
+def _record_synthesis(monkeypatch):
+    """Log every candidate ranking and every per-batch outlier draw, in order."""
+    events = []
+    real_rank = training_mod.sample_virtual_outliers
+    real_draw = training_mod._SynthesisState.draw_outliers
+
+    def rank(xs, model, epsilon, count=None):
+        out = real_rank(xs, model, epsilon, count=count)
+        events.append(("rank", len(xs), count, out.points.copy()))
+        return out
+
+    def draw(self, b_eff, eps_rng, context):
+        pts = real_draw(self, b_eff, eps_rng, context)
+        events.append(("draw", b_eff, pts.copy()))
+        return pts
+
+    monkeypatch.setattr(training_mod, "sample_virtual_outliers", rank)
+    monkeypatch.setattr(training_mod._SynthesisState, "draw_outliers", draw)
+    return events
+
+
+def test_candidates_ranked_once_per_joint_epoch(monkeypatch):
+    events = _record_synthesis(monkeypatch)
+    # 120 surrogates in batches of 50: the last batch of each epoch holds 20
+    cfg = tiny_cfg(batch_size=50)
+    train(cfg, tiny_bundle())
+    ranks = [e for e in events if e[0] == "rank"]
+    assert len(ranks) == cfg.total_epochs - cfg.pretrain_epochs
+    ranking = None
+    sizes = []
+    for kind, *rest in events:
+        if kind == "rank":
+            n_cand, count, ranking = rest
+            assert count == n_cand
+            sizes.append([])
+            continue
+        b_eff, pts = rest
+        sizes[-1].append(b_eff)
+        assert np.array_equal(pts, ranking[:b_eff])
+    assert sizes == [[50, 50, 20]] * len(ranks)
+
+
+def test_no_ranking_without_estimation(monkeypatch):
+    events = _record_synthesis(monkeypatch)
+    cfg = tiny_cfg(batch_size=50, estimation=False)
+    train(cfg, tiny_bundle())
+    assert not [e for e in events if e[0] == "rank"]
+    assert len(events) == 3 * (cfg.total_epochs - cfg.pretrain_epochs)
+
+
 def test_escape_mask_trains_on_original_points(monkeypatch):
     calls = {"n": 0}
     import ares.training as tm
