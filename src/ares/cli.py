@@ -17,10 +17,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import config_hash, load_config, resolve_config, to_train_config
+from .config import config_hash, load_config, resolve_config, to_configs
 from .datagen import DataBundle, LabeledDataset, load_points_csv, make_bundle, save_points_csv
 from .errors import AresError, ConfigError
-from .escape import EscapeConfig, escape_dataset
+from .escape import escape_dataset
 from .evaluation import evaluate, run_ablation_suite, score_bundle, write_report_json, write_reports_csv
 from .losses import write_energy_histogram_csv
 from .network import energy_score_batch, load_checkpoint, save_checkpoint
@@ -47,23 +47,23 @@ def _write_manifest(out_dir, config_path, resolved, seed, artifacts) -> None:
         fh.write("\n")
 
 
-def _resolve(args, extra_overrides=None) -> tuple[dict, int]:
+def _resolve(args) -> tuple[dict, tuple]:
+    """Resolved INI strings (for the manifest) and ``to_configs`` of them."""
     file_cfg = load_config(args.config) if args.config else None
-    overrides = dict(extra_overrides or {})
+    overrides = _stage_mask_overrides(getattr(args, "stage_mask", None))
+    if getattr(args, "loss", None) is not None:
+        overrides[("train", "loss_kind")] = args.loss
     if args.seed is not None:
         overrides[("train", "seed")] = str(args.seed)
     resolved = resolve_config(file_cfg, preset=args.preset, overrides=overrides)
-    return resolved, int(resolved["train"]["seed"])
+    return resolved, to_configs(resolved)
 
 
 def _stage_mask_overrides(mask: str | None) -> dict:
+    """``no-<stage>`` switches ``[train] stage_<stage>`` off."""
     if mask in (None, "none"):
         return {}
-    if mask not in STAGE_MASKS:
-        raise ConfigError(f"unknown stage mask: {mask!r}")
-    key = {"no-escape": "stage_escape", "no-expansion": "stage_expansion",
-           "no-estimation": "stage_estimation"}[mask]
-    return {("train", key): "false"}
+    return {("train", "stage_" + mask.removeprefix("no-")): "false"}
 
 
 def _load_bundle(data_dir) -> DataBundle:
@@ -73,7 +73,7 @@ def _load_bundle(data_dir) -> DataBundle:
             raise ConfigError(f"missing data file: {path}")
         return path
 
-    x_tr, y_tr, meta = load_points_csv(need("id_train.csv"))
+    x_tr, y_tr, _ = load_points_csv(need("id_train.csv"))
     x_te, y_te, _ = load_points_csv(need("id_test.csv"))
     aux, _, _ = load_points_csv(need("aux.csv"))
     ood = {}
@@ -90,18 +90,17 @@ def _load_bundle(data_dir) -> DataBundle:
         id_test=LabeledDataset(x=x_te, y=y_te),
         aux=aux,
         ood_eval=ood,
-        meta={"classes": meta.get("classes")},
     )
 
 
 def cmd_gen(args) -> int:
-    resolved, seed = _resolve(args)
+    resolved, (data_cfg, cfg, _) = _resolve(args)
     os.makedirs(args.out, exist_ok=True)
-    bundle = make_bundle(resolved["data"], seed)
+    bundle = make_bundle(data_cfg, cfg.seed)
     k = bundle.id_train.n_classes
     artifacts = ["id_train.csv", "id_test.csv", "aux.csv", "manifest.json"]
     artifacts += [f"ood_{name}.csv" for name in bundle.ood_eval]
-    _write_manifest(args.out, args.config, resolved, seed, artifacts)
+    _write_manifest(args.out, args.config, resolved, cfg.seed, artifacts)
     save_points_csv(os.path.join(args.out, "id_train.csv"), bundle.id_train.x, bundle.id_train.y, "id", k)
     save_points_csv(os.path.join(args.out, "id_test.csv"), bundle.id_test.x, bundle.id_test.y, "id", k)
     save_points_csv(os.path.join(args.out, "aux.csv"), bundle.aux, None, "aux", 0)
@@ -111,15 +110,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    overrides = _stage_mask_overrides(args.stage_mask)
-    if args.loss is not None:
-        overrides[("train", "loss_kind")] = args.loss
-    resolved, seed = _resolve(args, overrides)
-    cfg = to_train_config(resolved)
+    resolved, (_, cfg, _) = _resolve(args)
     bundle = _load_bundle(args.data)
     os.makedirs(args.out, exist_ok=True)
     artifacts = ["checkpoint.json", "train_log.csv", "train_timings.csv", "manifest.json"]
-    _write_manifest(args.out, args.config, resolved, seed, artifacts)
+    _write_manifest(args.out, args.config, resolved, cfg.seed, artifacts)
 
     resume = None
     if args.resume:
@@ -132,23 +127,21 @@ def cmd_train(args) -> int:
     return _check_artifacts(args.out, artifacts)
 
 
-def _virtual_scores_for_histogram(net, bundle, resolved, seed):
+def _virtual_scores_for_histogram(net, bundle, cfg, t_rank):
     """Rebuild the virtual-outlier pool under the trained extractor, for
     reporting only: surrogate set -> features -> mixing -> Gaussian fit ->
     every candidate below the (m, t) threshold."""
-    cfg = to_train_config(resolved)
-    rng = Rng(seed).child("eval-hist")
+    rng = Rng(cfg.seed).child("eval-hist")
     data = bundle.id_train
     if cfg.escape:
-        data = escape_dataset(data, bundle.aux, EscapeConfig(
-            alpha1=cfg.alpha1, max_iters=cfg.max_iters, p_mix=cfg.p_mix), rng.child("escape"))
+        data = escape_dataset(data, bundle.aux, cfg.escape_cfg, rng.child("escape"))
     feats = net.forward(data.x).feats
     pool = feats
     if cfg.expansion:
         pool = expand_features(feats, cfg.alpha2, len(feats), rng.child("expand")).points
     model = estimate_outlier_region(pool, ridge_scale=cfg.ridge_scale)
     m_eff = min(cfg.m_candidates, len(pool))
-    t_eff = min(cfg.t_rank, m_eff)
+    t_eff = min(t_rank, m_eff)
     eps = select_epsilon(pool, model, m=m_eff, t=t_eff, rng=rng.child("epsilon"))
     batch = sample_virtual_outliers(pool, model, eps, count=None)
     if len(batch) == 0:
@@ -157,11 +150,7 @@ def _virtual_scores_for_histogram(net, bundle, resolved, seed):
 
 
 def cmd_eval(args) -> int:
-    file_cfg = load_config(args.config) if args.config else None
-    resolved = resolve_config(file_cfg, preset=args.preset)
-    if args.seed is not None:
-        resolved["train"]["seed"] = str(args.seed)
-    seed = int(resolved["train"]["seed"])
+    resolved, (_, cfg, eval_cfg) = _resolve(args)
     bundle = _load_bundle(args.data)
     if not os.path.exists(args.checkpoint):
         raise ConfigError(f"missing checkpoint: {args.checkpoint}")
@@ -173,33 +162,29 @@ def cmd_eval(args) -> int:
         )
     os.makedirs(args.out, exist_ok=True)
     artifacts = ["report.json", "report.csv", "energy_hist.csv", "manifest.json"]
-    _write_manifest(args.out, args.config, resolved, seed, artifacts)
+    _write_manifest(args.out, args.config, resolved, cfg.seed, artifacts)
 
-    report = evaluate(net, bundle, variant="eval", seed=seed)
+    report = evaluate(net, bundle, variant="eval", seed=cfg.seed)
     write_report_json(os.path.join(args.out, "report.json"), report)
     write_reports_csv(os.path.join(args.out, "report.csv"), [report])
     id_scores, ood_scores = score_bundle(net, bundle)
-    virt = _virtual_scores_for_histogram(net, bundle, resolved, seed)
+    virt = _virtual_scores_for_histogram(net, bundle, cfg, eval_cfg.t_rank)
     write_energy_histogram_csv(
         os.path.join(args.out, "energy_hist.csv"),
         id_scores,
         np.concatenate(list(ood_scores.values())),
         virt,
-        n_bins=int(resolved["eval"]["histogram_bins"]),
+        n_bins=eval_cfg.histogram_bins,
     )
     return _check_artifacts(args.out, artifacts)
 
 
 def cmd_ablate(args) -> int:
-    overrides = _stage_mask_overrides(args.stage_mask)
-    if args.loss is not None:
-        overrides[("train", "loss_kind")] = args.loss
-    resolved, seed = _resolve(args, overrides)
-    cfg = to_train_config(resolved)
+    resolved, (_, cfg, _) = _resolve(args)
     bundle = _load_bundle(args.data)
     os.makedirs(args.out, exist_ok=True)
     artifacts = ["ablation_report.csv", "ablation_report.json", "manifest.json"]
-    _write_manifest(args.out, args.config, resolved, seed, artifacts)
+    _write_manifest(args.out, args.config, resolved, cfg.seed, artifacts)
 
     reports = run_ablation_suite(cfg, bundle, only=args.only)
     write_reports_csv(os.path.join(args.out, "ablation_report.csv"), reports)

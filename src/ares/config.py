@@ -1,75 +1,101 @@
-"""Run configuration: flat key=value sections, paper-default values, and a
-desk-scale preset. Every resolved value participates in the manifest hash."""
+"""Run configuration: flat key=value INI sections, a desk-scale preset, and
+the hash of the resolved values.
+
+The config dataclasses are the schema: each section's keys, defaults and
+value types are the fields of its dataclass (``[data]`` DataConfig,
+``[escape]`` EscapeConfig, ``[train]`` TrainConfig, ``[eval]`` EvalConfig).
+Every resolved value participates in the manifest hash."""
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+from dataclasses import dataclass, fields, is_dataclass
+from typing import get_type_hints
 
+from .datagen import DataConfig
 from .errors import ConfigError
+from .escape import EscapeConfig
 from .training import TrainConfig
 
 __all__ = [
     "DEFAULTS",
     "PRESETS",
+    "SECTIONS",
+    "EvalConfig",
     "config_hash",
     "load_config",
     "resolve_config",
-    "to_train_config",
+    "to_configs",
 ]
 
-# Section -> key -> default. Training hyperparameters default to the
-# published settings; data keys describe the synthetic desk-scale world.
-DEFAULTS: dict[str, dict[str, str]] = {
-    "data": {
-        "generator": "blobs",
-        "n_train": "1200",
-        "n_test": "600",
-        "k": "3",
-        "d": "2",
-        "spread": "0.5",
-        "center_radius": "3.0",
-        "aux_size": "0",
-        "ifs_maps": "3",
-        "ood_sets": "ring,uniform,shifted-blobs",
-        "n_ood": "600",
-        "ring_inner": "8.0",
-        "ring_outer": "10.0",
-        "box_low": "-6.0",
-        "box_high": "6.0",
-        "shift_offset": "2.5",
-    },
-    "escape": {
-        "alpha1": "3.0",
-        "max_iters": "4",
-        "p_mix": "0.9",
-    },
-    "train": {
-        "total_epochs": "500",
-        "pretrain_epochs": "200",
-        "batch_size": "128",
-        "lr_start": "0.1",
-        "lr_end": "1e-6",
-        "beta": "0.1",
-        "alpha2": "2.0",
-        "m_candidates": "10000",
-        "t_rank": "128",
-        "seed": "0",
-        "loss_kind": "jsd",
-        "stage_escape": "true",
-        "stage_expansion": "true",
-        "stage_estimation": "true",
-        "beta_warmup_epochs": "10",
-        "hidden_dims": "64,64",
-        "feature_dim": "16",
-        "nce_temperature": "0.1",
-        "ridge_scale": "1e-6",
-        "debug_gradcheck": "false",
-    },
-    "eval": {
-        "histogram_bins": "50",
-    },
-}
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """``ares eval`` settings (the ``[eval]`` config section)."""
+
+    histogram_bins: int = 50
+    # the histogram's virtual outliers are every candidate below the t-th
+    # smallest density among m_candidates sampled candidates
+    t_rank: int = 128
+
+    def __post_init__(self):
+        if self.histogram_bins < 1:
+            raise ConfigError(f"histogram_bins must be >= 1, got {self.histogram_bins}")
+        if self.t_rank < 1:
+            raise ConfigError(f"t_rank must be >= 1, got {self.t_rank}")
+
+
+SECTIONS = {"data": DataConfig, "escape": EscapeConfig, "train": TrainConfig, "eval": EvalConfig}
+
+# [train] names the stage masks stage_*; TrainConfig names them after the stage
+_KEY_OF_FIELD = {stage: f"stage_{stage}" for stage in ("escape", "expansion", "estimation")}
+
+
+def _schema(cls) -> dict[str, tuple[str, type]]:
+    """INI key -> (field name, value type) for the plain fields of ``cls``;
+    a nested config dataclass is a section of its own."""
+    hints = get_type_hints(cls)
+    return {
+        _KEY_OF_FIELD.get(f.name, f.name): (f.name, hints[f.name])
+        for f in fields(cls)
+        if not is_dataclass(hints[f.name])
+    }
+
+
+_SCHEMAS = {sec: _schema(cls) for sec, cls in SECTIONS.items()}
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
+def _parse(section: str, key: str, typ: type, raw: str):
+    try:
+        if typ is bool:
+            return _BOOLS[raw.strip().lower()]
+        if typ is tuple:
+            return tuple(int(v) for v in raw.split(",") if v.strip())
+        return typ(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"[{section}] {key}: expected {typ.__name__}, got {raw!r}") from None
+
+
+def _defaults(section: str) -> dict[str, str]:
+    default = SECTIONS[section]()
+    return {key: _format(getattr(default, name)) for key, (name, _) in _SCHEMAS[section].items()}
+
+
+# Section -> key -> default, as the INI strings of the dataclass defaults.
+DEFAULTS: dict[str, dict[str, str]] = {sec: _defaults(sec) for sec in SECTIONS}
 
 # Presets override sizes only; "paper" keeps the published hyperparameters.
 PRESETS: dict[str, dict[tuple[str, str], str]] = {
@@ -80,40 +106,13 @@ PRESETS: dict[str, dict[tuple[str, str], str]] = {
     },
 }
 
-_BOOL_KEYS = {
-    ("train", "stage_escape"),
-    ("train", "stage_expansion"),
-    ("train", "stage_estimation"),
-    ("train", "debug_gradcheck"),
-}
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-
 
 def load_config(path) -> dict[str, dict[str, str]]:
-    """Parse a config file; unknown sections or keys are errors naming the
-    offender."""
+    """Parse a config file into section -> key -> raw string."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
-    out: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in DEFAULTS:
-            raise ConfigError(f"unknown config section: [{section}]")
-        out[section] = {}
-        for key, val in parser.items(section):
-            if key not in DEFAULTS[section]:
-                raise ConfigError(f"unknown config key: [{section}] {key}")
-            out[section][key] = val
-    return out
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def resolve_config(
@@ -121,22 +120,19 @@ def resolve_config(
     preset: str | None = None,
     overrides: dict | None = None,
 ) -> dict[str, dict[str, str]]:
-    """Defaults < preset < config file < explicit CLI overrides."""
+    """Defaults < preset < config file < explicit CLI overrides. Unknown
+    keys and bad values are errors naming ``[section] key``, raised here,
+    before any work starts."""
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(f"unknown preset: {preset!r}")
+    file_items = {(sec, key): val for sec, keys in (file_cfg or {}).items() for key, val in keys.items()}
     resolved = {sec: dict(keys) for sec, keys in DEFAULTS.items()}
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset: {preset!r}")
-        for (sec, key), val in PRESETS[preset].items():
-            resolved[sec][key] = val
-    for sec, keys in (file_cfg or {}).items():
-        resolved[sec].update(keys)
-    for (sec, key), val in (overrides or {}).items():
-        if sec not in resolved or key not in resolved[sec]:
-            raise ConfigError(f"unknown config key: [{sec}] {key}")
-        resolved[sec][key] = str(val)
-    # validate booleans eagerly so errors name the key
-    for sec, key in _BOOL_KEYS:
-        _parse_bool(sec, key, resolved[sec][key])
+    for layer in (PRESETS[preset] if preset else {}, file_items, overrides or {}):
+        for (sec, key), val in layer.items():
+            if key not in resolved.get(sec, {}):
+                raise ConfigError(f"unknown config key: [{sec}] {key}")
+            resolved[sec][key] = str(val)
+    to_configs(resolved)
     return resolved
 
 
@@ -149,38 +145,21 @@ def config_hash(resolved: dict[str, dict[str, str]]) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def to_train_config(resolved: dict[str, dict[str, str]]) -> TrainConfig:
-    """Build the validated in-memory training configuration."""
-    t = resolved["train"]
-    e = resolved["escape"]
+def _build(resolved: dict[str, dict[str, str]], section: str, **nested):
+    values = resolved[section]
+    kw = {name: _parse(section, key, typ, values[key]) for key, (name, typ) in _SCHEMAS[section].items()}
     try:
-        hidden = tuple(int(h) for h in t["hidden_dims"].split(",") if h.strip())
-        cfg = TrainConfig(
-            total_epochs=int(t["total_epochs"]),
-            pretrain_epochs=int(t["pretrain_epochs"]),
-            batch_size=int(t["batch_size"]),
-            lr_start=float(t["lr_start"]),
-            lr_end=float(t["lr_end"]),
-            beta=float(t["beta"]),
-            alpha1=float(e["alpha1"]),
-            alpha2=float(t["alpha2"]),
-            m_candidates=int(t["m_candidates"]),
-            t_rank=int(t["t_rank"]),
-            seed=int(t["seed"]),
-            loss_kind=t["loss_kind"],
-            escape=_parse_bool("train", "stage_escape", t["stage_escape"]),
-            expansion=_parse_bool("train", "stage_expansion", t["stage_expansion"]),
-            estimation=_parse_bool("train", "stage_estimation", t["stage_estimation"]),
-            max_iters=int(e["max_iters"]),
-            p_mix=float(e["p_mix"]),
-            beta_warmup_epochs=int(t["beta_warmup_epochs"]),
-            hidden_dims=hidden,
-            feature_dim=int(t["feature_dim"]),
-            nce_temperature=float(t["nce_temperature"]),
-            ridge_scale=float(t["ridge_scale"]),
-            debug_gradcheck=_parse_bool("train", "debug_gradcheck", t["debug_gradcheck"]),
-        )
+        return SECTIONS[section](**kw, **nested)
     except ValueError as err:
-        raise ConfigError(f"invalid config value: {err}") from err
-    cfg.validate()
-    return cfg
+        raise ConfigError(f"[{section}] {err}") from None
+
+
+def to_configs(resolved: dict[str, dict[str, str]]) -> tuple[DataConfig, TrainConfig, EvalConfig]:
+    """The validated dataclasses of a resolved config; ``[escape]`` becomes
+    the ``escape_cfg`` that the TrainConfig carries."""
+    escape_cfg = _build(resolved, "escape")
+    return (
+        _build(resolved, "data"),
+        _build(resolved, "train", escape_cfg=escape_cfg),
+        _build(resolved, "eval"),
+    )

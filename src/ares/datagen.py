@@ -7,7 +7,9 @@ to CSV round-trips exactly (values are written with 17 significant digits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .rng import Rng
 __all__ = [
     "AUX_BURN_IN",
     "DataBundle",
+    "DataConfig",
     "LabeledDataset",
     "geometric_transform",
     "ifs_chaos_points",
@@ -31,6 +34,52 @@ __all__ = [
 
 AUX_BURN_IN = 20
 TRANSFORM_KINDS = ("rotate2d", "flip", "permute")
+ID_GENERATORS = ("blobs", "moons2d", "rings")
+OOD_GENERATORS = ("ring", "uniform", "shifted-blobs")
+_KINDS = {"str": str, "int": Integral, "float": Real}  # DataConfig annotation -> accepted values
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """The data world (the ``[data]`` config section): inlier generator and
+    sizes, auxiliary IFS set (``aux_size = 0`` means ``n_train``) and outlier
+    sets (``ood_sets``, a comma list). A bad field is a ConfigError."""
+
+    generator: str = "blobs"
+    n_train: int = 1200
+    n_test: int = 600
+    k: int = 3
+    d: int = 2
+    spread: float = 0.5
+    center_radius: float = 3.0
+    aux_size: int = 0
+    ifs_maps: int = 3
+    ood_sets: str = "ring,uniform,shifted-blobs"
+    n_ood: int = 600
+    ring_inner: float = 8.0
+    ring_outer: float = 10.0
+    box_low: float = -6.0
+    box_high: float = 6.0
+    shift_offset: float = 2.5
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _KINDS[f.type]):
+                raise ConfigError(f"{f.name}: expected {f.type}, got {value!r}")
+        if self.generator not in ID_GENERATORS:
+            raise ConfigError(f"generator: unknown inlier generator {self.generator!r}")
+        lows = (("k", 2), ("d", 2), ("n_train", self.k), ("n_test", self.k),
+                ("n_ood", 1), ("aux_size", 0), ("ifs_maps", 2))
+        for name, low in lows:
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.ood_names or not set(self.ood_names) <= set(OOD_GENERATORS):
+            raise ConfigError(f"ood_sets: need names from {OOD_GENERATORS}, got {self.ood_sets!r}")
+
+    @property
+    def ood_names(self) -> list[str]:
+        return [s.strip() for s in self.ood_sets.split(",") if s.strip()]
 
 
 @dataclass
@@ -61,7 +110,6 @@ class DataBundle:
     id_test: LabeledDataset
     aux: np.ndarray
     ood_eval: dict[str, np.ndarray]
-    meta: dict = field(default_factory=dict)
 
 
 def _balanced_labels(n: int, k: int) -> np.ndarray:
@@ -95,13 +143,13 @@ def make_id_dataset(
     y = _balanced_labels(n, k)
 
     if name == "blobs":
-        spread = float(params.get("spread", 0.5))
+        spread = float(params.get("spread", DataConfig.spread))
         if "centers" in params:
             centers = np.asarray(params["centers"], dtype=float)
             if centers.shape != (k, d):
                 raise ConfigError(f"blobs: centers must have shape ({k}, {d})")
         else:
-            centers = _circle_centers(k, d, float(params.get("center_radius", 3.0)))
+            centers = _circle_centers(k, d, float(params.get("center_radius", DataConfig.center_radius)))
         x = centers[y] + spread * rng.standard_normal((n, d))
     elif name == "moons2d":
         if k != 2 or d != 2:
@@ -137,22 +185,22 @@ def make_ood_eval(name: str, n: int, rng: Rng, params: dict | None = None) -> np
     """
     params = dict(params or {})
     if name == "ring":
-        d = int(params.get("d", 2))
-        inner = float(params.get("inner", 5.0))
-        outer = float(params.get("outer", 7.0))
+        d = int(params.get("d", DataConfig.d))
+        inner = float(params.get("inner", DataConfig.ring_inner))
+        outer = float(params.get("outer", DataConfig.ring_outer))
         direction = rng.standard_normal((n, d))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         r = rng.uniform(inner, outer, n)
         return direction * r[:, None]
     if name == "uniform":
-        d = int(params.get("d", 2))
-        low = float(params.get("low", -6.0))
-        high = float(params.get("high", 6.0))
+        d = int(params.get("d", DataConfig.d))
+        low = float(params.get("low", DataConfig.box_low))
+        high = float(params.get("high", DataConfig.box_high))
         return rng.uniform(low, high, (n, d))
     if name == "shifted-blobs":
         centers = np.asarray(params["centers"], dtype=float)
-        offset = float(params.get("offset", 2.5))
-        spread = float(params.get("spread", 0.5))
+        offset = float(params.get("offset", DataConfig.shift_offset))
+        spread = float(params.get("spread", DataConfig.spread))
         norms = np.linalg.norm(centers, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         shifted = centers + offset * centers / norms
@@ -207,7 +255,7 @@ def _rescale_to_box(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
 
 
 def make_aux_dataset(
-    n: int, d: int, rng: Rng, ifs_maps: int = 3, box: tuple | None = None
+    n: int, d: int, rng: Rng, ifs_maps: int = DataConfig.ifs_maps, box: tuple | None = None
 ) -> np.ndarray:
     """Auxiliary structurally-complex point set from a random IFS attractor,
     rescaled into ``box = (lo, hi)`` (normally the inlier bounding box)."""
@@ -262,59 +310,42 @@ def geometric_transform(
 # Bundle assembly and CSV persistence
 # --------------------------------------------------------------------------
 
-def make_bundle(cfg: dict, seed: int) -> DataBundle:
-    """Assemble the full data world from a [data] config mapping.
-
-    Recognised keys (with defaults): generator=blobs, n_train=1200,
-    n_test=600, k=3, d=2, spread, center_radius, aux_size (0 -> n_train),
-    ifs_maps, ood_sets (comma list), n_ood, ring_inner, ring_outer,
-    box_low, box_high, shift_offset.
-    """
+def make_bundle(cfg: DataConfig | Mapping, seed: int) -> DataBundle:
+    """Assemble the full data world from a :class:`DataConfig`, or from a
+    mapping of its field names (absent fields keep their defaults; an
+    unknown name is a :class:`ConfigError`)."""
+    if not isinstance(cfg, DataConfig):
+        unknown = sorted(set(cfg) - {f.name for f in fields(DataConfig)})
+        if unknown:
+            raise ConfigError(f"make_bundle: unknown data key(s): {', '.join(unknown)}")
+        cfg = DataConfig(**cfg)
     rng = Rng(seed).child("data")
-    name = cfg.get("generator", "blobs")
-    n_train = int(cfg.get("n_train", 1200))
-    n_test = int(cfg.get("n_test", 600))
-    k = int(cfg.get("k", 3))
-    d = int(cfg.get("d", 2))
-    id_params = {}
-    for key in ("spread", "center_radius", "noise", "base_radius", "gap", "width"):
-        if key in cfg:
-            id_params[key] = float(cfg[key])
+    k, d = cfg.k, cfg.d
+    id_params = {"spread": cfg.spread, "center_radius": cfg.center_radius}
+    id_train = make_id_dataset(cfg.generator, cfg.n_train, k, d, rng.child("id-train"), id_params)
+    id_test = make_id_dataset(cfg.generator, cfg.n_test, k, d, rng.child("id-test"), id_params)
 
-    id_train = make_id_dataset(name, n_train, k, d, rng.child("id-train"), id_params)
-    id_test = make_id_dataset(name, n_test, k, d, rng.child("id-test"), id_params)
-
-    aux_size = int(cfg.get("aux_size", 0)) or n_train
     lo = id_train.x.min(axis=0)
     hi = id_train.x.max(axis=0)
     aux = make_aux_dataset(
-        aux_size, d, rng.child("aux"), ifs_maps=int(cfg.get("ifs_maps", 3)), box=(lo, hi)
+        cfg.aux_size or cfg.n_train, d, rng.child("aux"), ifs_maps=cfg.ifs_maps, box=(lo, hi)
     )
 
-    ood_names = [s.strip() for s in str(cfg.get("ood_sets", "ring,uniform,shifted-blobs")).split(",") if s.strip()]
-    n_ood = int(cfg.get("n_ood", 600))
     centers = (
-        _circle_centers(k, d, float(cfg.get("center_radius", 3.0)))
-        if name == "blobs"
+        _circle_centers(k, d, cfg.center_radius)
+        if cfg.generator == "blobs"
         else id_train.x.mean(axis=0, keepdims=True).repeat(k, axis=0)
     )
-    ood_eval = {}
-    for ood_name in ood_names:
-        params: dict = {"d": d}
-        if ood_name == "ring":
-            params["inner"] = float(cfg.get("ring_inner", 5.0))
-            params["outer"] = float(cfg.get("ring_outer", 7.0))
-        elif ood_name == "uniform":
-            params["low"] = float(cfg.get("box_low", -6.0))
-            params["high"] = float(cfg.get("box_high", 6.0))
-        elif ood_name == "shifted-blobs":
-            params["centers"] = centers
-            params["offset"] = float(cfg.get("shift_offset", 2.5))
-            params["spread"] = float(cfg.get("spread", 0.5))
-        ood_eval[ood_name] = make_ood_eval(ood_name, n_ood, rng.child("ood", ood_name), params)
-
-    meta = {"generator": name, "seed": seed, "d": d, "k": k, "n_train": n_train, "n_test": n_test}
-    return DataBundle(id_train=id_train, id_test=id_test, aux=aux, ood_eval=ood_eval, meta=meta)
+    ood_params = {
+        "ring": {"inner": cfg.ring_inner, "outer": cfg.ring_outer},
+        "uniform": {"low": cfg.box_low, "high": cfg.box_high},
+        "shifted-blobs": {"centers": centers, "offset": cfg.shift_offset, "spread": cfg.spread},
+    }
+    ood_eval = {
+        name: make_ood_eval(name, cfg.n_ood, rng.child("ood", name), {"d": d, **ood_params[name]})
+        for name in cfg.ood_names
+    }
+    return DataBundle(id_train=id_train, id_test=id_test, aux=aux, ood_eval=ood_eval)
 
 
 def save_points_csv(path, x: np.ndarray, y: np.ndarray | None, role: str, k: int = 0) -> None:

@@ -15,13 +15,17 @@ from .rng import Rng
 __all__ = ["EscapeConfig", "escape_dataset", "escape_instance"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EscapeConfig:
+    """Surrogate generation settings (the ``[escape]`` config section)."""
+
     alpha1: float = 3.0          # Beta parameter for the mixing coefficient
     max_iters: int = 4           # iteration budget per instance, uniform in [1, max_iters]
     p_mix: float = 0.9           # per-iteration probability of aux-mix over transform
 
     def __post_init__(self):
+        if not self.alpha1 > 0:
+            raise ValueError(f"alpha1 must be > 0, got {self.alpha1}")
         if not 1 <= self.max_iters <= 4:
             raise ValueError(f"max_iters must lie in [1, 4], got {self.max_iters}")
         if not 0.0 <= self.p_mix <= 1.0:

@@ -219,7 +219,7 @@ def nce_grad(
 # ---- reporting ---------------------------------------------------------------
 
 def energy_histogram(
-    id_scores, ood_scores, virtual_scores, n_bins: int = 50
+    id_scores, ood_scores, virtual_scores, n_bins: int
 ) -> list[tuple[float, float, int, int, int]]:
     """Uniform binning of the three score populations over their joint
     range; rows of (bin_left, bin_right, count_id, count_ood, count_virtual)."""
@@ -236,7 +236,7 @@ def energy_histogram(
     ]
 
 
-def write_energy_histogram_csv(path, id_scores, ood_scores, virtual_scores, n_bins: int = 50) -> None:
+def write_energy_histogram_csv(path, id_scores, ood_scores, virtual_scores, n_bins: int) -> None:
     rows = energy_histogram(id_scores, ood_scores, virtual_scores, n_bins)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_left,bin_right,count_id,count_ood,count_virtual\n")

@@ -17,6 +17,7 @@ from .errors import NumericalError
 from .rng import Rng
 
 __all__ = [
+    "RIDGE_SCALE",
     "VAR_FLOOR",
     "Gauss1d",
     "GaussianModel",
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 VAR_FLOOR = 1e-12
+RIDGE_SCALE = 1e-6  # default relative ridge of every Gaussian fit
 _LOG_2PI = math.log(2.0 * math.pi)
 _MAX_RIDGE_ESCALATIONS = 8
 _MAX_EXTRACT_PASSES = 60
@@ -84,7 +86,7 @@ class GaussianModel:
         return self.mu.shape[0]
 
     @classmethod
-    def from_moments(cls, mu, sigma, ridge_scale: float = 1e-6) -> "GaussianModel":
+    def from_moments(cls, mu, sigma, ridge_scale: float = RIDGE_SCALE) -> "GaussianModel":
         """Build a model from given moments, applying the same ridge
         escalation as :func:`fit_gaussian`."""
         mu = np.asarray(mu, dtype=float)
@@ -149,7 +151,7 @@ def _factorize(sigma: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, float
     )
 
 
-def fit_gaussian(points, ridge_scale: float = 1e-6) -> GaussianModel:
+def fit_gaussian(points, ridge_scale: float = RIDGE_SCALE) -> GaussianModel:
     """Fit a multivariate Gaussian with population (1/N) normalisation.
 
     Parameters

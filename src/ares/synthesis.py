@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SynthesisUnderflowError
-from .numerics import GaussianModel, fit_gaussian, gaussian_logpdf
+from .numerics import RIDGE_SCALE, GaussianModel, fit_gaussian, gaussian_logpdf
 from .rng import Rng
 
 __all__ = [
@@ -82,7 +82,7 @@ def expand_features(feats: np.ndarray, alpha2: float, n_pairs: int, rng: Rng) ->
     return ExpandedSet(points=points, idx_i=idx_i, idx_j=idx_j, lam=lam)
 
 
-def estimate_outlier_region(xs, ridge_scale: float = 1e-6) -> GaussianModel:
+def estimate_outlier_region(xs, ridge_scale: float = RIDGE_SCALE) -> GaussianModel:
     """One Gaussian over all expanded points at once — deliberately
     class-agnostic, since real outliers scatter across the whole space."""
     return fit_gaussian(_as_points(xs), ridge_scale=ridge_scale)

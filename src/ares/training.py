@@ -10,7 +10,7 @@ import copy
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .network import (
     energy_score_batch,
     save_checkpoint,
 )
-from .numerics import fit_gaussian
+from .numerics import RIDGE_SCALE, fit_gaussian
 from .rng import Rng
 from .synthesis import expand_features, sample_virtual_outliers
 
@@ -45,35 +45,37 @@ __all__ = ["EpochRecord", "TrainConfig", "TrainLog", "cosine_lr", "sgd_step", "t
 LOSS_KINDS = ("jsd", "ce", "nce")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings (the ``[train]`` config section, with ``[escape]``
+    nested as ``escape_cfg``). Validated on construction."""
+
     total_epochs: int = 500
     pretrain_epochs: int = 200
     batch_size: int = 128
     lr_start: float = 0.1
     lr_end: float = 1e-6
     beta: float = 0.1
-    alpha1: float = 3.0
     alpha2: float = 2.0
     m_candidates: int = 10000
-    t_rank: int = 128
     seed: int = 0
     loss_kind: str = "jsd"
     # stage mask (ablations disable individual stages)
     escape: bool = True
     expansion: bool = True
     estimation: bool = True
-    # escape details
-    max_iters: int = 4
-    p_mix: float = 0.9
+    escape_cfg: EscapeConfig = field(default_factory=EscapeConfig)  # the escape stage's settings
     beta_warmup_epochs: int = 10  # per-step linear ramp into the joint phase; 0 = off
     # architecture
     hidden_dims: tuple = (64, 64)
     feature_dim: int = 16
     # misc numerics
     nce_temperature: float = 0.1
-    ridge_scale: float = 1e-6
+    ridge_scale: float = RIDGE_SCALE
     debug_gradcheck: bool = False  # spot-check gradients every 10th step
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.pretrain_epochs > self.total_epochs:
@@ -85,19 +87,20 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if not (self.lr_start >= self.lr_end > 0):
             raise ConfigError(
-                f"need lr_start >= lr_end > 0, got {self.lr_start}, {self.lr_end}"
+                f"lr_start, lr_end: need lr_start >= lr_end > 0, got {self.lr_start}, {self.lr_end}"
             )
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.m_candidates < 1 or self.t_rank < 1:
-            raise ConfigError("m_candidates and t_rank must be >= 1")
+        for name in ("alpha2", "m_candidates", "feature_dim", "nce_temperature"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not all(h > 0 for h in self.hidden_dims):
+            raise ConfigError(f"hidden_dims must be positive, got {self.hidden_dims}")
         if self.beta_warmup_epochs < 0:
             raise ConfigError("beta_warmup_epochs must be >= 0")
 
     def replace(self, **kw) -> "TrainConfig":
-        vals = {f.name: getattr(self, f.name) for f in fields(self)}
-        vals.update(kw)
-        return TrainConfig(**vals)
+        return replace(self, **kw)
 
 
 @dataclass
@@ -353,7 +356,6 @@ def train(
     the loss goes non-finite, and propagates synthesis underflows with
     epoch/batch context.
     """
-    cfg.validate()
     root = Rng(cfg.seed)
     d_in = data.id_train.dim
     k = data.id_train.n_classes
@@ -366,16 +368,11 @@ def train(
 
     tape = GradientTape(net)
     log = TrainLog()
-    ecfg = EscapeConfig(
-        alpha1=cfg.alpha1,
-        max_iters=cfg.max_iters,
-        p_mix=cfg.p_mix,
-    )
 
     escape_s0 = 0.0
     if cfg.escape:
         t0 = time.perf_counter()
-        dstar = escape_dataset(data.id_train, data.aux, ecfg, root.child("escape"))
+        dstar = escape_dataset(data.id_train, data.aux, cfg.escape_cfg, root.child("escape"))
         escape_s0 = time.perf_counter() - t0
     else:
         dstar = LabeledDataset(x=data.id_train.x.copy(), y=data.id_train.y.copy())

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from ares.cli import main
-from ares.datagen import load_points_csv
+from ares.datagen import load_points_csv, make_bundle, save_points_csv
 from ares.evaluation import auroc, fpr95
 from ares.network import energy_score_batch, load_checkpoint
 
@@ -70,12 +70,14 @@ def test_gen_unknown_generator_names_field(tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    # the last three are keys of training modes that no longer exist
+    # feature_refresh, n_mix and reescape_each_epoch are keys of training
+    # modes that no longer exist; t_rank is an [eval] key
     cases = [
         ("train", "learning_rate", "0.1"),
         ("train", "feature_refresh", "epoch"),
         ("train", "n_mix", "8"),
         ("escape", "reescape_each_epoch", "true"),
+        ("train", "t_rank", "128"),
     ]
     for section, key, value in cases:
         cfg = tmp_path / "bad.ini"
@@ -83,6 +85,45 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2, key
         assert key in capsys.readouterr().err
+
+
+def test_bad_config_value_rejected_at_resolve(tmp_path, capsys):
+    # every section is validated before any command runs, so an [escape]
+    # value that only training reads already fails in gen
+    cases = [
+        ("data", "n_train", "abc"),
+        ("data", "k", "1"),
+        ("escape", "max_iters", "5"),
+        ("escape", "alpha1", "0"),
+        ("train", "feature_dim", "0"),
+        ("train", "hidden_dims", "64,0"),
+        ("eval", "t_rank", "0"),
+    ]
+    for section, key, value in cases:
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2, key
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_library_bundle_matches_gen_defaults(tmp_path):
+    # make_bundle's defaults are the CLI's: same world, same bytes
+    assert main(["gen", "--seed", "3", "--out", str(tmp_path / "cli")]) == 0
+    bundle = make_bundle({}, seed=3)
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    k = bundle.id_train.n_classes
+    save_points_csv(lib / "id_train.csv", bundle.id_train.x, bundle.id_train.y, "id", k)
+    save_points_csv(lib / "id_test.csv", bundle.id_test.x, bundle.id_test.y, "id", k)
+    save_points_csv(lib / "aux.csv", bundle.aux, None, "aux", 0)
+    for name, pts in bundle.ood_eval.items():
+        save_points_csv(lib / f"ood_{name}.csv", pts, None, "ood", 0)
+    names = sorted(p.name for p in (tmp_path / "cli").glob("*.csv"))
+    assert names == sorted(p.name for p in lib.glob("*.csv"))
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (lib / name).read_bytes(), name
 
 
 def test_train_artifacts_and_progress(smoke, capsys):

@@ -209,6 +209,15 @@ def test_csv_unlabeled_round_trip(tmp_path):
     assert meta["role"] == "aux"
 
 
+def test_bundle_rejects_unknown_keys():
+    # a typo, and keys of the inlier generators that are not data config keys
+    for key in ("ring_innr", "noise", "base_radius", "gap", "width"):
+        with pytest.raises(ConfigError, match=key):
+            make_bundle({key: 1.0}, seed=0)
+    with pytest.raises(ConfigError, match="n_train"):
+        make_bundle({"n_train": "90"}, seed=0)
+
+
 def test_bundle_class_sets_identical():
     bundle = make_bundle({"n_train": 90, "n_test": 30}, seed=16)
     assert set(bundle.id_train.y) == set(bundle.id_test.y)

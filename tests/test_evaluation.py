@@ -212,7 +212,8 @@ def test_untrained_net_near_chance():
     aurocs = []
     for seed in range(10):
         bundle = make_bundle(
-            {"n_train": 120, "n_test": 200, "k": 3, "d": 2, "n_ood": 200, "ood_sets": "ring"},
+            {"n_train": 120, "n_test": 200, "k": 3, "d": 2, "n_ood": 200, "ood_sets": "ring",
+             "ring_inner": 5.0, "ring_outer": 7.0},
             seed=seed,
         )
         net = MlpNetwork(2, (64, 64), 16, 3, Rng(1000 + seed))

@@ -242,7 +242,7 @@ def test_histogram_covers_joint_range_and_counts(tmp_path):
     assert sum(r[3] for r in rows) == 1
     assert sum(r[4] for r in rows) == 2
     path = tmp_path / "hist.csv"
-    write_energy_histogram_csv(path, id_s, ood_s, v_s)
+    write_energy_histogram_csv(path, id_s, ood_s, v_s, n_bins=50)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "bin_left,bin_right,count_id,count_ood,count_virtual"
     assert len(lines) == 51

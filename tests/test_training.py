@@ -23,7 +23,6 @@ def tiny_cfg(**kw):
         lr_start=0.05,
         lr_end=1e-4,
         m_candidates=10000,
-        t_rank=16,
         seed=1,
     )
     base.update(kw)
