@@ -7,6 +7,7 @@ to CSV round-trips exactly (values are written with 17 significant digits).
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
@@ -69,6 +70,10 @@ class DataConfig:
                 raise ConfigError(f"{f.name}: expected {f.type}, got {value!r}")
         if self.generator not in ID_GENERATORS:
             raise ConfigError(f"generator: unknown inlier generator {self.generator!r}")
+        if self.generator == "moons2d" and (self.k, self.d) != (2, 2):
+            raise ConfigError(f"generator: moons2d requires k=2 and d=2, got k={self.k} d={self.d}")
+        if self.generator == "rings" and self.d != 2:
+            raise ConfigError(f"generator: rings requires d=2, got d={self.d}")
         lows = (("k", 2), ("d", 2), ("n_train", self.k), ("n_test", self.k),
                 ("n_ood", 1), ("aux_size", 0), ("ifs_maps", 2))
         for name, low in lows:
@@ -364,28 +369,32 @@ def save_points_csv(path, x: np.ndarray, y: np.ndarray | None, role: str, k: int
 
 
 def load_points_csv(path) -> tuple[np.ndarray, np.ndarray | None, dict]:
-    """Read the CSV point format back; returns (x, y-or-None, header meta)."""
+    """Read the CSV point format back; returns (x, y-or-None, header meta).
+    Blank lines are skipped; a malformed header or row is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         meta = {}
         for part in header.split(","):
             key, _, val = part.partition("=")
             meta[key] = val
-        if "dim" not in meta or "role" not in meta:
+        if "dim" not in meta or "role" not in meta or not meta["dim"].isdigit():
             raise ConfigError(f"{path}: malformed point-file header: {header!r}")
         d = int(meta["dim"])
-        labels, rows = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != d + 1:
-                raise ConfigError(f"{path}: row has {len(fields) - 1} coords, expected {d}")
-            labels.append(int(fields[0]))
-            rows.append([float(v) for v in fields[1:]])
-    x = np.array(rows, dtype=float).reshape(len(rows), d)
-    y = np.array(labels, dtype=int)
+        try:
+            with warnings.catch_warnings():  # a header-only file is an empty set
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(filter(str.strip, fh), delimiter=",", ndmin=2, comments=None)
+        except ValueError as err:
+            raise ConfigError(f"{path}: {err}") from None
+    if table.size == 0:
+        table = np.empty((0, d + 1))
+    if table.shape[1] != d + 1:
+        raise ConfigError(f"{path}: row has {table.shape[1] - 1} coords, expected {d}")
+    labels = table[:, 0]
+    if not np.all((np.abs(labels) < 2**31) & (labels == np.trunc(labels))):
+        raise ConfigError(f"{path}: class labels must be integers")
+    x = np.ascontiguousarray(table[:, 1:])
+    y = labels.astype(int)
     if np.all(y == -1):
         return x, None, meta
     return x, y, meta

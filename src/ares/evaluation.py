@@ -12,6 +12,7 @@ the headline metric stays literal.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,18 +36,31 @@ __all__ = [
 TPR_TARGET = 0.95
 
 
+def _scores(values, where: str) -> np.ndarray:
+    """``values`` as a float array; a non-finite score is a ValueError."""
+    s = np.asarray(values, dtype=float)
+    bad = s[~np.isfinite(s)]
+    if bad.size:
+        raise ValueError(f"{where}: {bad.size} non-finite score(s), e.g. {bad[:3].tolist()}")
+    return s
+
+
 def choose_gamma(id_scores) -> float:
     """Largest threshold keeping at least 95% of the inlier scores on the
-    ``>= gamma`` side. When 0.95 is not exactly attainable the smallest
-    attainable rate above it is used (conservative gate)."""
-    s = np.asarray(id_scores, dtype=float)
-    if s.size < 20:
-        raise ValueError(f"choose_gamma: need at least 20 scores, got {s.size}")
+    ``>= gamma`` side: the ceil(0.95 n)-th largest score. When 0.95 is not
+    exactly attainable the smallest attainable rate above it is used
+    (conservative gate)."""
+    s = _scores(id_scores, "choose_gamma")
     n = s.size
-    for gamma in np.unique(s)[::-1]:  # descending candidate thresholds
-        if np.count_nonzero(s >= gamma) >= TPR_TARGET * n:
-            return float(gamma)
-    return float(s.min())
+    if n < 20:
+        raise ValueError(f"choose_gamma: need at least 20 scores, got {n}")
+    keep = math.ceil(TPR_TARGET * n)  # fewest scores that reach the target rate
+    return float(np.partition(s, n - keep)[n - keep])
+
+
+def _pass_rate(ood_scores: np.ndarray, gamma: float) -> float:
+    """Fraction of outlier scores passing the gate ``score >= gamma``."""
+    return float(np.count_nonzero(ood_scores >= gamma) / ood_scores.size)
 
 
 def discriminate(score: float, gamma: float) -> int:
@@ -57,32 +71,27 @@ def discriminate(score: float, gamma: float) -> int:
 def fpr95(id_scores, ood_scores) -> float:
     """Fraction of outlier scores passing the 95%-TPR inlier gate."""
     id_scores = np.asarray(id_scores, dtype=float)
-    ood_scores = np.asarray(ood_scores, dtype=float)
+    ood_scores = _scores(ood_scores, "fpr95")
     if id_scores.size == 0 or ood_scores.size == 0:
         raise ValueError("fpr95: empty score list")
-    gamma = choose_gamma(id_scores)
-    return float(np.count_nonzero(ood_scores >= gamma) / ood_scores.size)
+    return _pass_rate(ood_scores, choose_gamma(id_scores))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=float)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])  # tie groups
+    ends = np.r_[starts[1:], values.size] - 1  # last sorted index of each group
+    ranks = np.empty(values.size, dtype=float)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
 def auroc(id_scores, ood_scores) -> float:
     """P(inlier score > outlier score) + 0.5 P(equal), via rank sums."""
-    e = np.asarray(id_scores, dtype=float)
-    f = np.asarray(ood_scores, dtype=float)
+    e = _scores(id_scores, "auroc")
+    f = _scores(ood_scores, "auroc")
     if e.size == 0 or f.size == 0:
         raise ValueError("auroc: empty score list")
     ranks = _average_ranks(np.concatenate([e, f]))
@@ -142,12 +151,12 @@ def evaluate(
     if not bundle.ood_eval:
         raise ValueError("evaluate: bundle has no outlier evaluation sets")
     id_scores, ood_scores = score_bundle(net, bundle)
-    gamma = choose_gamma(id_scores)
+    gamma = choose_gamma(id_scores)  # one gate shared by every outlier set
     per_set = {}
     for name in sorted(ood_scores):
         a = auroc(id_scores, ood_scores[name])
         per_set[name] = {
-            "fpr95": fpr95(id_scores, ood_scores[name]),
+            "fpr95": _pass_rate(ood_scores[name], gamma),
             "auroc": a,
             "auroc_oriented": max(a, 1.0 - a),
         }

@@ -97,15 +97,27 @@ def test_bad_config_value_rejected_at_resolve(tmp_path, capsys):
         ("escape", "alpha1", "0"),
         ("train", "feature_dim", "0"),
         ("train", "hidden_dims", "64,0"),
+        ("train", "beta", "-1"),
         ("eval", "t_rank", "0"),
+        # generator-specific shapes: moons2d needs k = d = 2, rings d = 2
+        ("data", "generator", "moons2d"),
+        ("data", "generator", "rings\nd = 3"),
+    ]
+    data = str(tmp_path / "no-data")  # never read: resolving fails first
+    commands = [
+        ["gen"],
+        ["train", "--data", data],
+        ["eval", "--data", data, "--checkpoint", str(tmp_path / "no.json")],
+        ["ablate", "--data", data],
     ]
     for section, key, value in cases:
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[{section}]\n{key} = {value}\n")
-        rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert rc == 2, key
-        assert f"[{section}] {key}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for command in commands:
+            rc = main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert rc == 2, (command[0], key, value)
+            assert f"[{section}] {key}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
 
 def test_library_bundle_matches_gen_defaults(tmp_path):

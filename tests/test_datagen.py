@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -207,6 +210,46 @@ def test_csv_unlabeled_round_trip(tmp_path):
     assert np.array_equal(x, x2)
     assert y2 is None
     assert meta["role"] == "aux"
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [("0,1.5\n", "number of columns"), ("0,1.5,abc\n", "abc"), ("0.5,1.5,2.5\n", "integers")],
+    ids=["ragged", "non-numeric", "non-integer-label"],
+)
+def test_csv_bad_row_names_file(tmp_path, row, what):
+    path = tmp_path / "bad.csv"
+    path.write_text("dim=2,classes=2,role=id\n1,0.25,0.5\n" + row)
+    with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*" + what):
+        load_points_csv(path)
+
+
+def test_csv_header_only_is_empty_set(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("dim=3,classes=0,role=aux\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, y, meta = load_points_csv(path)
+    assert x.shape == (0, 3) and y is None and meta["dim"] == "3"
+
+
+def test_csv_blank_lines_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("dim=2,classes=2,role=id\n\n0,1.5,2.5\n\n  \n1,-3,4e-3\n\n")
+    x, y, _meta = load_points_csv(path)
+    assert np.array_equal(x, [[1.5, 2.5], [-3.0, 4e-3]])
+    assert np.array_equal(y, [0, 1])
+
+
+def test_csv_round_trip_20k_bitwise(tmp_path):
+    rng = Rng(17)
+    x = rng.standard_normal((20_000, 2)) * np.exp(rng.uniform(-30, 30, (20_000, 2)))
+    y = rng.integers(0, 3, 20_000)
+    path = tmp_path / "big.csv"
+    save_points_csv(path, x, y, role="id", k=3)
+    x2, y2, _meta = load_points_csv(path)
+    assert x2.dtype == x.dtype and x2.tobytes() == x.tobytes()
+    assert y2.dtype == y.dtype and np.array_equal(y2, y)
 
 
 def test_bundle_rejects_unknown_keys():

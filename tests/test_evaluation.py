@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import ares.evaluation as eval_mod
 from ares.datagen import make_bundle
 from ares.evaluation import (
+    _average_ranks,
     auroc,
     choose_gamma,
     discriminate,
@@ -41,6 +42,44 @@ def fpr95_threshold_scan(id_scores, ood_scores):
     if best_gamma is None:
         best_gamma = id_scores.min()
     return (ood_scores >= best_gamma).mean()
+
+
+def gamma_unique_scan(id_scores):
+    """The original gate: rescan every unique score, largest first."""
+    s = np.asarray(id_scores, dtype=float)
+    n = s.size
+    for gamma in np.unique(s)[::-1]:
+        if np.count_nonzero(s >= gamma) >= 0.95 * n:
+            return float(gamma)
+    return float(s.min())
+
+
+def average_ranks_loop(values):
+    """The original tie-group walk, one sorted score at a time."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=float)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def auroc_loop_ranks(id_scores, ood_scores):
+    """The original AUROC: rank sums over the loop's average ranks."""
+    e = np.asarray(id_scores, dtype=float)
+    f = np.asarray(ood_scores, dtype=float)
+    ranks = average_ranks_loop(np.concatenate([e, f]))
+    u = ranks[: e.size].sum() - e.size * (e.size + 1) / 2.0
+    return float(u / (e.size * f.size))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
 
 
 # ---- gamma -------------------------------------------------------------------
@@ -154,6 +193,52 @@ def test_auroc_monotone_transform_invariant(shift, scale):
     assert auroc(scale * a + shift, scale * b + shift) == pytest.approx(base, abs=1e-12)
 
 
+# ---- bitwise agreement with the original loops ---------------------------------------
+
+def score_cases():
+    """Tie-heavy, tiny and large score vectors, with an outlier partner each."""
+    rng = Rng(21)
+    for n in (20, 21, 22, 23, 39, 40, 41, 101):
+        yield rng.standard_normal(n), rng.standard_normal(n + 3) - 0.5
+        yield np.round(rng.standard_normal(n), 1), np.round(rng.standard_normal(n), 1)
+        yield rng.integers(0, 4, n).astype(float), rng.integers(-1, 3, 2 * n).astype(float)
+    yield np.full(25, -0.5), np.full(7, -0.5)
+    yield rng.standard_normal(20_000), rng.standard_normal(20_000) - 1.0
+    yield np.round(rng.standard_normal(20_000), 2), np.round(rng.standard_normal(20_000) - 1.0, 2)
+    yield rng.integers(0, 7, 20_000).astype(float), rng.integers(0, 9, 20_000).astype(float)
+
+
+def test_gamma_equals_unique_scan_bitwise():
+    for id_scores, _ood in score_cases():
+        assert bits(choose_gamma(id_scores)) == bits(gamma_unique_scan(id_scores))
+
+
+def test_average_ranks_equal_loop_bitwise():
+    for id_scores, ood_scores in score_cases():
+        both = np.concatenate([id_scores, ood_scores])
+        assert bits(_average_ranks(both)) == bits(average_ranks_loop(both))
+
+
+def test_auroc_and_fpr95_equal_loops_bitwise():
+    for id_scores, ood_scores in score_cases():
+        assert bits(auroc(id_scores, ood_scores)) == bits(auroc_loop_ranks(id_scores, ood_scores))
+        assert bits(fpr95(id_scores, ood_scores)) == bits(fpr95_threshold_scan(id_scores, ood_scores))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_rejected(bad):
+    s = Rng(22).standard_normal(50)
+    s[[3, 17]] = bad
+    for call in (
+        lambda: choose_gamma(s),
+        lambda: fpr95(np.arange(50.0), s),
+        lambda: auroc(s, np.arange(5.0)),
+        lambda: auroc(np.arange(5.0), s),
+    ):
+        with pytest.raises(ValueError, match=f"2 non-finite score.*{bad}"):
+            call()
+
+
 # ---- evaluate ------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -182,6 +267,22 @@ def test_evaluate_macro_average(small_world):
     for key in ("fpr95", "auroc", "auroc_oriented"):
         mean = np.mean([m[key] for m in rep.per_set.values()])
         assert abs(rep.average[key] - mean) < 1e-12
+
+
+def test_evaluate_chooses_gamma_once(small_world, monkeypatch):
+    bundle, net = small_world
+    real, gammas = eval_mod.choose_gamma, []
+
+    def counting(id_scores):
+        gammas.append(real(id_scores))
+        return gammas[-1]
+
+    monkeypatch.setattr(eval_mod, "choose_gamma", counting)
+    rep = evaluate(net, bundle)
+    assert len(bundle.ood_eval) == 2 and gammas == [rep.gamma]
+    id_scores, ood_scores = eval_mod.score_bundle(net, bundle)
+    for name, scores in ood_scores.items():
+        assert rep.per_set[name]["fpr95"] == fpr95(id_scores, scores)
 
 
 def test_evaluate_metrics_in_range(small_world):
