@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from .datagen import DataBundle, LabeledDataset, make_aux_dataset, make_id_dataset, make_ood_eval
 from .escape import EscapeConfig, escape_dataset, escape_instance
-from .evaluation import RunReport, auroc, choose_gamma, discriminate, evaluate, fpr95, run_ablation_suite
+from .evaluation import RunReport, auroc, choose_gamma, evaluate, fpr95, run_ablation_suite
 from .losses import (
     EnergyDist,
     LogisticHead,
@@ -18,7 +18,7 @@ from .losses import (
     nce_loss,
     total_loss,
 )
-from .network import MlpNetwork, cross_entropy_loss, energy_score, load_checkpoint, save_checkpoint
+from .network import MlpNetwork, RunState, load_checkpoint, save_checkpoint
 from .numerics import (
     Gauss1d,
     GaussianModel,
@@ -33,7 +33,6 @@ from .rng import Rng
 from .synthesis import (
     ExpandedSet,
     OutlierBatch,
-    estimate_outlier_region,
     expand_features,
     sample_virtual_outliers,
     select_epsilon,

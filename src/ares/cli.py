@@ -20,13 +20,10 @@ from . import __version__
 from .config import config_hash, load_config, resolve_config, to_configs
 from .datagen import DataBundle, LabeledDataset, load_points_csv, make_bundle, save_points_csv
 from .errors import AresError, ConfigError
-from .escape import escape_dataset
 from .evaluation import evaluate, run_ablation_suite, score_bundle, write_report_json, write_reports_csv
 from .losses import write_energy_histogram_csv
-from .network import energy_score_batch, load_checkpoint, save_checkpoint
-from .rng import Rng
-from .synthesis import estimate_outlier_region, expand_features, sample_virtual_outliers, select_epsilon
-from .training import train
+from .network import RunState, energy_score_batch, load_checkpoint, save_checkpoint
+from .training import last_joint_outliers, train
 
 STAGE_MASKS = ("none", "no-escape", "no-expansion", "no-estimation")
 
@@ -93,6 +90,17 @@ def _load_bundle(data_dir) -> DataBundle:
     )
 
 
+def _load_run_state(path, bundle: DataBundle) -> RunState:
+    """The checkpoint at ``path``, checked against the data's input dimension."""
+    state = load_checkpoint(path)
+    if state.arch["input_dim"] != bundle.id_train.dim:
+        raise ConfigError(
+            f"{path}: checkpoint expects {state.arch['input_dim']}-d inputs but data is "
+            f"{bundle.id_train.dim}-d"
+        )
+    return state
+
+
 def cmd_gen(args) -> int:
     resolved, (data_cfg, cfg, _) = _resolve(args)
     os.makedirs(args.out, exist_ok=True)
@@ -112,68 +120,38 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     resolved, (_, cfg, _) = _resolve(args)
     bundle = _load_bundle(args.data)
+    resume = _load_run_state(args.resume, bundle) if args.resume else None
     os.makedirs(args.out, exist_ok=True)
     artifacts = ["checkpoint.json", "train_log.csv", "train_timings.csv", "manifest.json"]
     _write_manifest(args.out, args.config, resolved, cfg.seed, artifacts)
 
-    resume = None
-    if args.resume:
-        net0, epoch0 = load_checkpoint(args.resume)
-        resume = (net0, epoch0)
-    net, log = train(cfg, bundle, checkpoint_dir=args.out, resume=resume, progress=print)
-    save_checkpoint(net, os.path.join(args.out, "checkpoint.json"), epoch=cfg.total_epochs)
+    _, log = train(cfg, bundle, checkpoint_dir=args.out, resume=resume, progress=print)
+    save_checkpoint(log.state, os.path.join(args.out, "checkpoint.json"))
     log.write_csv(os.path.join(args.out, "train_log.csv"))
     log.write_timings_csv(os.path.join(args.out, "train_timings.csv"))
     return _check_artifacts(args.out, artifacts)
 
 
-def _virtual_scores_for_histogram(net, bundle, cfg, t_rank):
-    """Rebuild the virtual-outlier pool under the trained extractor, for
-    reporting only: surrogate set -> features -> mixing -> Gaussian fit ->
-    every candidate below the (m, t) threshold."""
-    rng = Rng(cfg.seed).child("eval-hist")
-    data = bundle.id_train
-    if cfg.escape:
-        data = escape_dataset(data, bundle.aux, cfg.escape_cfg, rng.child("escape"))
-    feats = net.forward(data.x).feats
-    pool = feats
-    if cfg.expansion:
-        pool = expand_features(feats, cfg.alpha2, len(feats), rng.child("expand")).points
-    model = estimate_outlier_region(pool, ridge_scale=cfg.ridge_scale)
-    m_eff = min(cfg.m_candidates, len(pool))
-    t_eff = min(t_rank, m_eff)
-    eps = select_epsilon(pool, model, m=m_eff, t=t_eff, rng=rng.child("epsilon"))
-    batch = sample_virtual_outliers(pool, model, eps, count=None)
-    if len(batch) == 0:
-        return np.zeros(0)
-    return energy_score_batch(net, batch.points @ net.cls_w + net.cls_b)
-
-
 def cmd_eval(args) -> int:
     resolved, (_, cfg, eval_cfg) = _resolve(args)
     bundle = _load_bundle(args.data)
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"missing checkpoint: {args.checkpoint}")
-    net, _epoch = load_checkpoint(args.checkpoint)
-    if net.input_dim != bundle.id_test.dim:
-        raise ConfigError(
-            f"checkpoint expects {net.input_dim}-d inputs but data is "
-            f"{bundle.id_test.dim}-d"
-        )
+    state = _load_run_state(args.checkpoint, bundle)
     os.makedirs(args.out, exist_ok=True)
     artifacts = ["report.json", "report.csv", "energy_hist.csv", "manifest.json"]
     _write_manifest(args.out, args.config, resolved, cfg.seed, artifacts)
 
+    net = state.network()
     report = evaluate(net, bundle, variant="eval", seed=cfg.seed)
     write_report_json(os.path.join(args.out, "report.json"), report)
     write_reports_csv(os.path.join(args.out, "report.csv"), [report])
     id_scores, ood_scores = score_bundle(net, bundle)
-    virt = _virtual_scores_for_histogram(net, bundle, cfg, eval_cfg.t_rank)
+    # training's first outlier batch of its last joint epoch, scored by the final network
+    virtual = last_joint_outliers(cfg, bundle, state)
     write_energy_histogram_csv(
         os.path.join(args.out, "energy_hist.csv"),
         id_scores,
         np.concatenate(list(ood_scores.values())),
-        virt,
+        energy_score_batch(net, virtual @ net.cls_w + net.cls_b),
         n_bins=eval_cfg.histogram_bins,
     )
     return _check_artifacts(args.out, artifacts)

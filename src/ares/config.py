@@ -35,15 +35,10 @@ class EvalConfig:
     """``ares eval`` settings (the ``[eval]`` config section)."""
 
     histogram_bins: int = 50
-    # the histogram's virtual outliers are every candidate below the t-th
-    # smallest density among m_candidates sampled candidates
-    t_rank: int = 128
 
     def __post_init__(self):
         if self.histogram_bins < 1:
             raise ConfigError(f"histogram_bins must be >= 1, got {self.histogram_bins}")
-        if self.t_rank < 1:
-            raise ConfigError(f"t_rank must be >= 1, got {self.t_rank}")
 
 
 SECTIONS = {"data": DataConfig, "escape": EscapeConfig, "train": TrainConfig, "eval": EvalConfig}

@@ -30,13 +30,18 @@ class SynthesisUnderflowError(AresError, RuntimeError):
 
 
 class TrainingDiverged(AresError, RuntimeError):
-    """Training produced a non-finite loss; carries the last-good checkpoint path."""
+    """Training produced a non-finite loss ``term`` (``cls``, ``dis`` or ``total``); carries
+    the last good run ``state`` to resume from, and ``checkpoint_path``, where it was
+    written (``None`` when no checkpoint directory was given)."""
 
-    def __init__(self, epoch: int, batch: int, checkpoint_path: str):
+    def __init__(self, epoch: int, batch: int, term: str, state, checkpoint_path: str | None = None):
         self.epoch = epoch
         self.batch = batch
+        self.term = term
+        self.state = state
         self.checkpoint_path = checkpoint_path
+        where = f"written to {checkpoint_path}" if checkpoint_path else "not written to disk"
         super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch}; "
-            f"last good checkpoint written to {checkpoint_path}"
+            f"non-finite {term} loss at epoch {epoch}, batch {batch}; "
+            f"last good state (epoch {state.epoch}) {where}"
         )

@@ -25,7 +25,6 @@ __all__ = [
     "RunReport",
     "auroc",
     "choose_gamma",
-    "discriminate",
     "evaluate",
     "fpr95",
     "run_ablation_suite",
@@ -61,11 +60,6 @@ def choose_gamma(id_scores) -> float:
 def _pass_rate(ood_scores: np.ndarray, gamma: float) -> float:
     """Fraction of outlier scores passing the gate ``score >= gamma``."""
     return float(np.count_nonzero(ood_scores >= gamma) / ood_scores.size)
-
-
-def discriminate(score: float, gamma: float) -> int:
-    """1 = inlier (score >= gamma, inclusive), 0 = outlier."""
-    return 1 if score >= gamma else 0
 
 
 def fpr95(id_scores, ood_scores) -> float:

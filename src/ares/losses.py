@@ -91,11 +91,13 @@ def jsd_discrimination_grad(id_scores, ood_scores) -> tuple[float, np.ndarray, n
     if e.size == 0 or f.size == 0:
         raise ValueError("jsd_discrimination_grad: empty score list")
     b1, b2 = e.size, f.size
-    mu_p = e.mean()
-    vp_raw = float(((e - mu_p) ** 2).mean())
+    # a diverging network's scores overflow here; training names the non-finite loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_p = e.mean()
+        vp_raw = float(((e - mu_p) ** 2).mean())
+        mu_q = f.mean()
+        vq_raw = float(((f - mu_q) ** 2).mean())
     vp = max(vp_raw, VAR_FLOOR)
-    mu_q = f.mean()
-    vq_raw = float(((f - mu_q) ** 2).mean())
     vq = max(vq_raw, VAR_FLOOR)
 
     mu_m = 0.5 * (mu_p + mu_q)

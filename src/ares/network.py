@@ -16,15 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .rng import Rng
 
 __all__ = [
     "ForwardCache",
     "GradientTape",
     "MlpNetwork",
+    "RunState",
     "cross_entropy_batch",
-    "cross_entropy_loss",
-    "energy_score",
     "energy_score_batch",
     "load_checkpoint",
     "save_checkpoint",
@@ -79,21 +79,6 @@ class MlpNetwork:
         return out
 
     # ---- forward ----------------------------------------------------------
-
-    def forward_features(self, x: np.ndarray) -> np.ndarray:
-        """Penultimate-layer activations for a vector or an (n, d) batch."""
-        return self.forward(x).feats if np.asarray(x).ndim == 2 else self.forward(
-            np.asarray(x, dtype=float).reshape(1, -1)
-        ).feats[0]
-
-    def classify(self, feats: np.ndarray) -> np.ndarray:
-        """Affine map from features to K logits (no softmax)."""
-        feats = np.asarray(feats, dtype=float)
-        if feats.shape[-1] != self.feature_dim:
-            raise ValueError(
-                f"classify: feature dim {feats.shape[-1]} != expected {self.feature_dim}"
-            )
-        return feats @ self.cls_w + self.cls_b
 
     def forward(self, x: np.ndarray) -> "ForwardCache":
         """Full forward pass over an (n, d) batch, caching pre-activations."""
@@ -158,14 +143,10 @@ class GradientTape:
             g[...] = 0.0
 
 
-# ---- scalar heads ----------------------------------------------------------
-
-def energy_score(net: MlpNetwork, logits: np.ndarray) -> float:
-    """Energy of one logit vector: -log sum_k w_k exp(z_k), max-shifted."""
-    return float(energy_score_batch(net, np.asarray(logits, dtype=float).reshape(1, -1))[0])
-
+# ---- energy and cross entropy ---------------------------------------------
 
 def energy_score_batch(net: MlpNetwork, logits: np.ndarray) -> np.ndarray:
+    """Energy of each logit row: -log sum_k w_k exp(z_k), max-shifted."""
     logits = np.asarray(logits, dtype=float)
     if logits.shape[-1] != net.n_classes:
         raise ValueError(f"energy_score: expected {net.n_classes} logits, got {logits.shape[-1]}")
@@ -189,16 +170,6 @@ def energy_gradients(net: MlpNetwork, logits: np.ndarray) -> tuple[np.ndarray, n
     return energies, -s / tot[:, None]
 
 
-def cross_entropy_loss(logits: np.ndarray, y: int) -> float:
-    """Negative log-softmax probability of class ``y`` (log-sum-exp stabilised)."""
-    logits = np.asarray(logits, dtype=float)
-    k = logits.shape[0]
-    if not 0 <= y < k:
-        raise ValueError(f"cross_entropy_loss: label {y} out of range for {k} classes")
-    m = logits.max()
-    return float(np.log(np.exp(logits - m).sum()) + m - logits[y])
-
-
 def cross_entropy_batch(logits: np.ndarray, ys: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross entropy over a batch and its gradient w.r.t. the logits."""
     logits = np.asarray(logits, dtype=float)
@@ -216,49 +187,101 @@ def cross_entropy_batch(logits: np.ndarray, ys: np.ndarray) -> tuple[float, np.n
     return loss, dlogits / n
 
 
-# ---- checkpointing ---------------------------------------------------------
+# ---- run state and checkpointing ----------------------------------------------
+
+@dataclass(frozen=True)
+class RunState:
+    """The one snapshot of a run: the architecture, a copy of the parameters
+    after ``epoch`` epochs, and the parameters the joint phase started from
+    (``None`` before it), from which a resumed run recomputes the features
+    its synthesis draws from. Training keeps the latest one as its restart
+    point, and a checkpoint file stores one."""
+
+    arch: dict
+    params: dict
+    epoch: int
+    joint_start: dict | None = None
+
+    @classmethod
+    def of(cls, net: MlpNetwork, epoch: int, joint_start: dict | None = None) -> "RunState":
+        arch = {"input_dim": net.input_dim, "hidden_dims": list(net.hidden_dims),
+                "feature_dim": net.feature_dim, "n_classes": net.n_classes}
+        params = {name: np.array(p, dtype=float) for name, p in net.params().items()}
+        return cls(arch=arch, params=params, epoch=int(epoch), joint_start=joint_start)
+
+    def network(self, params: dict | None = None) -> MlpNetwork:
+        """A fresh network holding ``params`` (default: this state's)."""
+        net = MlpNetwork(**self.arch, rng=Rng(0))
+        for name, p in net.params().items():
+            p[...] = (self.params if params is None else params)[name]
+        return net
+
 
 CHECKPOINT_FORMAT = "ares-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-def save_checkpoint(net: MlpNetwork, path, epoch: int = 0) -> None:
-    """Canonical JSON checkpoint: named parameter tensors, each stored as an
-    explicit shape header plus flat values. Floats round-trip exactly."""
-    params = {
-        name: {"shape": list(np.asarray(p).shape), "data": np.asarray(p).reshape(-1).tolist()}
-        for name, p in net.params().items()
+def _param_block(params: dict) -> dict:
+    return {
+        name: {"shape": list(np.shape(p)), "data": np.asarray(p).reshape(-1).tolist()}
+        for name, p in params.items()
     }
+
+
+def _read_param_block(block: dict, like: dict) -> dict[str, np.ndarray]:
+    out = {}
+    for name, p in like.items():
+        shape = tuple(block[name]["shape"])
+        if shape != p.shape:
+            raise ValueError(f"parameter {name} has shape {shape}, expected {p.shape}")
+        out[name] = np.asarray(block[name]["data"], dtype=float).reshape(shape)
+    return out
+
+
+def save_checkpoint(state: RunState, path) -> None:
+    """Canonical JSON checkpoint of a run state: named parameter tensors,
+    each stored as an explicit shape header plus flat values, for the
+    current and the joint-start parameters. Floats round-trip exactly."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "epoch": int(epoch),
-        "arch": {
-            "input_dim": net.input_dim,
-            "hidden_dims": list(net.hidden_dims),
-            "feature_dim": net.feature_dim,
-            "n_classes": net.n_classes,
-        },
-        "params": params,
+        "epoch": int(state.epoch),
+        "arch": state.arch,
+        "params": _param_block(state.params),
+        "joint_start": None if state.joint_start is None else _param_block(state.joint_start),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
-def load_checkpoint(path) -> tuple[MlpNetwork, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a checkpoint file")
-    arch = doc["arch"]
-    net = MlpNetwork(
-        arch["input_dim"], arch["hidden_dims"], arch["feature_dim"], arch["n_classes"], Rng(0)
-    )
-    for name, p in net.params().items():
-        entry = doc["params"][name]
-        shape = tuple(entry["shape"])
-        if shape != p.shape:
-            raise ValueError(f"{path}: parameter {name} has shape {shape}, expected {p.shape}")
-        p[...] = np.asarray(entry["data"], dtype=float).reshape(shape)
-    return net, int(doc["epoch"])
+def load_checkpoint(path) -> RunState:
+    """The run state stored at ``path``. A missing file, a file that is not
+    a checkpoint, another format version or a malformed parameter block is
+    a :class:`ConfigError` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"missing checkpoint: {path}") from None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ConfigError(f"{path}: not a checkpoint file ({err})") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise ConfigError(f"{path}: not a checkpoint file")
+    if doc.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(
+            f"{path}: checkpoint version {doc.get('version')} is not supported; this "
+            f"version reads version {CHECKPOINT_VERSION} only (retrain to write one)"
+        )
+    try:
+        arch = {key: doc["arch"][key] for key in ("input_dim", "hidden_dims", "feature_dim", "n_classes")}
+        like = MlpNetwork(**arch, rng=Rng(0)).params()
+        joint = doc["joint_start"]
+        return RunState(
+            arch=arch,
+            params=_read_param_block(doc["params"], like),
+            epoch=int(doc["epoch"]),
+            joint_start=None if joint is None else _read_param_block(joint, like),
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: malformed checkpoint ({err})") from None

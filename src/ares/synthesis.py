@@ -1,8 +1,9 @@
 """Feature-space expansion and virtual-outlier selection.
 
 Expansion mixes pairs of feature vectors into a candidate pool; estimation
-fits one class-agnostic Gaussian over that pool, thresholds density at an
-order statistic, and keeps the lowest-density members as virtual outliers.
+ranks the pool by density under one class-agnostic Gaussian fit
+(``numerics.fit_gaussian``), thresholds density at an order statistic, and
+keeps the lowest-density members as virtual outliers.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SynthesisUnderflowError
-from .numerics import RIDGE_SCALE, GaussianModel, fit_gaussian, gaussian_logpdf
+from .numerics import GaussianModel, gaussian_logpdf
 from .rng import Rng
 
 __all__ = [
     "ExpandedSet",
     "OutlierBatch",
-    "estimate_outlier_region",
     "expand_features",
     "sample_virtual_outliers",
     "select_epsilon",
@@ -82,12 +82,6 @@ def expand_features(feats: np.ndarray, alpha2: float, n_pairs: int, rng: Rng) ->
     return ExpandedSet(points=points, idx_i=idx_i, idx_j=idx_j, lam=lam)
 
 
-def estimate_outlier_region(xs, ridge_scale: float = RIDGE_SCALE) -> GaussianModel:
-    """One Gaussian over all expanded points at once — deliberately
-    class-agnostic, since real outliers scatter across the whole space."""
-    return fit_gaussian(_as_points(xs), ridge_scale=ridge_scale)
-
-
 def _density_order(pts: np.ndarray, model: GaussianModel) -> tuple[np.ndarray, np.ndarray]:
     """Log densities plus the stable (density, index) ordering."""
     loglik = gaussian_logpdf(model, pts)
@@ -117,16 +111,11 @@ def select_epsilon(xs, model: GaussianModel, m: int, t: int, rng: Rng) -> float:
         return float(np.exp(loglik[order[t - 1]]))
 
 
-def sample_virtual_outliers(
-    xs, model: GaussianModel, epsilon: float, count: int | None = None
-) -> OutlierBatch:
-    """Pick virtual outliers from the candidate pool.
-
-    With ``count`` given: the ``count`` lowest-density members, provided at
-    least that many lie strictly below ``epsilon`` (otherwise a
-    :class:`SynthesisUnderflowError` names the deficit). With ``count=None``:
-    every member strictly below ``epsilon``.
-    """
+def sample_virtual_outliers(xs, model: GaussianModel, epsilon: float, count: int) -> OutlierBatch:
+    """Pick the ``count`` lowest-density members of the candidate pool,
+    provided at least that many lie strictly below ``epsilon`` (otherwise a
+    :class:`SynthesisUnderflowError` names the deficit). ``epsilon=inf``
+    admits every member."""
     pts = _as_points(xs)
     loglik, order = _density_order(pts, model)
     if np.isposinf(epsilon):
@@ -135,13 +124,10 @@ def sample_virtual_outliers(
         with np.errstate(over="ignore"):
             dens = np.exp(loglik)
         n_below = int(np.count_nonzero(dens < epsilon))
-    if count is None:
-        take = order[:n_below]
-    else:
-        count = int(count)
-        if n_below < count:
-            raise SynthesisUnderflowError(requested=count, available=n_below)
-        take = order[:count]
+    count = int(count)
+    if n_below < count:
+        raise SynthesisUnderflowError(requested=count, available=n_below)
+    take = order[:count]
     return OutlierBatch(
         points=pts[take].copy(), epsilon=float(epsilon), loglik=loglik[take], indices=take
     )

@@ -6,9 +6,8 @@ named child streams, so a run is bitwise reproducible."""
 
 from __future__ import annotations
 
-import copy
+import math
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +30,7 @@ from .losses import (
 from .network import (
     GradientTape,
     MlpNetwork,
+    RunState,
     cross_entropy_batch,
     energy_gradients,
     energy_score_batch,
@@ -40,7 +40,7 @@ from .numerics import RIDGE_SCALE, fit_gaussian
 from .rng import Rng
 from .synthesis import expand_features, sample_virtual_outliers
 
-__all__ = ["EpochRecord", "TrainConfig", "TrainLog", "cosine_lr", "sgd_step", "train"]
+__all__ = ["EpochRecord", "TrainConfig", "TrainLog", "cosine_lr", "last_joint_outliers", "sgd_step", "train"]
 
 LOSS_KINDS = ("jsd", "ce", "nce")
 
@@ -122,6 +122,7 @@ class EpochRecord:
 @dataclass
 class TrainLog:
     records: list = field(default_factory=list)
+    state: RunState | None = None  # the run state after the last epoch (what a checkpoint stores)
 
     DETERMINISTIC_COLUMNS = ("epoch", "lr", "cls_loss", "dis_loss", "total_loss", "train_accuracy")
     TIMING_COLUMNS = ("epoch", "escape_s", "expansion_s", "estimation_s", "divergence_s")
@@ -173,36 +174,40 @@ def sgd_step(net: MlpNetwork, tape: GradientTape, lr: float) -> None:
     tape.zero()
 
 
-def _checkpoint_of(net_snapshot: MlpNetwork, epoch: int, checkpoint_dir) -> str:
-    if checkpoint_dir is None:
-        fd, path = tempfile.mkstemp(prefix="last_good_", suffix=".json")
-        os.close(fd)
-    else:
-        path = os.path.join(checkpoint_dir, "last_good_checkpoint.json")
-    save_checkpoint(net_snapshot, path, epoch=epoch)
-    return path
+def _surrogate_set(cfg: TrainConfig, data: DataBundle) -> LabeledDataset:
+    """The points a run trains on: the escaped inliers, or a copy of the
+    inliers when the escape stage is masked off."""
+    if cfg.escape:
+        rng = Rng(cfg.seed).child("escape")
+        return escape_dataset(data.id_train, data.aux, cfg.escape_cfg, rng)
+    return LabeledDataset(x=data.id_train.x.copy(), y=data.id_train.y.copy())
 
 
 class _SynthesisState:
-    """Per-epoch candidate pool and fitted region model."""
+    """Candidate pool and fitted region model of one joint epoch, drawn from
+    the features of the joint-start network on the epoch's own streams."""
 
-    def __init__(self, cfg: TrainConfig, feats: np.ndarray, expand_rng, eps_rng):
+    def __init__(self, cfg: TrainConfig, feats: np.ndarray, epoch: int):
+        root = Rng(cfg.seed)
+        self.eps_rng = root.child("epsilon", epoch)
         pool = feats
         if cfg.expansion:
+            expand_rng = root.child("expand", epoch)
             pool = expand_features(feats, cfg.alpha2, feats.shape[0], expand_rng).points
         self.candidates = pool
         self.ranked = None
         if cfg.estimation:
+            # one class-agnostic Gaussian: real outliers scatter across the whole space
             model = fit_gaussian(pool, ridge_scale=cfg.ridge_scale)
             if len(pool) > cfg.m_candidates:
-                keep = np.sort(eps_rng.choice(len(pool), size=cfg.m_candidates, replace=False))
+                keep = np.sort(self.eps_rng.choice(len(pool), size=cfg.m_candidates, replace=False))
                 self.candidates = pool[keep]
             # the pool and the model are fixed for the epoch, so every
             # batch's bottom-B is a prefix of this one ranking
             cand = self.candidates
             self.ranked = sample_virtual_outliers(cand, model, np.inf, count=len(cand)).points
 
-    def draw_outliers(self, b_eff: int, eps_rng, context: str) -> np.ndarray:
+    def draw_outliers(self, b_eff: int, context: str) -> np.ndarray:
         """Bottom-``b_eff`` virtual outliers (or a uniform draw when the
         estimation stage is masked off).
 
@@ -214,9 +219,23 @@ class _SynthesisState:
         if len(cand) < b_eff:
             raise SynthesisUnderflowError(requested=b_eff, available=len(cand), context=context)
         if self.ranked is None:
-            idx = eps_rng.choice(len(cand), size=b_eff, replace=False)
+            idx = self.eps_rng.choice(len(cand), size=b_eff, replace=False)
             return cand[idx]
         return self.ranked[:b_eff]
+
+
+def last_joint_outliers(cfg: TrainConfig, data: DataBundle, state: RunState) -> np.ndarray:
+    """The first batch of virtual outliers of the last joint epoch before
+    ``state``, rebuilt exactly as ``train(cfg, data)`` drew them: same
+    surrogates, same joint-start features, same epoch streams. Empty when
+    the run never reached the joint phase."""
+    if state.joint_start is None:
+        return np.zeros((0, int(state.arch["feature_dim"])))
+    dstar = _surrogate_set(cfg, data)
+    feats = state.network(state.joint_start).forward(dstar.x).feats
+    epoch = state.epoch - 1
+    synth = _SynthesisState(cfg, feats, epoch)
+    return synth.draw_outliers(min(cfg.batch_size, len(dstar)), context=f"epoch {epoch}, batch 0")
 
 
 def divergence_terms(
@@ -346,41 +365,32 @@ def train(
     cfg: TrainConfig,
     data: DataBundle,
     checkpoint_dir=None,
-    resume: tuple[MlpNetwork, int] | None = None,
+    resume: RunState | None = None,
     progress=None,
 ) -> tuple[MlpNetwork, TrainLog]:
     """Run the full pipeline on ``data`` and return the trained network and
-    per-epoch log.
+    per-epoch log, whose ``state`` is the final run state.
 
-    ``resume`` continues a run from ``(net, start_epoch)``. ``progress`` is
-    an optional callable receiving one machine-parseable line per epoch.
-    Raises :class:`TrainingDiverged` (with a last-good checkpoint path) if
-    the loss goes non-finite, and propagates synthesis underflows with
-    epoch/batch context.
+    ``resume`` continues a run, exactly, from a :class:`RunState`.
+    ``progress`` is an optional callable receiving one machine-parseable
+    line per epoch. Raises :class:`TrainingDiverged` (with the last good run
+    state, also written to ``checkpoint_dir`` when given) if a loss goes
+    non-finite, and propagates synthesis underflows with epoch/batch context.
     """
     root = Rng(cfg.seed)
-    d_in = data.id_train.dim
-    k = data.id_train.n_classes
-
-    if resume is not None:
-        net, start_epoch = resume
-    else:
-        net = MlpNetwork(d_in, cfg.hidden_dims, cfg.feature_dim, k, root.child("init"))
-        start_epoch = 0
+    d_in, k = data.id_train.dim, data.id_train.n_classes
+    state = resume or RunState.of(
+        MlpNetwork(d_in, cfg.hidden_dims, cfg.feature_dim, k, root.child("init")), 0
+    )
+    net = state.network()
 
     tape = GradientTape(net)
     log = TrainLog()
+    start_epoch = state.epoch
 
-    escape_s0 = 0.0
-    if cfg.escape:
-        t0 = time.perf_counter()
-        dstar = escape_dataset(data.id_train, data.aux, cfg.escape_cfg, root.child("escape"))
-        escape_s0 = time.perf_counter() - t0
-    else:
-        dstar = LabeledDataset(x=data.id_train.x.copy(), y=data.id_train.y.copy())
-
-    last_good = copy.deepcopy(net)
-    last_good_epoch = start_epoch
+    t0 = time.perf_counter()
+    dstar = _surrogate_set(cfg, data)
+    escape_s0 = time.perf_counter() - t0 if cfg.escape else 0.0
     anchor_feats = None
 
     for epoch in range(start_epoch, cfg.total_epochs):
@@ -388,7 +398,6 @@ def train(
         esc_s = escape_s0 if epoch == start_epoch else 0.0
         order = root.child("shuffle", epoch).permutation(len(dstar))
         joint = epoch >= cfg.pretrain_epochs and cfg.beta != 0.0
-        eps_rng = root.child("epsilon", epoch)
         steps_per_epoch = (len(dstar) + cfg.batch_size - 1) // cfg.batch_size
         warmup_steps = cfg.beta_warmup_epochs * steps_per_epoch
 
@@ -396,12 +405,15 @@ def train(
         synth = None
         if joint:
             t0 = time.perf_counter()
-            # the features are snapshotted once at joint start; fresh
-            # mixtures are still drawn from the snapshot every epoch
+            # the features are snapshotted once at joint start, from the
+            # joint-start parameters the run state keeps; fresh mixtures are
+            # still drawn from the snapshot every epoch
             if anchor_feats is None:
-                anchor_feats = net.forward(dstar.x).feats
+                if state.joint_start is None:
+                    state = replace(state, joint_start=state.params)
+                anchor_feats = state.network(state.joint_start).forward(dstar.x).feats
             t1 = time.perf_counter()
-            synth = _SynthesisState(cfg, anchor_feats, root.child("expand", epoch), eps_rng)
+            synth = _SynthesisState(cfg, anchor_feats, epoch)
             t2 = time.perf_counter()
             exp_s += t1 - t0
             # mixing happens inside _SynthesisState; attribute the fit separately
@@ -416,14 +428,13 @@ def train(
             idx = order[lo : lo + cfg.batch_size]
             cache = net.forward(dstar.x[idx])
             cls_loss, dlogits = cross_entropy_batch(cache.logits, dstar.y[idx])
+            dis = 0.0
             batch_total = cls_loss
             check_cfg, check_v = cfg, None
 
             if joint:
                 t0 = time.perf_counter()
-                v_pts = synth.draw_outliers(
-                    len(idx), eps_rng, context=f"epoch {epoch}, batch {b}"
-                )
+                v_pts = synth.draw_outliers(len(idx), context=f"epoch {epoch}, batch {b}")
                 est_s += time.perf_counter() - t0
 
                 t0 = time.perf_counter()
@@ -443,9 +454,13 @@ def train(
                 n_joint += 1
                 div_s += time.perf_counter() - t0
 
-            if not np.isfinite(batch_total):
-                path = _checkpoint_of(last_good, last_good_epoch, checkpoint_dir)
-                raise TrainingDiverged(epoch=epoch, batch=b, checkpoint_path=path)
+            for term, value in (("cls", cls_loss), ("dis", dis), ("total", batch_total)):
+                if not math.isfinite(value):
+                    path = None
+                    if checkpoint_dir is not None:
+                        path = os.path.join(checkpoint_dir, "last_good_checkpoint.json")
+                        save_checkpoint(state, path)
+                    raise TrainingDiverged(epoch, b, term, state, checkpoint_path=path)
 
             net.backward(cache, tape, dlogits)
             if cfg.debug_gradcheck and (epoch * steps_per_epoch + b) % 10 == 0:
@@ -474,7 +489,7 @@ def train(
                 f"epoch={rec.epoch} cls={rec.cls_loss:.6g} dis={rec.dis_loss:.6g} "
                 f"lr={rec.lr:.6g} acc={rec.train_accuracy:.4f}"
             )
-        last_good = copy.deepcopy(net)
-        last_good_epoch = epoch + 1
+        state = RunState.of(net, epoch + 1, state.joint_start)
 
+    log.state = state
     return net, log

@@ -4,10 +4,15 @@ import time
 
 import pytest
 
-from ares.cli import main
+import numpy as np
+
+import ares.training as training_mod
+from ares.cli import _load_bundle, main
 from ares.datagen import load_points_csv, make_bundle, save_points_csv
-from ares.evaluation import auroc, fpr95
-from ares.network import energy_score_batch, load_checkpoint
+from ares.evaluation import auroc, fpr95, score_bundle
+from ares.losses import write_energy_histogram_csv
+from ares.network import MlpNetwork, RunState, energy_score_batch, load_checkpoint, save_checkpoint
+from ares.rng import Rng
 
 SMOKE_CONFIG = """
 [data]
@@ -71,13 +76,15 @@ def test_gen_unknown_generator_names_field(tmp_path, capsys):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     # feature_refresh, n_mix and reescape_each_epoch are keys of training
-    # modes that no longer exist; t_rank is an [eval] key
+    # modes that no longer exist; t_rank set the threshold of the histogram
+    # pool that ares eval no longer builds
     cases = [
         ("train", "learning_rate", "0.1"),
         ("train", "feature_refresh", "epoch"),
         ("train", "n_mix", "8"),
         ("escape", "reescape_each_epoch", "true"),
         ("train", "t_rank", "128"),
+        ("eval", "t_rank", "128"),
     ]
     for section, key, value in cases:
         cfg = tmp_path / "bad.ini"
@@ -98,7 +105,6 @@ def test_bad_config_value_rejected_at_resolve(tmp_path, capsys):
         ("train", "feature_dim", "0"),
         ("train", "hidden_dims", "64,0"),
         ("train", "beta", "-1"),
-        ("eval", "t_rank", "0"),
         # generator-specific shapes: moons2d needs k = d = 2, rings d = 2
         ("data", "generator", "moons2d"),
         ("data", "generator", "rings\nd = 3"),
@@ -145,8 +151,9 @@ def test_train_artifacts_and_progress(smoke, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config_hash"]
     assert manifest["seed"] == 11
-    net, epoch = load_checkpoint(out_dir / "checkpoint.json")
-    assert epoch == 8
+    state = load_checkpoint(out_dir / "checkpoint.json")
+    assert state.epoch == 8
+    assert state.joint_start is not None
 
 
 def test_train_smoke_budget(smoke, tmp_path):
@@ -209,7 +216,7 @@ def test_eval_artifacts_and_consistency(smoke, tmp_path):
     ]) == 0
     report = json.loads((eval_dir / "report.json").read_text())
     # recompute one metric pair directly from the artifacts
-    net, _ = load_checkpoint(out_dir / "checkpoint.json")
+    net = load_checkpoint(out_dir / "checkpoint.json").network()
     x_test, _, _ = load_points_csv(data_dir / "id_test.csv")
     ring, _, _ = load_points_csv(data_dir / "ood_ring.csv")
     id_scores = energy_score_batch(net, net.forward(x_test).logits)
@@ -231,6 +238,117 @@ def test_eval_missing_checkpoint(smoke, tmp_path, capsys):
     ])
     assert rc == 2
     assert "none.json" in capsys.readouterr().err
+
+
+def test_eval_rejects_non_checkpoint(smoke, tmp_path, capsys):
+    cfg, data_dir, _ = smoke
+    rc = main([
+        "eval", "--config", str(cfg), "--checkpoint", str(data_dir / "aux.csv"),
+        "--data", str(data_dir), "--out", str(tmp_path / "e"),
+    ])
+    assert rc == 2
+    assert "aux.csv" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_resume_bad_checkpoint_exits_before_output(smoke, tmp_path, capsys):
+    cfg, data_dir, out_dir = smoke
+    v1 = json.loads((out_dir / "checkpoint.json").read_text())
+    del v1["joint_start"]
+    v1["version"] = 1
+    (tmp_path / "v1.json").write_text(json.dumps(v1))
+    (tmp_path / "notes.json").write_text("not a checkpoint\n")
+    # a 3-d network against the smoke world's 2-d points
+    save_checkpoint(RunState.of(MlpNetwork(3, (64, 64), 16, 3, Rng(0)), 8), tmp_path / "d3.json")
+    cases = {
+        "missing.json": "missing checkpoint",
+        "notes.json": "not a checkpoint",
+        "aux.csv": "not a checkpoint",
+        "v1.json": "version 1",
+        "d3.json": "3-d inputs but data is 2-d",
+    }
+    for name, why in cases.items():
+        path = data_dir / name if name == "aux.csv" else tmp_path / name
+        out = tmp_path / "out"
+        rc = main([
+            "train", "--config", str(cfg), "--data", str(data_dir), "--out", str(out),
+            "--resume", str(path),
+        ])
+        assert rc == 2, name
+        err = capsys.readouterr().err
+        assert str(path) in err and why in err, (name, err)
+        assert not out.exists(), name
+
+
+# pretrain epochs 0-2, beta ramp over epochs 3-4 (smoke config), joint to 7
+@pytest.mark.parametrize("at", [2, 4, 7], ids=["pretrain", "warmup-ramp", "late-joint"])
+def test_cli_resume_is_exact(smoke, tmp_path, monkeypatch, at):
+    # interrupt the smoke run at the first batch of epoch ``at``, resume from
+    # the last-good checkpoint it leaves, and compare with the smoke run
+    cfg, data_dir, out_dir = smoke
+    real = training_mod.cross_entropy_batch
+    calls = {"n": 0}
+
+    def poisoned(logits, ys):
+        calls["n"] += 1
+        loss, dlogits = real(logits, ys)
+        return (float("nan") if calls["n"] == at * 5 + 1 else loss), dlogits  # 150 / 30 batches
+
+    cut = tmp_path / "cut"
+    with monkeypatch.context() as m:
+        m.setattr(training_mod, "cross_entropy_batch", poisoned)
+        assert main(["train", "--config", str(cfg), "--data", str(data_dir), "--out", str(cut)]) == 1
+    resumed = tmp_path / "resumed"
+    assert main([
+        "train", "--config", str(cfg), "--data", str(data_dir), "--out", str(resumed),
+        "--resume", str(cut / "last_good_checkpoint.json"),
+    ]) == 0
+    full_rows = (out_dir / "train_log.csv").read_text().split("\n")
+    resumed_rows = (resumed / "train_log.csv").read_text().split("\n")
+    assert resumed_rows[0] == full_rows[0]
+    assert resumed_rows[1:] == full_rows[1 + at :]
+    assert (resumed / "checkpoint.json").read_bytes() == (out_dir / "checkpoint.json").read_bytes()
+
+
+@pytest.mark.parametrize("estimation", ["true", "false"], ids=["full", "no-estimation"])
+def test_eval_histogram_shows_training_outliers(smoke, tmp_path, monkeypatch, estimation):
+    # energy_hist.csv's virtual column holds the outliers training drew for
+    # the first batch of its last joint epoch, scored by the final network;
+    # eval rebuilds them from the training config
+    _, data_dir, _ = smoke
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMOKE_CONFIG + f"stage_estimation = {estimation}\n")
+    drawn = {}
+    real_draw = training_mod._SynthesisState.draw_outliers
+
+    def draw(self, b_eff, context):
+        pts = real_draw(self, b_eff, context)
+        drawn[context] = pts.copy()
+        return pts
+
+    run = tmp_path / "run"
+    with monkeypatch.context() as m:
+        m.setattr(training_mod._SynthesisState, "draw_outliers", draw)
+        assert main([
+            "train", "--config", str(cfg), "--data", str(data_dir), "--out", str(run),
+        ]) == 0
+    ev = tmp_path / "eval"
+    assert main([
+        "eval", "--config", str(cfg), "--checkpoint", str(run / "checkpoint.json"),
+        "--data", str(data_dir), "--out", str(ev),
+    ]) == 0
+    net = load_checkpoint(run / "checkpoint.json").network()
+    virtual = drawn["epoch 7, batch 0"]
+    assert len(virtual) == 30
+    id_scores, ood_scores = score_bundle(net, _load_bundle(data_dir))
+    write_energy_histogram_csv(
+        tmp_path / "expected.csv",
+        id_scores,
+        np.concatenate(list(ood_scores.values())),
+        energy_score_batch(net, virtual @ net.cls_w + net.cls_b),
+        n_bins=50,
+    )
+    assert (ev / "energy_hist.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_eval_dimension_mismatch(smoke, tmp_path, capsys):

@@ -9,7 +9,6 @@ from ares.evaluation import (
     _average_ranks,
     auroc,
     choose_gamma,
-    discriminate,
     evaluate,
     fpr95,
     run_ablation_suite,
@@ -118,12 +117,16 @@ def test_gamma_brute_force_agreement():
         assert all((scores >= g).mean() < 0.95 for g in above)
 
 
-# ---- discriminate ----------------------------------------------------------------
+# ---- the gate ------------------------------------------------------------------------
 
-def test_discriminate_inclusive_boundary():
-    assert discriminate(1.0, 1.0) == 1
-    assert discriminate(1.0 - 1e-9, 1.0) == 0
-    assert discriminate(5.0, 1.0) in (0, 1)
+def test_gate_inclusive_boundary():
+    # 20 inlier scores 0..19 put gamma at 1.0: a score equal to gamma passes
+    # the gate (counts as an inlier), one just below does not
+    id_scores = np.arange(20.0)
+    assert choose_gamma(id_scores) == 1.0
+    assert fpr95(id_scores, [1.0]) == 1.0
+    assert fpr95(id_scores, [1.0 - 1e-9]) == 0.0
+    assert fpr95(id_scores, [5.0]) == 1.0
 
 
 # ---- fpr95 -------------------------------------------------------------------------

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from ares.errors import SynthesisUnderflowError
-from ares.numerics import GaussianModel, gaussian_logpdf
+from ares.numerics import GaussianModel, fit_gaussian, gaussian_logpdf
 from ares.rng import Rng
-from ares.synthesis import (
-    ExpandedSet,
-    estimate_outlier_region,
-    expand_features,
-    sample_virtual_outliers,
-    select_epsilon,
-)
+from ares.synthesis import expand_features, sample_virtual_outliers, select_epsilon
 
 
 class ForcedBetaRng(Rng):
@@ -72,22 +66,21 @@ def test_expansion_lambda_mean_near_half():
 
 def test_estimate_matches_hand_case():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-    xs = ExpandedSet(points=pts, idx_i=np.zeros(4, int), idx_j=np.ones(4, int), lam=np.ones(4))
-    model = estimate_outlier_region(xs)
+    model = fit_gaussian(pts)
     assert np.array_equal(model.mu, [1.0, 1.0])
     assert np.array_equal(model.sigma, np.eye(2))
 
 
 def test_estimate_shuffle_invariant():
     pts = Rng(9).standard_normal((40, 3))
-    a = estimate_outlier_region(pts)
-    b = estimate_outlier_region(pts[Rng(10).permutation(40)])
+    a = fit_gaussian(pts)
+    b = fit_gaussian(pts[Rng(10).permutation(40)])
     assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
 
 
 def test_estimate_degenerate_cloud_uses_ridge():
     pts = np.tile([1.0, 2.0], (6, 1))
-    model = estimate_outlier_region(pts)
+    model = fit_gaussian(pts)
     assert np.array_equal(model.sigma, np.zeros((2, 2)))
     assert model.ridge > 0
 
@@ -98,7 +91,7 @@ def test_estimate_degenerate_cloud_uses_ridge():
 def pool_and_model():
     rng = Rng(11)
     pts = rng.standard_normal((500, 3))
-    model = estimate_outlier_region(pts)
+    model = fit_gaussian(pts)
     return pts, model
 
 
@@ -181,15 +174,6 @@ def test_underflow_names_deficit(pool_and_model):
     with pytest.raises(SynthesisUnderflowError) as exc:
         sample_virtual_outliers(pts, model, eps, count=10)
     assert exc.value.deficit == 6
-
-
-def test_count_none_returns_qualifying_set(pool_and_model):
-    pts, model = pool_and_model
-    dens = brute_force_densities(model, pts)
-    eps = np.sort(dens)[128 - 1]
-    batch = sample_virtual_outliers(pts, model, eps, count=None)
-    assert len(batch) == 127  # strict inequality excludes the 128th itself
-    assert np.all(np.exp(batch.loglik) < eps)
 
 
 def test_partition_invariant(pool_and_model):

@@ -1,10 +1,12 @@
+import tempfile
+
 import numpy as np
 import pytest
 
 import ares.training as training_mod
 from ares.datagen import make_bundle
 from ares.errors import ConfigError, SynthesisUnderflowError, TrainingDiverged
-from ares.network import GradientTape, MlpNetwork, load_checkpoint
+from ares.network import GradientTape, MlpNetwork, load_checkpoint, save_checkpoint
 from ares.rng import Rng
 from ares.training import TrainConfig, cosine_lr, sgd_step, train
 
@@ -183,14 +185,18 @@ def test_stage_masks_run(mask):
         pytest.param({"loss_kind": "nce"}, id="flags7"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_alternative_modes_run(flags):
-    # every mode must either complete with a finite log or abort explicitly
-    # with a checkpoint (this tiny budget is too chaotic for more)
+    # every mode must either complete with a finite log or abort explicitly,
+    # naming the non-finite term, with no numpy warning on the way (this
+    # tiny budget is too chaotic for more)
     bundle = tiny_bundle()
     try:
         net, log = train(tiny_cfg(**flags), bundle)
     except TrainingDiverged as err:
-        assert err.checkpoint_path
+        assert err.term in ("cls", "dis", "total")
+        assert f"non-finite {err.term} loss" in str(err)
+        assert err.state.epoch <= err.epoch
         return
     assert len(log.records) == 6
     assert all(np.isfinite(r.total_loss) for r in log.records)
@@ -202,13 +208,13 @@ def _record_synthesis(monkeypatch):
     real_rank = training_mod.sample_virtual_outliers
     real_draw = training_mod._SynthesisState.draw_outliers
 
-    def rank(xs, model, epsilon, count=None):
+    def rank(xs, model, epsilon, count):
         out = real_rank(xs, model, epsilon, count=count)
         events.append(("rank", len(xs), count, out.points.copy()))
         return out
 
-    def draw(self, b_eff, eps_rng, context):
-        pts = real_draw(self, b_eff, eps_rng, context)
+    def draw(self, b_eff, context):
+        pts = real_draw(self, b_eff, context)
         events.append(("draw", b_eff, pts.copy()))
         return pts
 
@@ -261,25 +267,50 @@ def test_escape_mask_trains_on_original_points(monkeypatch):
     assert calls["n"] == 0
 
 
-def test_divergence_abort_carries_checkpoint(tmp_path, monkeypatch):
-    bundle = tiny_bundle()
-    cfg = tiny_cfg(total_epochs=4, pretrain_epochs=0)
+def _diverge_at(monkeypatch, epoch, steps_per_epoch):
+    """Make the classification loss of the first batch of ``epoch`` NaN."""
     real = training_mod.cross_entropy_batch
-    state = {"count": 0}
+    calls = {"n": 0}
 
     def poisoned(logits, ys):
-        state["count"] += 1
+        calls["n"] += 1
         loss, dlogits = real(logits, ys)
-        if state["count"] >= 6:
+        if calls["n"] == epoch * steps_per_epoch + 1:
             return float("nan"), dlogits
         return loss, dlogits
 
     monkeypatch.setattr(training_mod, "cross_entropy_batch", poisoned)
+
+
+def test_divergence_abort_carries_checkpoint(tmp_path, monkeypatch):
+    bundle = tiny_bundle()
+    cfg = tiny_cfg(total_epochs=4, pretrain_epochs=0)
+    _diverge_at(monkeypatch, 1, steps_per_epoch=4)  # 120 surrogates, batches of 30
     with pytest.raises(TrainingDiverged) as exc:
         train(cfg, bundle, checkpoint_dir=tmp_path)
-    assert tmp_path.joinpath("last_good_checkpoint.json").exists()
-    net, epoch = load_checkpoint(exc.value.checkpoint_path)
-    assert epoch <= 4
+    err = exc.value
+    assert (err.epoch, err.batch, err.term) == (1, 0, "cls")
+    assert "non-finite cls loss at epoch 1, batch 0" in str(err)
+    assert err.checkpoint_path == str(tmp_path / "last_good_checkpoint.json")
+    written = load_checkpoint(err.checkpoint_path)
+    assert written.epoch == err.state.epoch == 1
+    assert written.joint_start is not None  # the joint phase began at epoch 0
+    for name, p in err.state.params.items():
+        assert np.array_equal(written.params[name], p)
+        assert np.array_equal(written.joint_start[name], err.state.joint_start[name])
+
+
+def test_divergence_without_checkpoint_dir_writes_no_file(tmp_path, monkeypatch):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.chdir(tmp_path)
+    _diverge_at(monkeypatch, 1, steps_per_epoch=4)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(tiny_cfg(), tiny_bundle())
+    assert exc.value.checkpoint_path is None
+    assert exc.value.state.epoch == 1
+    assert [p.name for p in tmp_path.rglob("*")] == ["tmp"]
 
 
 def test_synthesis_underflow_reports_context():
@@ -295,8 +326,37 @@ def test_resume_continues_epoch_numbering():
     bundle = tiny_bundle()
     cfg = tiny_cfg(total_epochs=6, pretrain_epochs=2)
     net, log1 = train(cfg.replace(total_epochs=3), bundle)
-    net2, log2 = train(cfg, bundle, resume=(net, 3))
+    net2, log2 = train(cfg, bundle, resume=log1.state)
     assert [r.epoch for r in log2.records] == [3, 4, 5]
+
+
+# pretrain epochs 0-2, beta ramp over epochs 3-4, then plain joint epochs 5-7
+RESUME_CFG = dict(total_epochs=8, pretrain_epochs=3, beta_warmup_epochs=2)
+
+
+@pytest.mark.parametrize("at", [2, 4, 7], ids=["pretrain", "warmup-ramp", "late-joint"])
+def test_resume_is_exact(monkeypatch, tmp_path, at):
+    # interrupt the run at the first batch of epoch ``at``, resume from the
+    # state the abort carries, and compare with the uninterrupted run
+    bundle = tiny_bundle()
+    cfg = tiny_cfg(**RESUME_CFG)
+    _, full = train(cfg, bundle)
+    with monkeypatch.context() as m:
+        _diverge_at(m, at, steps_per_epoch=4)
+        with pytest.raises(TrainingDiverged) as exc:
+            train(cfg, bundle)
+    state = exc.value.state
+    assert state.epoch == at
+    assert (state.joint_start is None) == (at <= cfg.pretrain_epochs)
+    _, resumed = train(cfg, bundle, resume=state)
+    for name, log in (("full", full), ("resumed", resumed)):
+        log.write_csv(tmp_path / f"{name}.csv")
+        save_checkpoint(log.state, tmp_path / f"{name}.json")
+    full_rows = (tmp_path / "full.csv").read_text().split("\n")
+    resumed_rows = (tmp_path / "resumed.csv").read_text().split("\n")
+    assert resumed_rows[0] == full_rows[0]
+    assert resumed_rows[1:] == full_rows[1 + at :]
+    assert (tmp_path / "resumed.json").read_bytes() == (tmp_path / "full.json").read_bytes()
 
 
 def test_learning_accuracy_improves():
