@@ -23,7 +23,7 @@ from .errors import AresError, ConfigError
 from .evaluation import evaluate, run_ablation_suite, score_bundle, write_report_json, write_reports_csv
 from .losses import write_energy_histogram_csv
 from .network import RunState, energy_score_batch, load_checkpoint, save_checkpoint
-from .training import last_joint_outliers, train
+from .training import check_resume, last_joint_outliers, train
 
 STAGE_MASKS = ("none", "no-escape", "no-expansion", "no-estimation")
 
@@ -120,7 +120,10 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     resolved, (_, cfg, _) = _resolve(args)
     bundle = _load_bundle(args.data)
-    resume = _load_run_state(args.resume, bundle) if args.resume else None
+    resume = None
+    if args.resume:
+        resume = load_checkpoint(args.resume)
+        check_resume(resume, cfg, bundle, source=args.resume)
     os.makedirs(args.out, exist_ok=True)
     artifacts = ["checkpoint.json", "train_log.csv", "train_timings.csv", "manifest.json"]
     _write_manifest(args.out, args.config, resolved, cfg.seed, artifacts)

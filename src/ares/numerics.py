@@ -1,9 +1,9 @@
 """Gaussian estimation, likelihood evaluation, and closed-form divergences.
 
 All covariance and moment estimates use population normalisation (divide by
-the number of points, not N-1). Multivariate fits sum each entry with an
-exact vectorized kernel whose correctly rounded result equals ``math.fsum``
-bit for bit, so a fit is bitwise invariant to the order of the input points.
+the number of points, not N-1). A multivariate fit sorts its points into one
+canonical row order before it sums them, so it is bitwise invariant to the
+order in which the points arrive.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ VAR_FLOOR = 1e-12
 RIDGE_SCALE = 1e-6  # default relative ridge of every Gaussian fit
 _LOG_2PI = math.log(2.0 * math.pi)
 _MAX_RIDGE_ESCALATIONS = 8
-_MAX_EXTRACT_PASSES = 60
 
 
 def beta_sample(alpha: float, rng: Rng) -> float:
@@ -66,10 +65,10 @@ class Gauss1d:
 class GaussianModel:
     """Multivariate Gaussian with a cached Cholesky factor.
 
-    ``chol @ chol.T == sigma + ridge * I`` — the factor is taken of the
-    ridge-regularised covariance, and all density evaluations go through it
-    (a general LU solve against the triangular factor, since numpy has no
-    triangular solver; never an explicit inverse).
+    ``sigma`` is exactly symmetric, and ``chol @ chol.T == sigma + ridge * I``:
+    the factor is taken of the ridge-regularised covariance, and all density
+    evaluations go through it (a general LU solve against the triangular
+    factor, since numpy has no triangular solver; never an explicit inverse).
     """
 
     mu: np.ndarray
@@ -94,41 +93,6 @@ class GaussianModel:
         sigma = 0.5 * (sigma + sigma.T)
         chol, ridge = _factorize(sigma, ridge_scale)
         return cls(mu=mu, sigma=sigma, chol=chol, ridge=ridge)
-
-
-def _exact_colsum(a: np.ndarray) -> np.ndarray:
-    """Correctly rounded per-column sums, bitwise equal to ``math.fsum``.
-
-    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation, part I", SIAM J. Sci. Comput. 31(1), 2008): with
-    ``sigma = 2**(exponent(max|r|) + h)`` and ``2**h >= n + 2``, the parts
-    ``q = (r + sigma) - sigma`` lie on one grid and their column sum is
-    exact in any order, while ``r - q`` is exact too. Passes repeat until
-    the remainders vanish; ``math.fsum`` then rounds the few exact partials
-    per column once, so the result matches ``math.fsum`` over the raw
-    column. Inputs where ``sigma`` could overflow or go subnormal (or that
-    need too many passes) take per-column ``math.fsum`` directly.
-    """
-    n = a.shape[0]
-    h = (n + 1).bit_length()  # ceil(log2(n + 2))
-    r = np.array(a, dtype=float)
-    q = np.empty_like(r)
-    partials = [np.zeros(a.shape[1])]  # keeps the stack 2-d for all-zero input
-    for _ in range(_MAX_EXTRACT_PASSES):
-        amax = np.abs(r, out=q).max(axis=0)
-        if not amax.any():
-            return np.array([math.fsum(col) for col in np.transpose(partials).tolist()])
-        exp = np.frexp(amax)[1] + h
-        # sigma = 2**exp must stay finite and normal
-        tiny = (amax > 0.0) & (amax < 2.0**-960)
-        if not np.isfinite(amax).all() or exp.max() > 1000 or tiny.any():
-            break
-        sigma = np.ldexp(1.0, exp)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        r -= q
-        partials.append(q.sum(axis=0))
-    return np.array([math.fsum(a[:, j]) for j in range(a.shape[1])])
 
 
 def _factorize(sigma: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, float]:
@@ -163,8 +127,12 @@ def fit_gaussian(points, ridge_scale: float = RIDGE_SCALE) -> GaussianModel:
         ``ridge_scale * trace(sigma) / p``, escalated x10 until the
         Cholesky factorization succeeds.
 
-    The per-entry sums are exact (equal to ``math.fsum``), so the fit is
-    bitwise invariant to permutations of the input points.
+    The points are sorted lexicographically (column 0 first) before the
+    mean and the covariance are summed, so the fit is bitwise invariant to
+    permutations of the input points (rows that compare equal differ at
+    most in the signs of zeros, and swapping those changes no sum).
+    ``sigma`` is the upper triangle of ``dev.T @ dev / n``, mirrored.
+    Raises :class:`NumericalError` if the moments overflow float64.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -175,14 +143,15 @@ def fit_gaussian(points, ridge_scale: float = RIDGE_SCALE) -> GaussianModel:
     if not np.all(np.isfinite(pts)):
         raise ValueError("fit_gaussian: input contains non-finite values")
 
-    mu = _exact_colsum(pts) / n
-    dev = pts - mu
-    iu, ju = np.triu_indices(p)
-    prods = dev[:, iu] * dev[:, ju]
-    upper = _exact_colsum(prods) / n
-    sigma = np.zeros((p, p))
-    sigma[iu, ju] = upper
-    sigma[ju, iu] = upper
+    pts = pts[np.lexsort(pts.T[::-1])]
+    with np.errstate(over="ignore", invalid="ignore"):  # named below instead
+        mu = pts.sum(axis=0) / n
+        dev = pts - mu
+        sigma = dev.T @ dev / n
+    if not np.all(np.isfinite(sigma)):
+        raise NumericalError("fit_gaussian: the moments of the points overflow float64")
+    lower = np.tril_indices(p, -1)
+    sigma[lower] = sigma.T[lower]
 
     chol, ridge = _factorize(sigma, ridge_scale)
     return GaussianModel(mu=mu, sigma=sigma, chol=chol, ridge=ridge)

@@ -40,7 +40,8 @@ from .numerics import RIDGE_SCALE, fit_gaussian
 from .rng import Rng
 from .synthesis import expand_features, sample_virtual_outliers
 
-__all__ = ["EpochRecord", "TrainConfig", "TrainLog", "cosine_lr", "last_joint_outliers", "sgd_step", "train"]
+__all__ = ["EpochRecord", "TrainConfig", "TrainLog", "check_resume", "cosine_lr",
+           "last_joint_outliers", "sgd_step", "train"]
 
 LOSS_KINDS = ("jsd", "ce", "nce")
 
@@ -172,6 +173,26 @@ def sgd_step(net: MlpNetwork, tape: GradientTape, lr: float) -> None:
         p -= lr * tape.grads[name]
     net.version += 1
     tape.zero()
+
+
+def check_resume(state: RunState, cfg: TrainConfig, data: DataBundle, source="resume state"):
+    """Raise a :class:`ConfigError` naming every architecture field in which
+    ``state`` differs from the network ``cfg`` and ``data`` ask for, so a
+    resumed run never trains a network other than the one configured."""
+    arch = state.arch
+    d_in, k = data.id_train.dim, data.id_train.n_classes
+    wrong = []
+    if arch["input_dim"] != d_in:
+        wrong.append(f"input_dim: {arch['input_dim']}-d inputs but data is {d_in}-d")
+    hidden, want_hidden = list(arch["hidden_dims"]), list(cfg.hidden_dims)
+    if hidden != want_hidden:
+        wrong.append(f"hidden_dims: {hidden} but config asks for {want_hidden}")
+    if arch["feature_dim"] != cfg.feature_dim:
+        wrong.append(f"feature_dim: {arch['feature_dim']} but config asks for {cfg.feature_dim}")
+    if arch["n_classes"] != k:
+        wrong.append(f"n_classes: {arch['n_classes']} classes but data has {k}")
+    if wrong:
+        raise ConfigError(f"{source} does not fit this run: " + "; ".join(wrong))
 
 
 def _surrogate_set(cfg: TrainConfig, data: DataBundle) -> LabeledDataset:
@@ -371,13 +392,16 @@ def train(
     """Run the full pipeline on ``data`` and return the trained network and
     per-epoch log, whose ``state`` is the final run state.
 
-    ``resume`` continues a run, exactly, from a :class:`RunState`.
+    ``resume`` continues a run, exactly, from a :class:`RunState` whose
+    architecture matches ``cfg`` and ``data`` (see :func:`check_resume`).
     ``progress`` is an optional callable receiving one machine-parseable
     line per epoch. Raises :class:`TrainingDiverged` (with the last good run
     state, also written to ``checkpoint_dir`` when given) if a loss goes
     non-finite, and propagates synthesis underflows with epoch/batch context.
     """
     root = Rng(cfg.seed)
+    if resume is not None:
+        check_resume(resume, cfg, data)
     d_in, k = data.id_train.dim, data.id_train.n_classes
     state = resume or RunState.of(
         MlpNetwork(d_in, cfg.hidden_dims, cfg.feature_dim, k, root.child("init")), 0

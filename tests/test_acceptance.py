@@ -44,9 +44,9 @@ DESK = dict(total_epochs=100, pretrain_epochs=40, batch_size=128)
 SECONDS_PER_SEED_BUDGET = 120.0
 
 
-def report(number: int, name: str, ok: bool, detail: str, soft: bool = False):
+def report(number: int, name: str, ok: bool, detail: str, soft: bool = False, evidence: str = ""):
     status = "PASS" if ok else ("WARN" if soft else "FAIL")
-    print(f"ACCEPTANCE {number:2d} {status}: {name} — {detail}")
+    print(f"ACCEPTANCE {number:2d} {status}: {name} — {detail}{evidence}")
     if not ok and not soft:
         pytest.fail(f"criterion {number} ({name}): {detail}")
 
@@ -75,9 +75,34 @@ def bench():
     return cache
 
 
+def seed_values(bench_cache, variant: str, metric: str, seeds=BENCH_SEEDS, **kw) -> list[float]:
+    return [bench_cache["run"](variant, s, **kw)[0].average[metric] for s in seeds]
+
+
 def mean_metric(bench_cache, variant: str, metric: str, seeds=BENCH_SEEDS, **kw) -> float:
-    vals = [bench_cache["run"](variant, s, **kw)[0].average[metric] for s in seeds]
-    return float(np.mean(vals))
+    return float(np.mean(seed_values(bench_cache, variant, metric, seeds, **kw)))
+
+
+def per_seed_evidence(bench_cache, metric: str, higher_better: bool, variants: dict) -> str:
+    """Detail lines behind a comparison of means (printed only, never
+    gated): the per-seed ``metric`` of ``full`` and of each variant (name ->
+    train overrides), each variant's paired per-seed difference against
+    ``full`` with its win count, and every run whose AUROC is below 0.5."""
+    full = seed_values(bench_cache, "full", metric)
+    lines, inverted = [], []
+    for name, kw in {"full": {}, **variants}.items():
+        vals = seed_values(bench_cache, name, metric, **kw)
+        line = f"{name} {metric} per seed " + " ".join(f"{v:.3f}" for v in vals)
+        if name != "full":
+            diffs = [v - f for v, f in zip(vals, full)]
+            wins = sum(d > 0 if higher_better else d < 0 for d in diffs)
+            line += (" | minus full " + " ".join(f"{d:+.3f}" for d in diffs)
+                     + f" | {name} better on {wins}/{len(diffs)}")
+        lines.append(line)
+        aurocs = seed_values(bench_cache, name, "auroc", **kw)
+        inverted += [f"{name} seed {s} ({a:.3f})" for s, a in zip(BENCH_SEEDS, aurocs) if a < 0.5]
+    lines.append("AUROC < 0.5 (inverted scores): " + (", ".join(inverted) or "none"))
+    return "".join("\n    " + line for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +280,8 @@ def test_criterion_6_end_to_end(bench):
     report(6, "full pipeline beats classification-only baseline", ok,
            f"mean AUROC full={full:.3f} (>=0.85), baseline={base:.3f}, "
            f"gap={full - base:+.3f} (>=0.05), max train time "
-           f"{max(bench['train_seconds']):.1f}s (<{SECONDS_PER_SEED_BUDGET:.0f}s/seed)")
+           f"{max(bench['train_seconds']):.1f}s (<{SECONDS_PER_SEED_BUDGET:.0f}s/seed)",
+           evidence=per_seed_evidence(bench, "auroc", True, {"baseline": {"beta": 0.0}}))
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +290,24 @@ def test_criterion_6_end_to_end(bench):
 
 def test_criterion_7_stage_ablation(bench):
     full = mean_metric(bench, "full", "fpr95")
-    masks = {
-        "no-escape": mean_metric(bench, "no-escape", "fpr95", escape=False),
-        "no-expansion": mean_metric(bench, "no-expansion", "fpr95", expansion=False),
-        "no-estimation": mean_metric(bench, "no-estimation", "fpr95", estimation=False),
+    stage_off = {
+        "no-escape": {"escape": False},
+        "no-expansion": {"expansion": False},
+        "no-estimation": {"estimation": False},
     }
+    masks = {k: mean_metric(bench, k, "fpr95", **kw) for k, kw in stage_off.items()}
     detail = f"full FPR95={full:.3f} vs " + ", ".join(f"{k}={v:.3f}" for k, v in masks.items())
+    evidence = per_seed_evidence(bench, "fpr95", False, stage_off)
     worst_violation = max(full - v for v in masks.values())
     if worst_violation <= 0:
-        report(7, "removing any stage does not improve FPR95", True, detail)
+        report(7, "removing any stage does not improve FPR95", True, detail, evidence=evidence)
     elif worst_violation <= 0.01:
         report(7, "removing any stage does not improve FPR95", False,
                detail + f" (violation {worst_violation:.3f} within 1 point: soft warning)",
-               soft=True)
+               soft=True, evidence=evidence)
     else:
         report(7, "removing any stage does not improve FPR95", False,
-               detail + f" (violation {worst_violation:.3f} exceeds 1 point)")
+               detail + f" (violation {worst_violation:.3f} exceeds 1 point)", evidence=evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +319,19 @@ def test_criterion_8_loss_ablation(bench):
     ce = mean_metric(bench, "loss-ce", "fpr95", loss_kind="ce")
     nce = mean_metric(bench, "loss-nce", "fpr95", loss_kind="nce")
     detail = f"FPR95 jsd={jsd:.3f}, ce={ce:.3f}, nce={nce:.3f}"
+    evidence = per_seed_evidence(
+        bench, "fpr95", False, {"loss-ce": {"loss_kind": "ce"}, "loss-nce": {"loss_kind": "nce"}}
+    )
     worst_violation = max(jsd - ce, jsd - nce)
     if worst_violation <= 0:
-        report(8, "divergence loss beats ce/nce ablations on FPR95", True, detail)
+        report(8, "divergence loss beats ce/nce ablations on FPR95", True, detail, evidence=evidence)
     elif worst_violation <= 0.01:
         report(8, "divergence loss beats ce/nce ablations on FPR95", False,
                detail + f" (violation {worst_violation:.3f} within 1 point: soft warning)",
-               soft=True)
+               soft=True, evidence=evidence)
     else:
         report(8, "divergence loss beats ce/nce ablations on FPR95", False,
-               detail + f" (violation {worst_violation:.3f} exceeds 1 point)")
+               detail + f" (violation {worst_violation:.3f} exceeds 1 point)", evidence=evidence)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,30 @@ def test_resume_bad_checkpoint_exits_before_output(smoke, tmp_path, capsys):
         assert not out.exists(), name
 
 
+# the smoke run's network is (64, 64)/16 on 2-d points with 3 classes
+@pytest.mark.parametrize("field, arch, ini", [
+    ("input_dim", (3, (64, 64), 16, 3), ""),
+    ("hidden_dims", (2, (64, 64), 16, 3), "hidden_dims = 8\n"),
+    ("feature_dim", (2, (64, 64), 16, 3), "feature_dim = 4\n"),
+    ("n_classes", (2, (64, 64), 16, 4), ""),
+], ids=["input_dim", "hidden_dims", "feature_dim", "n_classes"])
+def test_resume_other_architecture_exits_before_output(smoke, tmp_path, capsys, field, arch, ini):
+    cfg, data_dir, _ = smoke
+    other_cfg = tmp_path / "other.ini"
+    other_cfg.write_text(cfg.read_text().replace("[train]\n", "[train]\n" + ini))
+    ckpt = tmp_path / "state.json"
+    save_checkpoint(RunState.of(MlpNetwork(*arch, Rng(0)), 8), ckpt)
+    out = tmp_path / "out"
+    rc = main([
+        "train", "--config", str(other_cfg), "--data", str(data_dir), "--out", str(out),
+        "--resume", str(ckpt),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and f"{field}:" in err, err
+    assert not out.exists()
+
+
 # pretrain epochs 0-2, beta ramp over epochs 3-4 (smoke config), joint to 7
 @pytest.mark.parametrize("at", [2, 4, 7], ids=["pretrain", "warmup-ramp", "late-joint"])
 def test_cli_resume_is_exact(smoke, tmp_path, monkeypatch, at):

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
-import ares.numerics as numerics_mod
-
 from ares.errors import NumericalError
 from ares.numerics import (
     VAR_FLOOR,
@@ -116,6 +114,13 @@ def test_fit_errors():
         fit_gaussian(np.zeros(4))
 
 
+def test_fit_overflow_is_a_named_error():
+    # finite points whose sum or squared deviations leave float64
+    for pts in ([[1.7e308], [1.7e308]], [[-1e300, 0.0], [1e300, 1.0]]):
+        with pytest.raises(NumericalError, match="overflow"):
+            fit_gaussian(pts)
+
+
 def test_fit_permutation_invariant_bitwise():
     rng = Rng(11)
     pts = rng.standard_normal((257, 5)) * np.array([1.0, 10.0, 0.1, 100.0, 1e-3])
@@ -126,135 +131,96 @@ def test_fit_permutation_invariant_bitwise():
     assert np.array_equal(m1.chol, m2.chol)
 
 
-# ---- exact column sums --------------------------------------------------------
+# ---- row-order contract -------------------------------------------------------
+# The fit sorts its rows before summing; each input below has rows that a
+# weaker order (a stable sort on column 0 alone, say) would leave in input
+# order, where a plain sum would see the permutation.
 
-def fsum_columns(a: np.ndarray) -> np.ndarray:
-    """Per-column math.fsum (test-suite oracle)."""
-    return np.array([math.fsum(a[:, j]) for j in range(a.shape[1])])
-
-
-def assert_matches_fsum(a: np.ndarray) -> None:
-    """Bitwise equal to the oracle, or the same exception type; the kernel
-    itself must never overflow or produce a NaN on finite input."""
+def fit_bytes(pts) -> tuple:
+    """The fit's arrays and ridge as raw bytes (so -0.0 != 0.0), or the
+    exception it raised."""
     try:
-        want = fsum_columns(a)
-    except (OverflowError, ValueError) as err:
-        with pytest.raises(type(err)), np.errstate(over="raise", invalid="raise"):
-            numerics_mod._exact_colsum(a)
-        return
-    with np.errstate(over="raise", invalid="raise"):
-        got = numerics_mod._exact_colsum(a)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+        m = fit_gaussian(pts)
+    except (NumericalError, ValueError) as err:
+        return (type(err), str(err))
+    return (m.mu.tobytes(), m.sigma.tobytes(), m.chol.tobytes(), np.float64(m.ridge).tobytes())
 
 
-def fsum_input_lengths(monkeypatch, a: np.ndarray) -> list[int]:
-    """Lengths of the sequences ``_exact_colsum(a)`` hands to math.fsum."""
-    lengths = []
-    real = math.fsum
-
-    def counting(xs):
-        xs = list(xs)
-        lengths.append(len(xs))
-        return real(xs)
-
-    monkeypatch.setattr(math, "fsum", counting)
-    try:
-        numerics_mod._exact_colsum(a)
-    except OverflowError:
-        pass
-    monkeypatch.undo()
-    return lengths
+def assert_permutation_invariant(pts, seed: int, rounds: int = 5) -> None:
+    want = fit_bytes(pts)
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        assert fit_bytes(pts[rng.permutation(len(pts))]) == want
 
 
-def adversarial_columns(rng: np.random.Generator, n: int) -> np.ndarray:
-    """One (n, 9) array; each column stresses a different part of the kernel."""
-    cols = [
-        rng.standard_normal(n),
-        rng.standard_normal(n) * 10.0 ** rng.integers(-30, 31, size=n),
-        rng.standard_normal(n) * 1e300,
-        rng.standard_normal(n) * 1e-300,
-        np.zeros(n),
-        np.where(np.arange(n) == rng.integers(n), rng.standard_normal(), 0.0),
-        rng.standard_normal(n) * 5e-324 * 2.0 ** rng.integers(0, 60, size=n),
-    ]
-    half = rng.standard_normal((n - 1) // 2) * 10.0 ** rng.integers(-30, 31, size=(n - 1) // 2)
-    tail = [1e-40] * (n - 2 * len(half))
-    cols.append(np.concatenate([half, -half, tail]))
-    cols.append(-np.zeros(n))
-    return np.stack(cols, axis=1)[rng.permutation(n)]
+def test_fit_permutation_invariant_ties_in_leading_columns():
+    rng = np.random.default_rng(40)
+    pts = rng.standard_normal((300, 5))
+    pts[:, 0] = rng.integers(-1, 2, size=300)  # three values: column 0 ties
+    assert_permutation_invariant(pts, seed=41)
+    pts[:, 1] = rng.integers(0, 2, size=300)  # and columns 0-1 tie in pairs
+    assert_permutation_invariant(pts, seed=42)
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 64, 255, 1200, 5000])
-def test_exact_colsum_matches_fsum_adversarial(n):
-    rng = np.random.default_rng(n)
-    for _ in range(5):
-        a = adversarial_columns(rng, n)
-        assert_matches_fsum(a)
-        for j in range(a.shape[1]):
-            assert_matches_fsum(a[:, j : j + 1])
+def test_fit_permutation_invariant_duplicate_rows():
+    rng = np.random.default_rng(43)
+    rows = rng.standard_normal((40, 4)) * np.array([1.0, 1e3, 1e-3, 7.0])
+    pts = np.repeat(rows, rng.integers(1, 6, size=40), axis=0)
+    assert_permutation_invariant(pts, seed=44)
+
+
+def test_fit_permutation_invariant_signed_zeros():
+    rng = np.random.default_rng(45)
+    n = 200
+    signs = rng.choice([-1.0, 1.0], size=(n, 3))
+    pts = np.column_stack([
+        signs[:, 0] * 0.0,  # only +0.0 and -0.0: every row ties in column 0
+        np.where(rng.random(n) < 0.5, signs[:, 1] * 0.0, rng.standard_normal(n)),
+        rng.integers(0, 3, size=n).astype(float),
+        signs[:, 2] * 0.0,
+    ])
+    assert_permutation_invariant(pts, seed=46)
+    # rows that differ only in the sign of a zero compare equal in the sort
+    assert_permutation_invariant(np.column_stack([signs * 0.0, np.ones(n)]), seed=47)
+
+
+def test_fit_permutation_invariant_training_shaped_pool():
+    # one estimation fit of training: 1200 candidates, 16 features
+    rng = np.random.default_rng(48)
+    mix = rng.standard_normal((16, 16))
+    pts = np.tanh(rng.standard_normal((1200, 16)) @ mix + rng.standard_normal(16))
+    assert_permutation_invariant(pts, seed=49)
+
+
+def test_fit_moments_match_fsum_within_rounding():
+    # the sums are plain float sums, not correctly rounded: each entry must
+    # stay within the worst-case rounding bound of any summation order,
+    # n * eps * sum|terms|
+    rng = np.random.default_rng(50)
+    pts = rng.standard_normal((1200, 4)) * [1.0, 1e3, 1e-3, 7.0] + [0.0, 5e3, -2.0, 1.0]
+    m = fit_gaussian(pts)
+    n, p = pts.shape
+    tol = n * np.finfo(float).eps
+    mu = np.array([math.fsum(col) for col in pts.T]) / n
+    assert np.all(np.abs(m.mu - mu) <= tol * np.abs(pts).sum(axis=0) / n)
+    dev = pts - mu
+    for i in range(p):
+        for j in range(p):
+            terms = dev[:, i] * dev[:, j]
+            assert abs(m.sigma[i, j] - math.fsum(terms) / n) <= tol * np.abs(terms).sum() / n
 
 
 @given(
     a=hnp.arrays(
         np.float64,
-        hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=300),
+        st.tuples(st.integers(2, 300), st.integers(1, 16)),
         elements=st.floats(allow_nan=False, allow_infinity=False),
-    )
-)
-@settings(max_examples=300, deadline=None)
-def test_exact_colsum_matches_fsum_property(a):
-    assert_matches_fsum(a)
-
-
-@given(
-    scale=st.integers(-270, 270),
-    n=st.integers(2, 5000),
+    ),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=100, deadline=None)
-def test_exact_colsum_matches_fsum_scaled(scale, n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-30, 31, size=(n, 3))
-    assert_matches_fsum(a * 10.0**scale)
-
-
-def test_exact_colsum_cancellation_and_zeros():
-    rng = np.random.default_rng(5)
-    b = rng.standard_normal((2500, 4)) * 10.0 ** rng.integers(-30, 31, size=(2500, 4))
-    tiny = np.array([[1e-300, -5e-324, 0.0, 3e-17]])
-    a = np.vstack([b, -b, tiny])[rng.permutation(5001)]
-    assert_matches_fsum(a)
-    assert np.array_equal(numerics_mod._exact_colsum(a), tiny[0])
-    assert_matches_fsum(np.zeros((10, 3)))
-    assert_matches_fsum(-np.zeros((10, 3)))
-
-
-def test_exact_colsum_takes_the_fast_path(monkeypatch):
-    # ordinary data is summed by extraction: math.fsum only ever sees the
-    # few exact partials of each column, never a raw column
-    a = np.random.default_rng(6).standard_normal((1200, 152))
-    lengths = fsum_input_lengths(monkeypatch, a)
-    assert len(lengths) == 152
-    assert max(lengths) <= 6
-    assert_matches_fsum(a)
-
-
-@pytest.mark.parametrize(
-    "column",
-    [
-        [1e308, -1e308, 3.0, 1.7e308],  # sigma would overflow
-        [1e308, 1e308, -1e308, 1.0],  # fsum itself overflows
-        [1.0, 1e-300, -1.0, 2.0],  # a remainder too small for a normal sigma
-        [5e-324, 1e-310, 0.0, 2e-320],  # subnormals only
-    ],
-)
-def test_exact_colsum_out_of_range_falls_back(monkeypatch, column):
-    a = np.array([column, [0.5, -0.25, 2.0, 8.0]]).T
-    assert_matches_fsum(a)
-    lengths = fsum_input_lengths(monkeypatch, a)
-    # math.fsum sees raw columns (it stops at the first one that overflows)
-    assert lengths and all(k == 4 for k in lengths)
+@settings(max_examples=300, deadline=None)
+def test_fit_permutation_invariant_property(a, seed):
+    assert_permutation_invariant(a, seed, rounds=2)
 
 
 def test_fit_sigma_symmetric_and_factor_consistent():

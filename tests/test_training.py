@@ -6,7 +6,7 @@ import pytest
 import ares.training as training_mod
 from ares.datagen import make_bundle
 from ares.errors import ConfigError, SynthesisUnderflowError, TrainingDiverged
-from ares.network import GradientTape, MlpNetwork, load_checkpoint, save_checkpoint
+from ares.network import GradientTape, MlpNetwork, RunState, load_checkpoint, save_checkpoint
 from ares.rng import Rng
 from ares.training import TrainConfig, cosine_lr, sgd_step, train
 
@@ -328,6 +328,29 @@ def test_resume_continues_epoch_numbering():
     net, log1 = train(cfg.replace(total_epochs=3), bundle)
     net2, log2 = train(cfg, bundle, resume=log1.state)
     assert [r.epoch for r in log2.records] == [3, 4, 5]
+
+
+# (input_dim, hidden_dims, feature_dim, n_classes) of a state against the
+# tiny bundle (2-d, 3 classes) under tiny_cfg's default (64, 64)/16 network
+@pytest.mark.parametrize("field, arch, cfg_kw", [
+    ("input_dim", (3, (64, 64), 16, 3), {}),
+    ("hidden_dims", (2, (64, 64), 16, 3), {"hidden_dims": (8,)}),
+    ("feature_dim", (2, (64, 64), 16, 3), {"feature_dim": 4}),
+    ("n_classes", (2, (64, 64), 16, 4), {}),
+], ids=["input_dim", "hidden_dims", "feature_dim", "n_classes"])
+def test_resume_rejects_other_architecture(monkeypatch, field, arch, cfg_kw):
+    state = RunState.of(MlpNetwork(*arch, Rng(0)), 3)
+    monkeypatch.setattr(training_mod, "_surrogate_set", _must_not_run)
+    with pytest.raises(ConfigError) as exc:
+        train(tiny_cfg(**cfg_kw), tiny_bundle(), resume=state)
+    msg = str(exc.value)
+    assert f"{field}:" in msg
+    others = {"input_dim", "hidden_dims", "feature_dim", "n_classes"} - {field}
+    assert not any(f"{name}:" in msg for name in others), msg
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("training started despite an architecture mismatch")
 
 
 # pretrain epochs 0-2, beta ramp over epochs 3-4, then plain joint epochs 5-7
