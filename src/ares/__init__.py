@@ -30,11 +30,5 @@ from .numerics import (
     moment_match_mixture,
 )
 from .rng import Rng
-from .synthesis import (
-    ExpandedSet,
-    OutlierBatch,
-    expand_features,
-    sample_virtual_outliers,
-    select_epsilon,
-)
+from .synthesis import ExpandedSet, expand_features, sample_virtual_outliers
 from .training import TrainConfig, TrainLog, cosine_lr, sgd_step, train

@@ -19,6 +19,7 @@ from .rng import Rng
 
 __all__ = [
     "AUX_BURN_IN",
+    "MIN_GATE_SCORES",
     "DataBundle",
     "DataConfig",
     "LabeledDataset",
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 AUX_BURN_IN = 20
+# fewest held-out inlier scores the 95%-TPR gate (evaluation.choose_gamma)
+# is defined on: below it, 5% of the scores is less than one score
+MIN_GATE_SCORES = 20
 TRANSFORM_KINDS = ("rotate2d", "flip", "permute")
 ID_GENERATORS = ("blobs", "moons2d", "rings")
 OOD_GENERATORS = ("ring", "uniform", "shifted-blobs")
@@ -74,7 +78,7 @@ class DataConfig:
             raise ConfigError(f"generator: moons2d requires k=2 and d=2, got k={self.k} d={self.d}")
         if self.generator == "rings" and self.d != 2:
             raise ConfigError(f"generator: rings requires d=2, got d={self.d}")
-        lows = (("k", 2), ("d", 2), ("n_train", self.k), ("n_test", self.k),
+        lows = (("k", 2), ("d", 2), ("n_train", self.k), ("n_test", max(self.k, MIN_GATE_SCORES)),
                 ("n_ood", 1), ("aux_size", 0), ("ifs_maps", 2))
         for name, low in lows:
             if getattr(self, name) < low:

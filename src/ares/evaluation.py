@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import DataBundle
+from .datagen import MIN_GATE_SCORES, DataBundle
 from .network import MlpNetwork, energy_score_batch
 from .training import TrainConfig, TrainLog, train
 
@@ -51,8 +51,8 @@ def choose_gamma(id_scores) -> float:
     (conservative gate)."""
     s = _scores(id_scores, "choose_gamma")
     n = s.size
-    if n < 20:
-        raise ValueError(f"choose_gamma: need at least 20 scores, got {n}")
+    if n < MIN_GATE_SCORES:
+        raise ValueError(f"choose_gamma: need at least {MIN_GATE_SCORES} scores, got {n}")
     keep = math.ceil(TPR_TARGET * n)  # fewest scores that reach the target rate
     return float(np.partition(s, n - keep)[n - keep])
 

@@ -97,6 +97,8 @@ class GaussianModel:
 
 def _factorize(sigma: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, float]:
     """Cholesky of sigma + ridge*I with x10 ridge escalation on failure."""
+    if not np.all(np.isfinite(sigma)):
+        raise NumericalError("covariance factorization: sigma has non-finite entries")
     p = sigma.shape[0]
     base = ridge_scale * float(np.trace(sigma)) / p
     if base <= 0.0:

@@ -73,7 +73,6 @@ class TrainConfig:
     # misc numerics
     nce_temperature: float = 0.1
     ridge_scale: float = RIDGE_SCALE
-    debug_gradcheck: bool = False  # spot-check gradients every 10th step
 
     def __post_init__(self):
         self.validate()
@@ -226,15 +225,14 @@ class _SynthesisState:
             # the pool and the model are fixed for the epoch, so every
             # batch's bottom-B is a prefix of this one ranking
             cand = self.candidates
-            self.ranked = sample_virtual_outliers(cand, model, np.inf, count=len(cand)).points
+            self.ranked = sample_virtual_outliers(cand, model, count=len(cand))
 
     def draw_outliers(self, b_eff: int, context: str) -> np.ndarray:
         """Bottom-``b_eff`` virtual outliers (or a uniform draw when the
         estimation stage is masked off).
 
-        Selection is the order statistic directly (ties resolved by
-        candidate index), which stays well-defined even when densities tie
-        at the threshold exactly.
+        The bottom-``b_eff`` is a prefix of the epoch's (density, index)
+        ranking, so it stays well-defined when densities tie.
         """
         cand = self.candidates
         if len(cand) < b_eff:
@@ -339,49 +337,6 @@ def compute_batch_loss(net: MlpNetwork, xb, yb, cfg: TrainConfig, v_pts=None) ->
     return cls_loss + cfg.beta * nce_loss(e_id, e_v, head, cfg.nce_temperature)
 
 
-def _debug_gradient_spot_check(net, tape, xb, yb, cfg, v_pts, h=1e-5, tol=1e-3):
-    """Central-difference check of a few coordinates per parameter tensor.
-
-    Coordinates whose gradient sits below the finite-difference noise floor
-    (cancellation error ~ eps * |loss| / h) are skipped; they cannot be
-    resolved numerically.
-    """
-    def loss_fn():
-        return compute_batch_loss(net, xb, yb, cfg, v_pts=v_pts)
-
-    noise_floor = 1e-5 * max(1.0, abs(loss_fn()))
-    for name, p in net.params().items():
-        flat_p = p.reshape(-1) if p.ndim else p
-        acc = tape.grads[name].reshape(-1) if p.ndim else tape.grads[name]
-        n = flat_p.size if p.ndim else 1
-        for i in sorted({0, n // 2, n - 1}):
-            if p.ndim:
-                orig = flat_p[i]
-                flat_p[i] = orig + h
-                up = loss_fn()
-                flat_p[i] = orig - h
-                down = loss_fn()
-                flat_p[i] = orig
-                analytic = float(acc[i])
-            else:
-                orig = float(p)
-                p[...] = orig + h
-                up = loss_fn()
-                p[...] = orig - h
-                down = loss_fn()
-                p[...] = orig
-                analytic = float(acc)
-            fd = (up - down) / (2 * h)
-            if max(abs(analytic), abs(fd)) < noise_floor:
-                continue
-            rel = abs(analytic - fd) / max(abs(analytic), abs(fd), noise_floor)
-            if rel > tol:
-                raise RuntimeError(
-                    f"debug gradient check failed at {name}[{i}]: "
-                    f"analytic {analytic:.6e}, finite-difference {fd:.6e}"
-                )
-
-
 def train(
     cfg: TrainConfig,
     data: DataBundle,
@@ -454,7 +409,6 @@ def train(
             cls_loss, dlogits = cross_entropy_batch(cache.logits, dstar.y[idx])
             dis = 0.0
             batch_total = cls_loss
-            check_cfg, check_v = cfg, None
 
             if joint:
                 t0 = time.perf_counter()
@@ -473,7 +427,6 @@ def train(
                 dis, batch_total, dlogits = divergence_terms(
                     net, cache, cls_loss, dlogits, v_pts, step_cfg, tape
                 )
-                check_cfg, check_v = step_cfg, v_pts
                 dis_sum += dis
                 n_joint += 1
                 div_s += time.perf_counter() - t0
@@ -487,8 +440,6 @@ def train(
                     raise TrainingDiverged(epoch, b, term, state, checkpoint_path=path)
 
             net.backward(cache, tape, dlogits)
-            if cfg.debug_gradcheck and (epoch * steps_per_epoch + b) % 10 == 0:
-                _debug_gradient_spot_check(net, tape, dstar.x[idx], dstar.y[idx], check_cfg, check_v)
             sgd_step(net, tape, lr)
             cls_sum += cls_loss
             tot_sum += batch_total

@@ -75,9 +75,9 @@ def test_gen_unknown_generator_names_field(tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    # feature_refresh, n_mix and reescape_each_epoch are keys of training
-    # modes that no longer exist; t_rank set the threshold of the histogram
-    # pool that ares eval no longer builds
+    # feature_refresh, n_mix, reescape_each_epoch and debug_gradcheck are
+    # keys of training modes that no longer exist; t_rank set the threshold
+    # of the histogram pool that ares eval no longer builds
     cases = [
         ("train", "learning_rate", "0.1"),
         ("train", "feature_refresh", "epoch"),
@@ -85,6 +85,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("escape", "reescape_each_epoch", "true"),
         ("train", "t_rank", "128"),
         ("eval", "t_rank", "128"),
+        ("train", "debug_gradcheck", "true"),
     ]
     for section, key, value in cases:
         cfg = tmp_path / "bad.ini"
@@ -100,6 +101,7 @@ def test_bad_config_value_rejected_at_resolve(tmp_path, capsys):
     cases = [
         ("data", "n_train", "abc"),
         ("data", "k", "1"),
+        ("data", "n_test", "10"),  # the 95%-TPR gate needs 20 inlier scores
         ("escape", "max_iters", "5"),
         ("escape", "alpha1", "0"),
         ("train", "feature_dim", "0"),

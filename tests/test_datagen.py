@@ -259,6 +259,8 @@ def test_bundle_rejects_unknown_keys():
             make_bundle({key: 1.0}, seed=0)
     with pytest.raises(ConfigError, match="n_train"):
         make_bundle({"n_train": "90"}, seed=0)
+    with pytest.raises(ConfigError, match="n_test"):
+        make_bundle({"n_test": 19}, seed=0)
 
 
 def test_bundle_class_sets_identical():

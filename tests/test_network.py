@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ares.datagen import make_bundle
 from ares.errors import ConfigError
 from ares.network import (
     GradientTape,
@@ -14,7 +15,14 @@ from ares.network import (
     save_checkpoint,
 )
 from ares.rng import Rng
-from ares.training import TrainConfig, compute_batch_gradients, compute_batch_loss, sgd_step
+from ares.training import (
+    TrainConfig,
+    compute_batch_gradients,
+    compute_batch_loss,
+    last_joint_outliers,
+    sgd_step,
+    train,
+)
 from gradcheck import finite_difference_grads, max_relative_error
 
 
@@ -173,15 +181,39 @@ def test_gradcheck_cross_entropy_only():
     assert max_relative_error(analytic, numeric) <= 1e-4
 
 
-@pytest.mark.parametrize("loss_kind", ["jsd", "ce", "nce"])
-def test_gradcheck_composite(loss_kind):
+def random_case(loss_kind):
+    """A fresh network with random energy weights, a random batch and
+    random virtual outliers."""
     net = small_net(seed=9, input_dim=3, hidden=(5,), feature_dim=4, k=3)
     rng = Rng(10)
     net.energy_u[...] = 0.2 * rng.standard_normal(3)
     xb = rng.standard_normal((8, 3))
     yb = rng.integers(0, 3, 8)
     v_pts = rng.standard_normal((8, 4)) * 2.0
-    cfg = TrainConfig(beta=0.1, loss_kind=loss_kind)
+    return net, xb, yb, v_pts, TrainConfig(beta=0.1, loss_kind=loss_kind)
+
+
+def trained_case(loss_kind):
+    """The network a short train() run ends with, a batch of its inliers,
+    the virtual outliers of its last joint epoch, and the beta its warmup
+    ramp reached at the last step (6 of 12 ramp steps)."""
+    bundle = make_bundle({"n_train": 60, "n_test": 30, "n_ood": 30, "ood_sets": "ring"}, seed=2)
+    cfg = TrainConfig(total_epochs=3, pretrain_epochs=1, batch_size=20, hidden_dims=(5,),
+                      feature_dim=4, beta_warmup_epochs=4, seed=3, loss_kind=loss_kind)
+    net, log = train(cfg, bundle)
+    v_pts = last_joint_outliers(cfg, bundle, log.state)[:8]
+    xb, yb = bundle.id_train.x[:8], bundle.id_train.y[:8]
+    return net, xb, yb, v_pts, cfg.replace(beta=cfg.beta * 6 / 12)
+
+
+@pytest.mark.parametrize("case, loss_kind", [
+    pytest.param(random_case, "jsd", id="jsd"),
+    pytest.param(random_case, "ce", id="ce"),
+    pytest.param(random_case, "nce", id="nce"),
+    pytest.param(trained_case, "jsd", id="trained-ramp"),
+])
+def test_gradcheck_composite(case, loss_kind):
+    net, xb, yb, v_pts, cfg = case(loss_kind)
 
     _, _, _, tape = compute_batch_gradients(net, xb, yb, cfg, v_pts=v_pts)
     numeric = finite_difference_grads(

@@ -233,9 +233,14 @@ def test_fit_sigma_symmetric_and_factor_consistent():
 
 
 def test_factorization_failure_raises():
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]]) * -1e300  # not SPD at any tested ridge
-    with pytest.raises(NumericalError):
-        GaussianModel.from_moments(np.zeros(2), bad, ridge_scale=1e-6)
+    cases = [
+        np.array([[1.0, 2.0], [2.0, 1.0]]) * -1e300,  # not SPD at any tested ridge
+        np.array([[np.nan]]),  # a NaN or inf entry would otherwise factor to itself
+        np.array([[1.0, 0.0], [0.0, np.inf]]),
+    ]
+    for bad in cases:
+        with pytest.raises(NumericalError):
+            GaussianModel.from_moments(np.zeros(len(bad)), bad, ridge_scale=1e-6)
 
 
 # ---- log density ----------------------------------------------------------------

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from ares.errors import SynthesisUnderflowError
-from ares.numerics import GaussianModel, fit_gaussian, gaussian_logpdf
+from ares.numerics import fit_gaussian, gaussian_logpdf
 from ares.rng import Rng
-from ares.synthesis import expand_features, sample_virtual_outliers, select_epsilon
+from ares.synthesis import expand_features, sample_virtual_outliers
 
 
 class ForcedBetaRng(Rng):
@@ -85,7 +84,7 @@ def test_estimate_degenerate_cloud_uses_ridge():
     assert model.ridge > 0
 
 
-# ---- epsilon selection ------------------------------------------------------------
+# ---- virtual outlier selection ------------------------------------------------------
 
 @pytest.fixture
 def pool_and_model():
@@ -95,85 +94,29 @@ def pool_and_model():
     return pts, model
 
 
-def test_epsilon_t1_is_minimum(pool_and_model):
-    pts, model = pool_and_model
-    eps = select_epsilon(pts, model, m=len(pts), t=1, rng=Rng(12))
-    assert eps == brute_force_densities(model, pts).min()
-
-
-def test_epsilon_full_pool_order_statistic(pool_and_model):
-    pts, model = pool_and_model
-    dens = np.sort(brute_force_densities(model, pts))
-    for t in (1, 3, 128, 500):
-        eps = select_epsilon(pts, model, m=len(pts), t=t, rng=Rng(13))
-        assert eps == dens[t - 1]
-
-
-def test_epsilon_small_hand_pool():
-    # four points whose densities sort strictly; t=3 returns the third smallest
-    model = GaussianModel.from_moments([0.0], np.eye(1))
-    pts = np.array([[0.0], [0.5], [1.0], [2.0]])
-    dens = brute_force_densities(model, pts)
-    eps = select_epsilon(pts, model, m=4, t=3, rng=Rng(14))
-    assert eps == np.sort(dens)[2]
-
-
-def test_epsilon_subsample_reproducible(pool_and_model):
-    pts, model = pool_and_model
-    a = select_epsilon(pts, model, m=100, t=10, rng=Rng(15))
-    b = select_epsilon(pts, model, m=100, t=10, rng=Rng(15))
-    assert a == b
-
-
-def test_epsilon_subsample_matches_brute_force_recount(pool_and_model):
-    pts, model = pool_and_model
-    m, t = 100, 10
-    eps = select_epsilon(pts, model, m=m, t=t, rng=Rng(16))
-    cand = np.sort(Rng(16).choice(len(pts), size=m, replace=False))
-    dens = np.sort(brute_force_densities(model, pts[cand]))
-    assert eps == dens[t - 1]
-
-
-def test_epsilon_rank_validation(pool_and_model):
-    pts, model = pool_and_model
-    with pytest.raises(ValueError):
-        select_epsilon(pts, model, m=10, t=11, rng=Rng(0))
-    with pytest.raises(ValueError):
-        select_epsilon(pts, model, m=2000, t=501, rng=Rng(0))  # m clamps to 500
-
-
-# ---- virtual outlier selection ------------------------------------------------------
-
 def test_bottom_one_is_global_minimum(pool_and_model):
     pts, model = pool_and_model
     dens = brute_force_densities(model, pts)
-    batch = sample_virtual_outliers(pts, model, epsilon=np.inf, count=1)
-    assert np.array_equal(batch.points[0], pts[np.argmin(dens)])
-
-
-def test_selected_all_below_epsilon(pool_and_model):
-    pts, model = pool_and_model
-    eps = select_epsilon(pts, model, m=len(pts), t=129, rng=Rng(17))
-    batch = sample_virtual_outliers(pts, model, eps, count=128)
-    assert np.all(np.exp(batch.loglik) < eps)
+    picked = sample_virtual_outliers(pts, model, count=1)
+    assert np.array_equal(picked[0], pts[np.argmin(dens)])
 
 
 def test_bottom_b_matches_brute_force(pool_and_model):
     pts, model = pool_and_model
     dens = brute_force_densities(model, pts)
     b = 64
-    batch = sample_virtual_outliers(pts, model, epsilon=np.inf, count=b)
+    picked = sample_virtual_outliers(pts, model, count=b)
     expect = pts[np.argsort(dens, kind="stable")[:b]]
-    assert np.array_equal(batch.points, expect)
+    assert np.array_equal(picked, expect)
 
 
-def test_underflow_names_deficit(pool_and_model):
-    pts, model = pool_and_model
-    dens = brute_force_densities(model, pts)
-    eps = np.sort(dens)[4]  # only 4 points lie strictly below
-    with pytest.raises(SynthesisUnderflowError) as exc:
-        sample_virtual_outliers(pts, model, eps, count=10)
-    assert exc.value.deficit == 6
+def test_underflowed_densities_keep_index_order():
+    # the first three densities underflow to 0 and tie; their log densities
+    # differ, so a ranking by log density would reorder them
+    model = fit_gaussian(np.array([[-1.0], [1.0]]))
+    pts = np.array([[40.0], [-50.0], [45.0], [0.0]])
+    assert np.array_equal(brute_force_densities(model, pts)[:3], [0.0, 0.0, 0.0])
+    assert np.array_equal(sample_virtual_outliers(pts, model, count=4), pts)
 
 
 def test_partition_invariant(pool_and_model):
@@ -181,14 +124,13 @@ def test_partition_invariant(pool_and_model):
     pts, model = pool_and_model
     dens = brute_force_densities(model, pts)
     b = 50
-    batch = sample_virtual_outliers(pts, model, epsilon=np.inf, count=b)
-    inside = np.exp(batch.loglik).max()
-    outside = np.delete(dens, batch.indices).min()
-    assert inside < outside
+    picked = sample_virtual_outliers(pts, model, count=b)
+    inside = brute_force_densities(model, picked)
+    assert np.array_equal(np.sort(inside), np.sort(dens)[:b])
+    assert inside.max() < np.sort(dens)[b]
 
 
 def test_outlier_mean_density_below_pool_mean(pool_and_model):
     pts, model = pool_and_model
-    batch = sample_virtual_outliers(pts, model, epsilon=np.inf, count=100)
-    assert batch.loglik.mean() < gaussian_logpdf(model, pts).mean()
-
+    picked = sample_virtual_outliers(pts, model, count=100)
+    assert gaussian_logpdf(model, picked).mean() < gaussian_logpdf(model, pts).mean()
