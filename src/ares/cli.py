@@ -20,7 +20,7 @@ from . import __version__
 from .config import config_hash, load_config, resolve_config, to_configs
 from .datagen import DataBundle, LabeledDataset, load_points_csv, make_bundle, save_points_csv
 from .errors import AresError, ConfigError
-from .evaluation import evaluate, run_ablation_suite, score_bundle, write_report_json, write_reports_csv
+from .evaluation import evaluate, run_ablation_suite, write_report_json, write_reports_csv
 from .losses import write_energy_histogram_csv
 from .network import RunState, energy_score_batch, load_checkpoint, save_checkpoint
 from .training import check_resume, last_joint_outliers, train
@@ -147,7 +147,7 @@ def cmd_eval(args) -> int:
     report = evaluate(net, bundle, variant="eval", seed=cfg.seed)
     write_report_json(os.path.join(args.out, "report.json"), report)
     write_reports_csv(os.path.join(args.out, "report.csv"), [report])
-    id_scores, ood_scores = score_bundle(net, bundle)
+    id_scores, ood_scores = report.scores
     # training's first outlier batch of its last joint epoch, scored by the final network
     virtual = last_joint_outliers(cfg, bundle, state)
     write_energy_histogram_csv(

@@ -97,7 +97,9 @@ def auroc(id_scores, ood_scores) -> float:
 @dataclass
 class RunReport:
     """Per-run metrics: one (fpr95, auroc, auroc_oriented) triple per
-    outlier set plus macro averages, the chosen gamma, and bookkeeping."""
+    outlier set plus macro averages, the chosen gamma, and bookkeeping.
+    ``scores`` holds the ``(id_scores, ood_scores)`` the metrics came from;
+    it is not part of the report's value, its repr or its JSON."""
 
     variant: str
     seed: int
@@ -108,6 +110,7 @@ class RunReport:
     stage_times: dict | None = None
     error: str | None = None
     extra: dict = field(default_factory=dict)
+    scores: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,7 +144,8 @@ def evaluate(
     config: dict | None = None,
     stage_times: dict | None = None,
 ) -> RunReport:
-    """Score the bundle and assemble a report with macro averages."""
+    """Score the bundle once and assemble a report with macro averages;
+    the report keeps the scores."""
     if not bundle.ood_eval:
         raise ValueError("evaluate: bundle has no outlier evaluation sets")
     id_scores, ood_scores = score_bundle(net, bundle)
@@ -166,6 +170,7 @@ def evaluate(
         average=average,
         config=config,
         stage_times=stage_times,
+        scores=(id_scores, ood_scores),
     )
 
 

@@ -2,6 +2,12 @@
 learnable energy weights, with explicit forward caching and hand-derived
 reverse-mode gradients.
 
+One forward pass serves training, prediction, the anchor features and
+scoring. It computes each layer in place in one fresh array per layer and
+caches the post-ReLU activations, which are all the backward pass needs:
+each layer's input, and its ReLU mask (``act > 0`` exactly where the
+pre-activation is ``> 0``).
+
 Parameters live in plain numpy arrays addressed by name through
 ``MlpNetwork.params()``; a :class:`GradientTape` accumulates matching
 gradient arrays. No general autodiff — the loss graph is fixed and its
@@ -81,18 +87,21 @@ class MlpNetwork:
     # ---- forward ----------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> "ForwardCache":
-        """Full forward pass over an (n, d) batch, caching pre-activations."""
+        """Full forward pass over an (n, d) batch, caching the post-ReLU
+        activations. ``x`` is never written to."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"forward: expected (n, {self.input_dim}) input, got {x.shape}")
         a = x
-        pres = []
+        acts = []
         for w, b in zip(self.ext_w, self.ext_b):
-            z = a @ w + b
-            pres.append(z)
-            a = np.maximum(z, 0.0)
-        logits = a @ self.cls_w + self.cls_b
-        return ForwardCache(x=x, pres=pres, feats=a, logits=logits, version=self.version)
+            a = a @ w  # fresh array; the bias and the ReLU then work in place
+            a += b
+            np.maximum(a, 0.0, out=a)
+            acts.append(a)
+        logits = a @ self.cls_w
+        logits += self.cls_b
+        return ForwardCache(x=x, acts=acts, logits=logits, version=self.version)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class index per row; ties broken toward the lowest index."""
@@ -109,20 +118,28 @@ class MlpNetwork:
         tape.add("cls_b", dlogits.sum(axis=0))
         dact = dlogits @ self.cls_w.T
         for i in range(len(self.ext_w) - 1, -1, -1):
-            dz = dact * (cache.pres[i] > 0.0)
-            inputs = cache.x if i == 0 else np.maximum(cache.pres[i - 1], 0.0)
+            dz = dact * (cache.acts[i] > 0.0)
+            inputs = cache.x if i == 0 else cache.acts[i - 1]
             tape.add(f"ext_w{i}", inputs.T @ dz)
             tape.add(f"ext_b{i}", dz.sum(axis=0))
-            dact = dz @ self.ext_w[i].T
+            if i:  # nothing uses the gradient w.r.t. the input
+                dact = dz @ self.ext_w[i].T
 
 
 @dataclass
 class ForwardCache:
+    """What one forward pass leaves for the backward pass: the input, the
+    post-ReLU activation of every extractor layer (the last one is the
+    feature vector), the logits, and the parameter version they came from."""
+
     x: np.ndarray
-    pres: list
-    feats: np.ndarray
+    acts: list
     logits: np.ndarray
     version: int
+
+    @property
+    def feats(self) -> np.ndarray:
+        return self.acts[-1]
 
 
 class GradientTape:

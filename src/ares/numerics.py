@@ -87,8 +87,11 @@ class GaussianModel:
     @classmethod
     def from_moments(cls, mu, sigma, ridge_scale: float = RIDGE_SCALE) -> "GaussianModel":
         """Build a model from given moments, applying the same ridge
-        escalation as :func:`fit_gaussian`."""
+        escalation as :func:`fit_gaussian`. A non-finite mean or covariance
+        entry is a :class:`NumericalError`."""
         mu = np.asarray(mu, dtype=float)
+        if not np.all(np.isfinite(mu)):
+            raise NumericalError(f"from_moments: the mean has non-finite entries: {mu.tolist()}")
         sigma = np.asarray(sigma, dtype=float)
         sigma = 0.5 * (sigma + sigma.T)
         chol, ridge = _factorize(sigma, ridge_scale)

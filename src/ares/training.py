@@ -301,21 +301,30 @@ def divergence_terms(
     return dis, batch_total, dlogits
 
 
+def batch_terms(net: MlpNetwork, xb, yb, cfg: TrainConfig, tape: GradientTape, v_pts=None):
+    """Forward pass, cross entropy and, for a joint batch, the divergence
+    terms of one batch under step config ``cfg``: the part of a training
+    step before the backward pass. ``v_pts=None`` means a warmup batch
+    (classification term only). The outlier-path gradients go on ``tape``;
+    returns ``(cache, cls, dis, total, dlogits)`` for ``net.backward``."""
+    cache = net.forward(xb)
+    cls_loss, dlogits = cross_entropy_batch(cache.logits, yb)
+    if v_pts is None:
+        return cache, cls_loss, 0.0, cls_loss, dlogits
+    dis, batch_total, dlogits = divergence_terms(
+        net, cache, cls_loss, dlogits, np.asarray(v_pts, dtype=float), cfg, tape
+    )
+    return cache, cls_loss, dis, batch_total, dlogits
+
+
 def compute_batch_gradients(
     net: MlpNetwork, xb, yb, cfg: TrainConfig, v_pts=None
 ) -> tuple[float, float, float, GradientTape]:
-    """One full forward/backward on a batch (fresh tape); the exact code
-    path the training loop takes. ``v_pts=None`` means a warmup batch
-    (classification term only). Returns (cls, dis, total, tape)."""
+    """One full forward/backward on a batch (fresh tape) through
+    :func:`batch_terms` and ``net.backward``, as the training loop runs
+    them. Returns (cls, dis, total, tape)."""
     tape = GradientTape(net)
-    cache = net.forward(np.asarray(xb, dtype=float))
-    cls_loss, dlogits = cross_entropy_batch(cache.logits, yb)
-    dis = 0.0
-    batch_total = cls_loss
-    if v_pts is not None:
-        dis, batch_total, dlogits = divergence_terms(
-            net, cache, cls_loss, dlogits, np.asarray(v_pts, dtype=float), cfg, tape
-        )
+    cache, cls_loss, dis, batch_total, dlogits = batch_terms(net, xb, yb, cfg, tape, v_pts)
     net.backward(cache, tape, dlogits)
     return cls_loss, dis, batch_total, tape
 
@@ -405,28 +414,25 @@ def train(
         n_batches = n_joint = 0
         for b, lo in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
-            cache = net.forward(dstar.x[idx])
-            cls_loss, dlogits = cross_entropy_batch(cache.logits, dstar.y[idx])
-            dis = 0.0
-            batch_total = cls_loss
-
+            v_pts = None
+            step_cfg = cfg
             if joint:
                 t0 = time.perf_counter()
                 v_pts = synth.draw_outliers(len(idx), context=f"epoch {epoch}, batch {b}")
                 est_s += time.perf_counter() - t0
-
-                t0 = time.perf_counter()
                 # ramp the discrimination weight over the first joint steps;
                 # the raw reciprocal gradient at near-zero divergence is
                 # otherwise large enough to destroy the warmed-up network
-                step_cfg = cfg
                 if warmup_steps:
                     done = (epoch - cfg.pretrain_epochs) * steps_per_epoch + b
                     if done + 1 < warmup_steps:
                         step_cfg = cfg.replace(beta=cfg.beta * (done + 1) / warmup_steps)
-                dis, batch_total, dlogits = divergence_terms(
-                    net, cache, cls_loss, dlogits, v_pts, step_cfg, tape
-                )
+
+            t0 = time.perf_counter()
+            cache, cls_loss, dis, batch_total, dlogits = batch_terms(
+                net, dstar.x[idx], dstar.y[idx], step_cfg, tape, v_pts
+            )
+            if joint:  # a joint batch's loss terms, forward pass included
                 dis_sum += dis
                 n_joint += 1
                 div_s += time.perf_counter() - t0

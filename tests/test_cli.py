@@ -6,6 +6,7 @@ import pytest
 
 import numpy as np
 
+import ares.evaluation as eval_mod
 import ares.training as training_mod
 from ares.cli import _load_bundle, main
 from ares.datagen import load_points_csv, make_bundle, save_points_csv
@@ -230,6 +231,24 @@ def test_eval_artifacts_and_consistency(smoke, tmp_path):
     hist = (eval_dir / "energy_hist.csv").read_text().strip().split("\n")
     assert hist[0] == "bin_left,bin_right,count_id,count_ood,count_virtual"
     assert len(hist) == 51
+    assert "scores" not in report
+
+
+def test_eval_scores_each_set_once(smoke, tmp_path, monkeypatch):
+    # the histogram reuses the scores evaluate() computed for the metrics
+    cfg, data_dir, out_dir = smoke
+    real, calls = eval_mod.score_bundle, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(eval_mod, "score_bundle", counting)
+    assert main([
+        "eval", "--config", str(cfg), "--checkpoint", str(out_dir / "checkpoint.json"),
+        "--data", str(data_dir), "--out", str(tmp_path / "eval"),
+    ]) == 0
+    assert len(calls) == 1
 
 
 def test_eval_missing_checkpoint(smoke, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,6 +288,19 @@ def test_evaluate_chooses_gamma_once(small_world, monkeypatch):
     id_scores, ood_scores = eval_mod.score_bundle(net, bundle)
     for name, scores in ood_scores.items():
         assert rep.per_set[name]["fpr95"] == fpr95(id_scores, scores)
+
+
+def test_report_keeps_scores_outside_its_value(small_world):
+    bundle, net = small_world
+    rep = evaluate(net, bundle)
+    id_scores, ood_scores = eval_mod.score_bundle(net, bundle)
+    assert rep.scores[0].tobytes() == id_scores.tobytes()
+    assert {k: v.tobytes() for k, v in rep.scores[1].items()} == {
+        k: v.tobytes() for k, v in ood_scores.items()
+    }
+    assert "scores" not in rep.to_json_dict() and "scores" not in repr(rep)
+    other = dataclasses.replace(rep, scores=(id_scores + 1.0, {}))
+    assert other == rep and dataclasses.replace(rep, scores=None) == rep
 
 
 def test_evaluate_metrics_in_range(small_world):

@@ -88,6 +88,83 @@ def test_dimension_mismatch_errors():
         energy_score_batch(net, np.zeros((2, 5)))
 
 
+# ---- the in-place forward and the cached activations, against an oracle ----------
+
+def oracle_forward(net, x):
+    """The out-of-place forward pass: fresh arrays for ``a @ w``, ``+ b``
+    and the ReLU; caches the pre-activations."""
+    a, pres = x, []
+    for w, b in zip(net.ext_w, net.ext_b):
+        z = a @ w + b
+        pres.append(z)
+        a = np.maximum(z, 0.0)
+    return pres, a, a @ net.cls_w + net.cls_b
+
+
+def oracle_backward(net, x, pres, feats, dlogits):
+    """The backward pass over pre-activations: masks with ``pre > 0``,
+    recomputes each layer's input with ``np.maximum`` and propagates down
+    to the input."""
+    tape = GradientTape(net)
+    tape.add("cls_w", feats.T @ dlogits)
+    tape.add("cls_b", dlogits.sum(axis=0))
+    dact = dlogits @ net.cls_w.T
+    for i in range(len(net.ext_w) - 1, -1, -1):
+        dz = dact * (pres[i] > 0.0)
+        inputs = x if i == 0 else np.maximum(pres[i - 1], 0.0)
+        tape.add(f"ext_w{i}", inputs.T @ dz)
+        tape.add(f"ext_b{i}", dz.sum(axis=0))
+        dact = dz @ net.ext_w[i].T
+    return tape
+
+
+def oracle_net(kind):
+    """The default architecture (2 -> 64 -> 64 -> 16 -> 3). ``dead``: random
+    weights and biases, but one unit per extractor layer has zero weights
+    and bias, so its pre-activation is exactly zero on every row. ``zero``:
+    every extractor weight and bias is zero."""
+    net = MlpNetwork(2, (64, 64), 16, 3, Rng(21))
+    rng = Rng(22)
+    for i, (w, b) in enumerate(zip(net.ext_w, net.ext_b)):
+        if kind == "zero":
+            w[...] = 0.0
+            b[...] = 0.0
+        else:
+            b[...] = 0.5 * rng.standard_normal(b.shape)
+            w[:, i] = 0.0
+            b[i] = 0.0
+    net.cls_b[...] = rng.standard_normal(3)
+    return net
+
+
+@pytest.mark.parametrize("kind", ["dead", "zero"])
+@pytest.mark.parametrize("n", [1, 128, 1200, 20000])
+def test_forward_and_backward_match_out_of_place_oracle(n, kind):
+    net = oracle_net(kind)
+    rng = Rng(23 + n)
+    x = 3.0 * rng.standard_normal((n, 2))
+    x[: max(1, n // 10)] = 0.0  # rows whose first pre-activations are the biases
+    x.flags.writeable = False  # a write into the input would raise
+    before = x.tobytes()
+    dlogits = rng.standard_normal((n, 3))
+
+    cache = net.forward(x)
+    pres, feats, logits = oracle_forward(net, x)
+    assert x.tobytes() == before
+    assert cache.logits.tobytes() == logits.tobytes()
+    assert cache.feats.tobytes() == feats.tobytes()
+    for act, pre in zip(cache.acts, pres):
+        assert act.tobytes() == np.maximum(pre, 0.0).tobytes()
+        assert np.array_equal(act > 0.0, pre > 0.0)
+
+    tape = GradientTape(net)
+    net.backward(cache, tape, dlogits)
+    expected = oracle_backward(net, x, pres, feats, dlogits)
+    assert tape.grads.keys() == expected.grads.keys()
+    for name, g in expected.grads.items():
+        assert tape.grads[name].tobytes() == g.tobytes(), name
+
+
 # ---- energy score ---------------------------------------------------------------
 
 def test_energy_single_class_zero():

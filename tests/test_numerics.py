@@ -232,6 +232,16 @@ def test_fit_sigma_symmetric_and_factor_consistent():
     assert np.max(np.abs(recon - (m.sigma + m.ridge * np.eye(6)))) < 1e-8
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_mean_raises(bad):
+    # a NaN mean would give NaN densities everywhere, and the bottom-B
+    # ranking would silently fall back to index order
+    with pytest.raises(NumericalError, match="mean"):
+        GaussianModel.from_moments([bad], [[1.0]])
+    with pytest.raises(NumericalError, match="mean"):
+        GaussianModel.from_moments([0.0, bad], np.eye(2))
+
+
 def test_factorization_failure_raises():
     cases = [
         np.array([[1.0, 2.0], [2.0, 1.0]]) * -1e300,  # not SPD at any tested ridge
