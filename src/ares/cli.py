@@ -23,7 +23,7 @@ from .errors import AresError, ConfigError
 from .evaluation import evaluate, run_ablation_suite, write_report_json, write_reports_csv
 from .losses import write_energy_histogram_csv
 from .network import RunState, energy_score_batch, load_checkpoint, save_checkpoint
-from .training import check_resume, last_joint_outliers, train
+from .training import check_resume, train
 
 STAGE_MASKS = ("none", "no-escape", "no-expansion", "no-estimation")
 
@@ -136,6 +136,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # the checkpoint, the data and [eval] decide the output; [train] only seeds the report
     resolved, (_, cfg, eval_cfg) = _resolve(args)
     bundle = _load_bundle(args.data)
     state = _load_run_state(args.checkpoint, bundle)
@@ -149,7 +150,7 @@ def cmd_eval(args) -> int:
     write_reports_csv(os.path.join(args.out, "report.csv"), [report])
     id_scores, ood_scores = report.scores
     # training's first outlier batch of its last joint epoch, scored by the final network
-    virtual = last_joint_outliers(cfg, bundle, state)
+    virtual = np.zeros((0, net.feature_dim)) if state.virtual is None else state.virtual
     write_energy_histogram_csv(
         os.path.join(args.out, "energy_hist.csv"),
         id_scores,

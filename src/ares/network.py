@@ -209,22 +209,26 @@ def cross_entropy_batch(logits: np.ndarray, ys: np.ndarray) -> tuple[float, np.n
 @dataclass(frozen=True)
 class RunState:
     """The one snapshot of a run: the architecture, a copy of the parameters
-    after ``epoch`` epochs, and the parameters the joint phase started from
-    (``None`` before it), from which a resumed run recomputes the features
-    its synthesis draws from. Training keeps the latest one as its restart
-    point, and a checkpoint file stores one."""
+    after ``epoch`` epochs, the parameters the joint phase started from (a
+    resumed run recomputes its synthesis features from them) and the first
+    virtual-outlier batch of the last joint epoch (``ares eval`` scores it),
+    both ``None`` before the joint phase. Training keeps the latest one as
+    its restart point, and a checkpoint file stores one."""
 
     arch: dict
     params: dict
     epoch: int
     joint_start: dict | None = None
+    virtual: np.ndarray | None = None
 
     @classmethod
-    def of(cls, net: MlpNetwork, epoch: int, joint_start: dict | None = None) -> "RunState":
+    def of(cls, net: MlpNetwork, epoch: int, joint_start: dict | None = None,
+           virtual: np.ndarray | None = None) -> "RunState":
         arch = {"input_dim": net.input_dim, "hidden_dims": list(net.hidden_dims),
                 "feature_dim": net.feature_dim, "n_classes": net.n_classes}
         params = {name: np.array(p, dtype=float) for name, p in net.params().items()}
-        return cls(arch=arch, params=params, epoch=int(epoch), joint_start=joint_start)
+        virtual = None if virtual is None else np.array(virtual, dtype=float)
+        return cls(arch, params, int(epoch), joint_start, virtual)
 
     def network(self, params: dict | None = None) -> MlpNetwork:
         """A fresh network holding ``params`` (default: this state's)."""
@@ -235,30 +239,31 @@ class RunState:
 
 
 CHECKPOINT_FORMAT = "ares-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+
+def _tensor(p) -> dict:
+    return {"shape": list(np.shape(p)), "data": np.asarray(p).reshape(-1).tolist()}
 
 
 def _param_block(params: dict) -> dict:
-    return {
-        name: {"shape": list(np.shape(p)), "data": np.asarray(p).reshape(-1).tolist()}
-        for name, p in params.items()
-    }
+    return {name: _tensor(p) for name, p in params.items()}
+
+
+def _read_tensor(t: dict, name: str, shape: tuple) -> np.ndarray:
+    if tuple(t["shape"]) != shape:
+        raise ValueError(f"{name} has shape {tuple(t['shape'])}, expected {shape}")
+    return np.asarray(t["data"], dtype=float).reshape(shape)
 
 
 def _read_param_block(block: dict, like: dict) -> dict[str, np.ndarray]:
-    out = {}
-    for name, p in like.items():
-        shape = tuple(block[name]["shape"])
-        if shape != p.shape:
-            raise ValueError(f"parameter {name} has shape {shape}, expected {p.shape}")
-        out[name] = np.asarray(block[name]["data"], dtype=float).reshape(shape)
-    return out
+    return {name: _read_tensor(block[name], f"parameter {name}", p.shape) for name, p in like.items()}
 
 
 def save_checkpoint(state: RunState, path) -> None:
-    """Canonical JSON checkpoint of a run state: named parameter tensors,
-    each stored as an explicit shape header plus flat values, for the
-    current and the joint-start parameters. Floats round-trip exactly."""
+    """Canonical JSON checkpoint of a run state: the named current and
+    joint-start parameter tensors and the virtual-outlier batch, each stored
+    as an explicit shape header plus flat values. Floats round-trip exactly."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -266,6 +271,7 @@ def save_checkpoint(state: RunState, path) -> None:
         "arch": state.arch,
         "params": _param_block(state.params),
         "joint_start": None if state.joint_start is None else _param_block(state.joint_start),
+        "virtual": None if state.virtual is None else _tensor(state.virtual),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
@@ -274,7 +280,7 @@ def save_checkpoint(state: RunState, path) -> None:
 
 def load_checkpoint(path) -> RunState:
     """The run state stored at ``path``. A missing file, a file that is not
-    a checkpoint, another format version or a malformed parameter block is
+    a checkpoint, another format version or a malformed tensor block is
     a :class:`ConfigError` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -293,12 +299,16 @@ def load_checkpoint(path) -> RunState:
     try:
         arch = {key: doc["arch"][key] for key in ("input_dim", "hidden_dims", "feature_dim", "n_classes")}
         like = MlpNetwork(**arch, rng=Rng(0)).params()
-        joint = doc["joint_start"]
+        joint, virtual = doc["joint_start"], doc["virtual"]
+        if virtual is not None:  # (n, feature_dim), n read off the data
+            width = arch["feature_dim"]
+            virtual = _read_tensor(virtual, "virtual", (len(virtual["data"]) // width, width))
         return RunState(
             arch=arch,
             params=_read_param_block(doc["params"], like),
             epoch=int(doc["epoch"]),
             joint_start=None if joint is None else _read_param_block(joint, like),
+            virtual=virtual,
         )
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path}: malformed checkpoint ({err})") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datagen import DataBundle, LabeledDataset
+from .datagen import DataBundle
 from .errors import ConfigError, SynthesisUnderflowError, TrainingDiverged
 from .escape import EscapeConfig, escape_dataset
 from .losses import (
@@ -40,8 +40,8 @@ from .numerics import RIDGE_SCALE, fit_gaussian
 from .rng import Rng
 from .synthesis import expand_features, sample_virtual_outliers
 
-__all__ = ["EpochRecord", "TrainConfig", "TrainLog", "check_resume", "cosine_lr",
-           "last_joint_outliers", "sgd_step", "train"]
+__all__ = ["EpochRecord", "TrainConfig", "TrainLog", "check_resume", "cosine_lr", "sgd_step",
+           "train"]
 
 LOSS_KINDS = ("jsd", "ce", "nce")
 
@@ -78,6 +78,8 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
+        if self.pretrain_epochs < 0:
+            raise ConfigError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
         if self.pretrain_epochs > self.total_epochs:
             raise ConfigError(
                 f"pretrain_epochs ({self.pretrain_epochs}) must not exceed "
@@ -91,9 +93,10 @@ class TrainConfig:
             )
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        for name in ("alpha2", "m_candidates", "feature_dim", "nce_temperature"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("lr_start", "alpha2", "m_candidates", "feature_dim", "nce_temperature",
+                     "ridge_scale"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not all(h > 0 for h in self.hidden_dims):
             raise ConfigError(f"hidden_dims must be positive, got {self.hidden_dims}")
         if not self.beta >= 0:  # 0 is the classification-only baseline
@@ -177,7 +180,8 @@ def sgd_step(net: MlpNetwork, tape: GradientTape, lr: float) -> None:
 def check_resume(state: RunState, cfg: TrainConfig, data: DataBundle, source="resume state"):
     """Raise a :class:`ConfigError` naming every architecture field in which
     ``state`` differs from the network ``cfg`` and ``data`` ask for, so a
-    resumed run never trains a network other than the one configured."""
+    resumed run never trains a network other than the one configured, and
+    naming an epoch outside the run's ``[0, total_epochs]``."""
     arch = state.arch
     d_in, k = data.id_train.dim, data.id_train.n_classes
     wrong = []
@@ -190,17 +194,10 @@ def check_resume(state: RunState, cfg: TrainConfig, data: DataBundle, source="re
         wrong.append(f"feature_dim: {arch['feature_dim']} but config asks for {cfg.feature_dim}")
     if arch["n_classes"] != k:
         wrong.append(f"n_classes: {arch['n_classes']} classes but data has {k}")
+    if not 0 <= state.epoch <= cfg.total_epochs:
+        wrong.append(f"epoch: {state.epoch} is outside [0, total_epochs = {cfg.total_epochs}]")
     if wrong:
         raise ConfigError(f"{source} does not fit this run: " + "; ".join(wrong))
-
-
-def _surrogate_set(cfg: TrainConfig, data: DataBundle) -> LabeledDataset:
-    """The points a run trains on: the escaped inliers, or a copy of the
-    inliers when the escape stage is masked off."""
-    if cfg.escape:
-        rng = Rng(cfg.seed).child("escape")
-        return escape_dataset(data.id_train, data.aux, cfg.escape_cfg, rng)
-    return LabeledDataset(x=data.id_train.x.copy(), y=data.id_train.y.copy())
 
 
 class _SynthesisState:
@@ -241,20 +238,6 @@ class _SynthesisState:
             idx = self.eps_rng.choice(len(cand), size=b_eff, replace=False)
             return cand[idx]
         return self.ranked[:b_eff]
-
-
-def last_joint_outliers(cfg: TrainConfig, data: DataBundle, state: RunState) -> np.ndarray:
-    """The first batch of virtual outliers of the last joint epoch before
-    ``state``, rebuilt exactly as ``train(cfg, data)`` drew them: same
-    surrogates, same joint-start features, same epoch streams. Empty when
-    the run never reached the joint phase."""
-    if state.joint_start is None:
-        return np.zeros((0, int(state.arch["feature_dim"])))
-    dstar = _surrogate_set(cfg, data)
-    feats = state.network(state.joint_start).forward(dstar.x).feats
-    epoch = state.epoch - 1
-    synth = _SynthesisState(cfg, feats, epoch)
-    return synth.draw_outliers(min(cfg.batch_size, len(dstar)), context=f"epoch {epoch}, batch 0")
 
 
 def divergence_terms(
@@ -376,10 +359,13 @@ def train(
     log = TrainLog()
     start_epoch = state.epoch
 
-    t0 = time.perf_counter()
-    dstar = _surrogate_set(cfg, data)
-    escape_s0 = time.perf_counter() - t0 if cfg.escape else 0.0
+    dstar, escape_s0 = data.id_train, 0.0  # no-escape trains on the inliers themselves
+    if cfg.escape:
+        t0 = time.perf_counter()
+        dstar = escape_dataset(data.id_train, data.aux, cfg.escape_cfg, root.child("escape"))
+        escape_s0 = time.perf_counter() - t0
     anchor_feats = None
+    virtual = state.virtual
 
     for epoch in range(start_epoch, cfg.total_epochs):
         lr = cosine_lr(epoch, cfg.total_epochs, cfg.lr_start, cfg.lr_end)
@@ -420,6 +406,8 @@ def train(
                 t0 = time.perf_counter()
                 v_pts = synth.draw_outliers(len(idx), context=f"epoch {epoch}, batch {b}")
                 est_s += time.perf_counter() - t0
+                if b == 0:  # the batch a checkpoint keeps for ``ares eval``
+                    virtual = v_pts
                 # ramp the discrimination weight over the first joint steps;
                 # the raw reciprocal gradient at near-zero divergence is
                 # otherwise large enough to destroy the warmed-up network
@@ -470,7 +458,7 @@ def train(
                 f"epoch={rec.epoch} cls={rec.cls_loss:.6g} dis={rec.dis_loss:.6g} "
                 f"lr={rec.lr:.6g} acc={rec.train_accuracy:.4f}"
             )
-        state = RunState.of(net, epoch + 1, state.joint_start)
+        state = RunState.of(net, epoch + 1, state.joint_start, virtual)
 
     log.state = state
     return net, log

@@ -108,6 +108,12 @@ def test_bad_config_value_rejected_at_resolve(tmp_path, capsys):
         ("train", "feature_dim", "0"),
         ("train", "hidden_dims", "64,0"),
         ("train", "beta", "-1"),
+        ("train", "ridge_scale", "0"),
+        ("train", "ridge_scale", "-1"),
+        ("train", "pretrain_epochs", "-3"),
+        ("train", "alpha2", "inf"),
+        ("train", "nce_temperature", "0"),
+        ("train", "lr_start", "inf"),
         # generator-specific shapes: moons2d needs k = d = 2, rings d = 2
         ("data", "generator", "moons2d"),
         ("data", "generator", "rings\nd = 3"),
@@ -274,10 +280,16 @@ def test_eval_rejects_non_checkpoint(smoke, tmp_path, capsys):
 
 def test_resume_bad_checkpoint_exits_before_output(smoke, tmp_path, capsys):
     cfg, data_dir, out_dir = smoke
-    v1 = json.loads((out_dir / "checkpoint.json").read_text())
-    del v1["joint_start"]
+    doc = json.loads((out_dir / "checkpoint.json").read_text())
+    v2 = {key: value for key, value in doc.items() if key != "virtual"}
+    v2["version"] = 2
+    (tmp_path / "v2.json").write_text(json.dumps(v2))
+    v1 = {key: value for key, value in v2.items() if key != "joint_start"}
     v1["version"] = 1
     (tmp_path / "v1.json").write_text(json.dumps(v1))
+    # the smoke run trains 8 epochs
+    for epoch in (500, -1):
+        (tmp_path / f"epoch{epoch}.json").write_text(json.dumps(dict(doc, epoch=epoch)))
     (tmp_path / "notes.json").write_text("not a checkpoint\n")
     # a 3-d network against the smoke world's 2-d points
     save_checkpoint(RunState.of(MlpNetwork(3, (64, 64), 16, 3, Rng(0)), 8), tmp_path / "d3.json")
@@ -286,7 +298,10 @@ def test_resume_bad_checkpoint_exits_before_output(smoke, tmp_path, capsys):
         "notes.json": "not a checkpoint",
         "aux.csv": "not a checkpoint",
         "v1.json": "version 1",
+        "v2.json": "version 2",
         "d3.json": "3-d inputs but data is 2-d",
+        "epoch500.json": "epoch: 500 is outside [0, total_epochs = 8]",
+        "epoch-1.json": "epoch: -1 is outside [0, total_epochs = 8]",
     }
     for name, why in cases.items():
         path = data_dir / name if name == "aux.csv" else tmp_path / name
@@ -355,14 +370,25 @@ def test_cli_resume_is_exact(smoke, tmp_path, monkeypatch, at):
     assert (resumed / "checkpoint.json").read_bytes() == (out_dir / "checkpoint.json").read_bytes()
 
 
-@pytest.mark.parametrize("estimation", ["true", "false"], ids=["full", "no-estimation"])
-def test_eval_histogram_shows_training_outliers(smoke, tmp_path, monkeypatch, estimation):
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ares eval ran the synthesis pipeline")
+
+
+# (what the config file adds to [train], train's --stage-mask, whether eval gets the config)
+@pytest.mark.parametrize("ini, mask, eval_config", [
+    ("stage_estimation = true\n", None, True),
+    ("stage_estimation = false\n", None, True),
+    ("", "no-estimation", True),
+    ("", "no-estimation", False),
+], ids=["full", "no-estimation", "mask-plain-config", "mask-no-config"])
+def test_eval_histogram_shows_training_outliers(smoke, tmp_path, monkeypatch, ini, mask, eval_config):
     # energy_hist.csv's virtual column holds the outliers training drew for
     # the first batch of its last joint epoch, scored by the final network;
-    # eval rebuilds them from the training config
+    # the checkpoint carries them, so eval needs neither the training config
+    # nor any of the synthesis code
     _, data_dir, _ = smoke
     cfg = tmp_path / "run.ini"
-    cfg.write_text(SMOKE_CONFIG + f"stage_estimation = {estimation}\n")
+    cfg.write_text(SMOKE_CONFIG + ini)
     drawn = {}
     real_draw = training_mod._SynthesisState.draw_outliers
 
@@ -376,15 +402,21 @@ def test_eval_histogram_shows_training_outliers(smoke, tmp_path, monkeypatch, es
         m.setattr(training_mod._SynthesisState, "draw_outliers", draw)
         assert main([
             "train", "--config", str(cfg), "--data", str(data_dir), "--out", str(run),
+            *(["--stage-mask", mask] if mask else []),
         ]) == 0
     ev = tmp_path / "eval"
-    assert main([
-        "eval", "--config", str(cfg), "--checkpoint", str(run / "checkpoint.json"),
-        "--data", str(data_dir), "--out", str(ev),
-    ]) == 0
-    net = load_checkpoint(run / "checkpoint.json").network()
+    with monkeypatch.context() as m:
+        m.setattr(training_mod, "escape_dataset", _must_not_run)
+        m.setattr(training_mod, "_SynthesisState", _must_not_run)
+        assert main([
+            "eval", *(["--config", str(cfg)] if eval_config else []),
+            "--checkpoint", str(run / "checkpoint.json"), "--data", str(data_dir), "--out", str(ev),
+        ]) == 0
+    state = load_checkpoint(run / "checkpoint.json")
+    net = state.network()
     virtual = drawn["epoch 7, batch 0"]
     assert len(virtual) == 30
+    assert np.array_equal(state.virtual, virtual)
     id_scores, ood_scores = score_bundle(net, _load_bundle(data_dir))
     write_energy_histogram_csv(
         tmp_path / "expected.csv",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from ares.training import (
     TrainConfig,
     compute_batch_gradients,
     compute_batch_loss,
-    last_joint_outliers,
     sgd_step,
     train,
 )
@@ -278,7 +279,7 @@ def trained_case(loss_kind):
     cfg = TrainConfig(total_epochs=3, pretrain_epochs=1, batch_size=20, hidden_dims=(5,),
                       feature_dim=4, beta_warmup_epochs=4, seed=3, loss_kind=loss_kind)
     net, log = train(cfg, bundle)
-    v_pts = last_joint_outliers(cfg, bundle, log.state)[:8]
+    v_pts = log.state.virtual[:8]
     xb, yb = bundle.id_train.x[:8], bundle.id_train.y[:8]
     return net, xb, yb, v_pts, cfg.replace(beta=cfg.beta * 6 / 12)
 
@@ -333,10 +334,13 @@ def test_tape_shape_validation():
 # ---- checkpointing ----------------------------------------------------------------
 
 def _run_state(seed, epoch, joint=True):
+    """A run state; in the joint phase it carries a joint start and a
+    (5, feature_dim) virtual-outlier batch."""
     net = small_net(seed)
     net.energy_u[...] = Rng(seed + 1).standard_normal(3)
     joint_start = small_net(seed + 2).params() if joint else None
-    return RunState.of(net, epoch, joint_start)
+    virtual = Rng(seed + 3).standard_normal((5, 4)) * 1e3 if joint else None
+    return RunState.of(net, epoch, joint_start, virtual)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -347,28 +351,36 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         loaded = load_checkpoint(path)
         assert loaded.epoch == 17 and loaded.arch == state.arch
         assert (loaded.joint_start is None) == (not joint)
+        assert (loaded.virtual is None) == (not joint)
         for name, p in state.params.items():
             assert np.array_equal(p, loaded.network().params()[name])
             if joint:
                 assert np.array_equal(state.joint_start[name], loaded.joint_start[name])
+        if joint:
+            assert loaded.virtual.shape == (5, 4)
+            assert np.array_equal(state.virtual, loaded.virtual)
+        doc = json.loads(path.read_text())  # keys in file order: sorted, virtual last
+        assert doc["version"] == 3 and list(doc)[-2:] == ["version", "virtual"]
         path2 = tmp_path / "ckpt2.json"
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
 
+
 def test_run_state_is_a_copy():
     net = small_net(3)
-    state = RunState.of(net, 2)
+    virtual = np.ones((2, 4))
+    state = RunState.of(net, 2, virtual=virtual)
     net.cls_b[...] += 1.0
+    virtual[...] = 0.0
     assert not np.array_equal(state.params["cls_b"], net.cls_b)
     assert np.array_equal(state.network().cls_b, net.cls_b - 1.0)
+    assert np.all(state.virtual == 1.0)
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(_run_state(0, 1), path)
-    import json
-
     for block in ("params", "joint_start"):
         doc = json.loads(path.read_text())
         doc[block]["cls_b"] = {"shape": [1], "data": [0.0]}
@@ -376,18 +388,33 @@ def test_checkpoint_shape_mismatch(tmp_path):
         bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="cls_b"):
             load_checkpoint(bad)
+    # the virtual batch is (n, feature_dim) = (n, 4), and its shape must fit its data
+    for name, block in {
+        "wide": {"shape": [1, 5], "data": [0.0] * 5},
+        "flat": {"shape": [4], "data": [0.0] * 4},
+        "short": {"shape": [2, 4], "data": [0.0] * 4},
+        "ragged": {"shape": [1, 4], "data": [0.0] * 5},
+        "negative": {"shape": [-1, 4], "data": [0.0] * 8},
+    }.items():
+        doc = json.loads(path.read_text())
+        doc["virtual"] = block
+        bad = tmp_path / f"bad_virtual_{name}.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"bad_virtual_{name}.json: malformed"):
+            load_checkpoint(bad)
 
 
 def test_checkpoint_rejects_other_files(tmp_path):
-    import json
-
     save_checkpoint(_run_state(0, 1), tmp_path / "ckpt.json")
-    v1 = json.loads((tmp_path / "ckpt.json").read_text())
+    v2 = json.loads((tmp_path / "ckpt.json").read_text())
+    del v2["virtual"]
+    v2["version"] = 2
+    v1 = dict(v2, version=1)
     del v1["joint_start"]
-    v1["version"] = 1
     cases = {
         "missing.json": None,
         "v1.json": json.dumps(v1),
+        "v2.json": json.dumps(v2),
         "points.csv": "# ares-points id dim=2\nx0,x1,label\n0.0,1.0,0\n",
         "list.json": "[1, 2]",
         "truncated.json": (tmp_path / "ckpt.json").read_text()[:50],
@@ -397,5 +424,6 @@ def test_checkpoint_rejects_other_files(tmp_path):
             (tmp_path / name).write_text(text)
         with pytest.raises(ConfigError, match=name):
             load_checkpoint(tmp_path / name)
-    with pytest.raises(ConfigError, match="version 1"):
-        load_checkpoint(tmp_path / "v1.json")
+    for version in (1, 2):
+        with pytest.raises(ConfigError, match=f"version {version} .*retrain to write one"):
+            load_checkpoint(tmp_path / f"v{version}.json")

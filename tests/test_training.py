@@ -115,7 +115,16 @@ def test_config_validation():
         TrainConfig(lr_start=1e-6, lr_end=0.1).validate()
     with pytest.raises(ConfigError):
         TrainConfig(loss_kind="wasserstein").validate()
+    bad = [
+        ("ridge_scale", 0.0), ("ridge_scale", -1.0), ("ridge_scale", float("inf")),
+        ("alpha2", float("inf")), ("alpha2", 0.0), ("nce_temperature", float("nan")),
+        ("nce_temperature", -0.1), ("lr_start", float("inf")), ("pretrain_epochs", -3),
+    ]
+    for name, value in bad:
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
     TrainConfig(total_epochs=10, pretrain_epochs=10).validate()  # boundary allowed
+    TrainConfig(total_epochs=10, pretrain_epochs=0).validate()
 
 
 # ---- the loop -----------------------------------------------------------------------
@@ -337,10 +346,11 @@ def test_resume_continues_epoch_numbering():
     ("hidden_dims", (2, (64, 64), 16, 3), {"hidden_dims": (8,)}),
     ("feature_dim", (2, (64, 64), 16, 3), {"feature_dim": 4}),
     ("n_classes", (2, (64, 64), 16, 4), {}),
-], ids=["input_dim", "hidden_dims", "feature_dim", "n_classes"])
+    ("epoch", (2, (64, 64), 16, 3), {"total_epochs": 2, "pretrain_epochs": 1}),
+], ids=["input_dim", "hidden_dims", "feature_dim", "n_classes", "epoch"])
 def test_resume_rejects_other_architecture(monkeypatch, field, arch, cfg_kw):
     state = RunState.of(MlpNetwork(*arch, Rng(0)), 3)
-    monkeypatch.setattr(training_mod, "_surrogate_set", _must_not_run)
+    monkeypatch.setattr(training_mod, "escape_dataset", _must_not_run)
     with pytest.raises(ConfigError) as exc:
         train(tiny_cfg(**cfg_kw), tiny_bundle(), resume=state)
     msg = str(exc.value)
@@ -351,6 +361,19 @@ def test_resume_rejects_other_architecture(monkeypatch, field, arch, cfg_kw):
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("training started despite an architecture mismatch")
+
+
+def test_resume_epoch_bounds(monkeypatch):
+    # total_epochs = 6: a finished run resumes to itself, a negative epoch
+    # is named before training starts
+    cfg, bundle = tiny_cfg(), tiny_bundle()
+    net = MlpNetwork(2, (64, 64), 16, 3, Rng(0))
+    done = RunState.of(net, 6)
+    _, log = train(cfg, bundle, resume=done)
+    assert log.records == [] and log.state is done
+    monkeypatch.setattr(training_mod, "escape_dataset", _must_not_run)
+    with pytest.raises(ConfigError, match=r"epoch: -1 is outside \[0, total_epochs = 6\]"):
+        train(cfg, bundle, resume=RunState.of(net, -1))
 
 
 # pretrain epochs 0-2, beta ramp over epochs 3-4, then plain joint epochs 5-7
