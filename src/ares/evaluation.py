@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datagen import MIN_GATE_SCORES, DataBundle
 from .network import MlpNetwork, energy_score_batch
-from .training import TrainConfig, TrainLog, train
+from .training import TrainConfig, train
 
 __all__ = [
     "RunReport",
@@ -206,18 +207,35 @@ def ablation_variants(base_cfg: TrainConfig) -> list[tuple[str, TrainConfig | No
     ]
 
 
-def _train_and_evaluate(
-    name: str, cfg: TrainConfig, bundle: DataBundle
-) -> tuple[RunReport, MlpNetwork, TrainLog]:
-    net, log = train(cfg, bundle)
-    report = evaluate(
-        net,
-        bundle,
-        variant=name,
-        seed=cfg.seed,
-        stage_times=log.stage_totals(),
-    )
-    return report, net, log
+def _train_and_evaluate(name: str, cfg: TrainConfig, bundle: DataBundle) -> RunReport:
+    """One variant's report, or its failure report; a pool worker runs it."""
+    try:
+        net, log = train(cfg, bundle)
+        return evaluate(net, bundle, variant=name, seed=cfg.seed, stage_times=log.stage_totals())
+    except Exception as err:  # per-variant isolation is the contract
+        return _failed_report(name, cfg.seed, err)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: cap the loaded OpenBLAS at one thread, so that the
+    workers' BLAS threads do not spin on each other's cores. Without an
+    OpenBLAS or its setter, BLAS is left alone."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            path = next((line.split()[-1] for line in fh if "openblas" in line.lower()), None)
+        if path is None:
+            return
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return
+    for sym in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+        setter = getattr(lib, sym, None)
+        if setter is not None:
+            setter(1)
+            return
 
 
 def run_ablation_suite(
@@ -228,8 +246,12 @@ def run_ablation_suite(
     """Train and evaluate every ablation variant with shared data and seed.
 
     ``only`` restricts the matrix to "stages", "losses", or "epochs".
-    Per-variant failures are captured in the report's ``error`` field
-    without aborting the suite.
+    Variants train in parallel, one forked worker per usable CPU, each
+    with one BLAS thread; a run is a pure function of its config and seed,
+    so the reports equal a sequential run's, in the matrix order. Their
+    stage times are each worker's own wall time. A variant that raises,
+    or whose worker dies, gets a report with its ``error`` set; the suite
+    itself does not raise.
     """
     matrix = ablation_variants(base_cfg)
     if only == "stages":
@@ -243,10 +265,27 @@ def run_ablation_suite(
     if not any(name == "full" for name, _cfg in matrix):
         # without the full run present, shared rows train for themselves
         matrix = [(name, cfg if cfg is not None else base_cfg) for name, cfg in matrix]
+    trained = [(name, cfg) for name, cfg in matrix if cfg is not None]
+
+    # imported here, so that ``import ares`` does not pay for the pool modules
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     reports: dict[str, RunReport] = {}
+    with ProcessPoolExecutor(
+        max_workers=min(len(os.sched_getaffinity(0)), len(trained)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_one_blas_thread,
+    ) as pool:
+        futures = [pool.submit(_train_and_evaluate, name, cfg, bundle) for name, cfg in trained]
+        for (name, cfg), future in zip(trained, futures):
+            try:
+                reports[name] = future.result()
+            except Exception as err:  # the worker died, or its report did not come back
+                reports[name] = _failed_report(name, cfg.seed, err)
+
     for name, cfg in matrix:
-        if cfg is None:  # shares the full run, which comes first in the matrix
+        if cfg is None:  # shares the full run
             full = reports["full"]
             reports[name] = RunReport(
                 variant=name,
@@ -258,12 +297,7 @@ def run_ablation_suite(
                 error=full.error,
                 extra={"shared_with": "full"},
             )
-            continue
-        try:
-            reports[name], _net, _log = _train_and_evaluate(name, cfg, bundle)
-        except Exception as err:  # per-variant isolation is the contract
-            reports[name] = _failed_report(name, cfg.seed, err)
-    return list(reports.values())
+    return [reports[name] for name, _cfg in matrix]
 
 
 def write_reports_csv(path, reports: list[RunReport]) -> None:

@@ -278,10 +278,24 @@ def save_checkpoint(state: RunState, path) -> None:
         fh.write("\n")
 
 
+def _check_arch(arch: dict) -> None:
+    """ValueError unless every width is a positive integer and there are at
+    least two classes."""
+    widths = {"input_dim": arch["input_dim"], "feature_dim": arch["feature_dim"],
+              "n_classes": arch["n_classes"]}
+    widths.update((f"hidden_dims[{i}]", h) for i, h in enumerate(arch["hidden_dims"]))
+    for key, width in widths.items():
+        if type(width) is not int or width < 1:
+            raise ValueError(f"arch {key} = {width!r} is not a positive integer")
+    if arch["n_classes"] < 2:
+        raise ValueError(f"arch n_classes = {arch['n_classes']}, need at least 2")
+
+
 def load_checkpoint(path) -> RunState:
     """The run state stored at ``path``. A missing file, a file that is not
-    a checkpoint, another format version or a malformed tensor block is
-    a :class:`ConfigError` naming the file."""
+    a checkpoint, another format version, an architecture that is not one
+    (a width that is not a positive integer, fewer than two classes) or a
+    malformed tensor block is a :class:`ConfigError` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -298,6 +312,7 @@ def load_checkpoint(path) -> RunState:
         )
     try:
         arch = {key: doc["arch"][key] for key in ("input_dim", "hidden_dims", "feature_dim", "n_classes")}
+        _check_arch(arch)
         like = MlpNetwork(**arch, rng=Rng(0)).params()
         joint, virtual = doc["joint_start"], doc["virtual"]
         if virtual is not None:  # (n, feature_dim), n read off the data

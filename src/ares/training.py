@@ -354,6 +354,8 @@ def train(
         MlpNetwork(d_in, cfg.hidden_dims, cfg.feature_dim, k, root.child("init")), 0
     )
     net = state.network()
+    if state.epoch == cfg.total_epochs:  # a finished run: nothing to escape or train
+        return net, TrainLog(state=state)
 
     tape = GradientTape(net)
     log = TrainLog()

@@ -278,6 +278,20 @@ def test_eval_rejects_non_checkpoint(smoke, tmp_path, capsys):
     assert not (tmp_path / "e").exists()
 
 
+def test_eval_rejects_zero_width_checkpoint(smoke, tmp_path, capsys):
+    cfg, data_dir, out_dir = smoke
+    doc = json.loads((out_dir / "checkpoint.json").read_text())
+    doc["arch"]["feature_dim"] = 0
+    (tmp_path / "zero.json").write_text(json.dumps(doc))
+    rc = main([
+        "eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "zero.json"),
+        "--data", str(data_dir), "--out", str(tmp_path / "e"),
+    ])
+    assert rc == 2
+    assert "zero.json: malformed checkpoint (arch feature_dim = 0" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def test_resume_bad_checkpoint_exits_before_output(smoke, tmp_path, capsys):
     cfg, data_dir, out_dir = smoke
     doc = json.loads((out_dir / "checkpoint.json").read_text())

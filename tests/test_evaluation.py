@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import ares.evaluation as eval_mod
 from ares.datagen import make_bundle
 from ares.evaluation import (
     _average_ranks,
+    _train_and_evaluate,
+    ablation_variants,
     auroc,
     choose_gamma,
     evaluate,
@@ -402,6 +405,37 @@ def test_suite_isolates_variant_failures(micro_bundle, monkeypatch):
     assert by_name["loss-nce"].error is not None
     assert "injected failure" in by_name["loss-nce"].error
     assert by_name["full"].error is None
+
+
+def test_suite_survives_a_dead_worker(micro_bundle, monkeypatch):
+    real = eval_mod.train
+
+    def dying(cfg, bundle, **kw):
+        if cfg.loss_kind == "nce":
+            os._exit(3)
+        return real(cfg, bundle, **kw)
+
+    monkeypatch.setattr(eval_mod, "train", dying)
+    reports = run_ablation_suite(micro_cfg(), micro_bundle)
+    assert [r.variant for r in reports] == [name for name, _cfg in ablation_variants(micro_cfg())]
+    by_name = {r.variant: r for r in reports}
+    assert "BrokenProcessPool" in by_name["loss-nce"].error
+
+
+@pytest.mark.parametrize("only", ["stages", None])
+def test_suite_equals_in_process_runs(micro_bundle, only):
+    matrix = ablation_variants(micro_cfg())
+    if only == "stages":
+        matrix = matrix[:4]
+    full = dict(matrix)["full"]
+    reports = run_ablation_suite(micro_cfg(), micro_bundle, only=only)
+    assert [r.variant for r in reports] == [name for name, _cfg in matrix]
+    for report, (name, cfg) in zip(reports, matrix):
+        want = _train_and_evaluate(name, cfg or full, micro_bundle)
+        assert report.error is None and want.error is None
+        assert report.gamma == want.gamma
+        assert report.per_set == want.per_set
+        assert report.average == want.average
 
 
 def test_reports_csv_layout(tmp_path, micro_bundle):

@@ -404,6 +404,23 @@ def test_checkpoint_shape_mismatch(tmp_path):
             load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("input_dim", 0),
+    ("hidden_dims", [5, -1]),
+    ("feature_dim", 0),
+    ("feature_dim", 2.5),
+    ("n_classes", 1),
+], ids=["input_dim", "hidden_dims", "feature_dim", "feature_dim-float", "n_classes"])
+def test_checkpoint_rejects_bad_architecture(tmp_path, field, value):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(_run_state(0, 1), path)
+    doc = json.loads(path.read_text())
+    doc["arch"][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"ckpt.json: malformed checkpoint \\(arch {field}"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_other_files(tmp_path):
     save_checkpoint(_run_state(0, 1), tmp_path / "ckpt.json")
     v2 = json.loads((tmp_path / "ckpt.json").read_text())

@@ -376,6 +376,24 @@ def test_resume_epoch_bounds(monkeypatch):
         train(cfg, bundle, resume=RunState.of(net, -1))
 
 
+def test_finished_run_resumes_without_escape(monkeypatch):
+    # a run resumed at its last epoch returns its own state without running
+    # the escape stage
+    cfg, bundle = tiny_cfg(total_epochs=3), tiny_bundle()
+    _, log = train(cfg, bundle)
+    calls = []
+    real = training_mod.escape_dataset
+    monkeypatch.setattr(training_mod, "escape_dataset", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    net, resumed = train(cfg, bundle, resume=log.state)
+    assert calls == [] and resumed.records == []
+    state = resumed.state
+    assert state.epoch == 3 and state.arch == log.state.arch
+    for name, p in log.state.params.items():
+        assert np.array_equal(state.params[name], p) and np.array_equal(net.params()[name], p)
+        assert np.array_equal(state.joint_start[name], log.state.joint_start[name])
+    assert np.array_equal(state.virtual, log.state.virtual)
+
+
 # pretrain epochs 0-2, beta ramp over epochs 3-4, then plain joint epochs 5-7
 RESUME_CFG = dict(total_epochs=8, pretrain_epochs=3, beta_warmup_epochs=2)
 
