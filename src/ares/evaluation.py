@@ -251,7 +251,8 @@ def run_ablation_suite(
     so the reports equal a sequential run's, in the matrix order. Their
     stage times are each worker's own wall time. A variant that raises,
     or whose worker dies, gets a report with its ``error`` set; the suite
-    itself does not raise.
+    itself does not raise. A dying worker breaks the whole pool, so every
+    variant it took down is rerun alone in a fresh one-worker pool.
     """
     matrix = ablation_variants(base_cfg)
     if only == "stages":
@@ -270,18 +271,30 @@ def run_ablation_suite(
     # imported here, so that ``import ares`` does not pay for the pool modules
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def pool(workers):
+        return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_one_blas_thread)
 
     reports: dict[str, RunReport] = {}
-    with ProcessPoolExecutor(
-        max_workers=min(len(os.sched_getaffinity(0)), len(trained)),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_one_blas_thread,
-    ) as pool:
-        futures = [pool.submit(_train_and_evaluate, name, cfg, bundle) for name, cfg in trained]
+    broken = []
+    with pool(min(len(os.sched_getaffinity(0)), len(trained))) as executor:
+        futures = [executor.submit(_train_and_evaluate, name, cfg, bundle) for name, cfg in trained]
         for (name, cfg), future in zip(trained, futures):
             try:
                 reports[name] = future.result()
             except Exception as err:  # the worker died, or its report did not come back
+                reports[name] = _failed_report(name, cfg.seed, err)
+                if isinstance(err, BrokenProcessPool):
+                    broken.append((name, cfg))
+    # a dead worker fails every pending future with it: rerun each of those
+    # alone, so that only the variant that kills its own worker keeps the error
+    for name, cfg in broken:
+        with pool(1) as executor:
+            try:
+                reports[name] = executor.submit(_train_and_evaluate, name, cfg, bundle).result()
+            except Exception as err:
                 reports[name] = _failed_report(name, cfg.seed, err)
 
     for name, cfg in matrix:

@@ -93,21 +93,22 @@ def jsd_discrimination_grad(id_scores, ood_scores) -> tuple[float, np.ndarray, n
     b1, b2 = e.size, f.size
     # a diverging network's scores overflow here; training names the non-finite loss
     with np.errstate(over="ignore", invalid="ignore"):
-        mu_p = e.mean()
-        vp_raw = float(((e - mu_p) ** 2).mean())
-        mu_q = f.mean()
-        vq_raw = float(((f - mu_q) ** 2).mean())
-    vp = max(vp_raw, VAR_FLOOR)
-    vq = max(vq_raw, VAR_FLOOR)
+        # ``sum() / n`` is numpy's ``mean()``: the same add.reduce, the same division
+        mu_p = e.sum() / b1
+        dev_p = e - mu_p
+        vp_raw = float((dev_p**2).sum() / b1)
+        mu_q = f.sum() / b2
+        dev_q = f - mu_q
+        vq_raw = float((dev_q**2).sum() / b2)
+        vp = max(vp_raw, VAR_FLOOR)
+        vq = max(vq_raw, VAR_FLOOR)
 
-    mu_m = 0.5 * (mu_p + mu_q)
-    with np.errstate(over="ignore", invalid="ignore"):
+        mu_m = 0.5 * (mu_p + mu_q)
         vm_raw = 0.5 * (vp + vq) + 0.25 * (mu_p - mu_q) ** 2
-    vm = max(vm_raw, VAR_FLOOR)
+        vm = max(vm_raw, VAR_FLOOR)
 
-    loss = jsd_gauss1d(Gauss1d(mu_p, vp), Gauss1d(mu_q, vq))
+        loss = jsd_gauss1d(Gauss1d(mu_p, vp), Gauss1d(mu_q, vq))
 
-    with np.errstate(over="ignore", invalid="ignore"):
         # d(K1+K2)/d(mu_m) and /d(vm)
         g_mu_m = -(mu_p - mu_m) / vm - (mu_q - mu_m) / vm
         g_vm = 1.0 / vm - (vp + (mu_p - mu_m) ** 2 + vq + (mu_q - mu_m) ** 2) / (2.0 * vm**2)
@@ -120,9 +121,14 @@ def jsd_discrimination_grad(id_scores, ood_scores) -> tuple[float, np.ndarray, n
 
         vp_active = 1.0 if vp_raw > VAR_FLOOR else 0.0
         vq_active = 1.0 if vq_raw > VAR_FLOOR else 0.0
-        d_id = d_mu_p / b1 + d_vp * 2.0 * (e - mu_p) / b1 * vp_active
-        d_ood = d_mu_q / b2 + d_vq * 2.0 * (f - mu_q) / b2 * vq_active
-    return float(loss), d_id, d_ood
+        # d_mu / b + d_v * 2 (x - mu) / b * active, in place on the deviations
+        for dev, d_mu, d_v, b, active in ((dev_p, d_mu_p, d_vp, b1, vp_active),
+                                          (dev_q, d_mu_q, d_vq, b2, vq_active)):
+            np.multiply(d_v * 2.0, dev, out=dev)
+            dev /= b
+            dev *= active
+            np.add(d_mu / b, dev, out=dev)
+    return float(loss), dev_p, dev_q
 
 
 def total_loss(cls: float, dis: float, beta: float) -> float:

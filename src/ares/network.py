@@ -8,16 +8,18 @@ caches the post-ReLU activations, which are all the backward pass needs:
 each layer's input, and its ReLU mask (``act > 0`` exactly where the
 pre-activation is ``> 0``).
 
-Parameters live in plain numpy arrays addressed by name through
-``MlpNetwork.params()``; a :class:`GradientTape` accumulates matching
-gradient arrays. No general autodiff — the loss graph is fixed and its
-backward pass is written out by hand (and checked against finite
-differences in the test suite).
+Parameters are named, reshaped views of one contiguous float64 vector,
+``MlpNetwork.flat``, addressed by name through ``MlpNetwork.params()``; a
+:class:`GradientTape` accumulates the gradients in views of a vector laid
+out the same way, so one SGD update and one zeroing cover every tensor. No
+general autodiff — the loss graph is fixed and its backward pass is written
+out by hand (and checked against finite differences in the test suite).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,35 +56,39 @@ class MlpNetwork:
         self.version = 0
 
         dims = [self.input_dim, *self.hidden_dims, self.feature_dim]
-        self.ext_w = []
-        self.ext_b = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.ext_w.append(scale * rng.standard_normal((fan_in, fan_out)))
-            self.ext_b.append(np.zeros(fan_out))
-        scale = np.sqrt(2.0 / self.feature_dim)
-        self.cls_w = scale * rng.standard_normal((self.feature_dim, self.n_classes))
-        self.cls_b = np.zeros(self.n_classes)
-        self.energy_u = np.zeros(self.n_classes)
-        self.head_w = np.array(1.0)
-        self.head_b = np.array(0.0)
+        shapes = []
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            shapes += [(f"ext_w{i}", (fan_in, fan_out)), (f"ext_b{i}", (fan_out,))]
+        shapes += [("cls_w", (self.feature_dim, self.n_classes)), ("cls_b", (self.n_classes,)),
+                   ("energy_u", (self.n_classes,)), ("head_w", ()), ("head_b", ())]
+        self._shapes = shapes
+        self.flat = np.zeros(sum(math.prod(shape) for _name, shape in shapes))
+        p = self._params = self.views(self.flat)
+        self.ext_w = [p[f"ext_w{i}"] for i in range(len(dims) - 1)]
+        self.ext_b = [p[f"ext_b{i}"] for i in range(len(dims) - 1)]
+        for w in self.ext_w:
+            w[...] = np.sqrt(2.0 / w.shape[0]) * rng.standard_normal(w.shape)
+        self.cls_w, self.cls_b = p["cls_w"], p["cls_b"]
+        self.cls_w[...] = np.sqrt(2.0 / self.feature_dim) * rng.standard_normal(self.cls_w.shape)
+        self.energy_u, self.head_w, self.head_b = p["energy_u"], p["head_w"], p["head_b"]
+        self.head_w[...] = 1.0
 
     @property
     def energy_w(self) -> np.ndarray:
         return np.exp(self.energy_u)
 
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a vector laid out like ``flat``, in parameter order."""
+        out, lo = {}, 0
+        for name, shape in self._shapes:
+            size = math.prod(shape)
+            out[name] = flat[lo : lo + size].reshape(shape)
+            lo += size
+        return out
+
     def params(self) -> dict[str, np.ndarray]:
         """Live views of every learnable array, keyed by name."""
-        out = {}
-        for i, (w, b) in enumerate(zip(self.ext_w, self.ext_b)):
-            out[f"ext_w{i}"] = w
-            out[f"ext_b{i}"] = b
-        out["cls_w"] = self.cls_w
-        out["cls_b"] = self.cls_b
-        out["energy_u"] = self.energy_u
-        out["head_w"] = self.head_w
-        out["head_b"] = self.head_b
-        return out
+        return dict(self._params)
 
     # ---- forward ----------------------------------------------------------
 
@@ -114,16 +120,19 @@ class MlpNetwork:
         gradient w.r.t. the cached logits."""
         if cache.version != self.version:
             raise RuntimeError("backward: forward cache is stale (parameters were updated)")
-        tape.add("cls_w", cache.feats.T @ dlogits)
-        tape.add("cls_b", dlogits.sum(axis=0))
+        # accumulate with ``+=``, never write with ``out=``: the tape's
+        # 0.0 + (-0.0) is +0.0, where a direct write would keep the -0.0
+        grads = tape.grads
+        grads["cls_w"] += cache.feats.T @ dlogits
+        grads["cls_b"] += dlogits.sum(axis=0)
         dact = dlogits @ self.cls_w.T
         for i in range(len(self.ext_w) - 1, -1, -1):
-            dz = dact * (cache.acts[i] > 0.0)
+            np.multiply(dact, cache.acts[i] > 0.0, out=dact)  # the ReLU mask, in place
             inputs = cache.x if i == 0 else cache.acts[i - 1]
-            tape.add(f"ext_w{i}", inputs.T @ dz)
-            tape.add(f"ext_b{i}", dz.sum(axis=0))
+            grads[f"ext_w{i}"] += inputs.T @ dact
+            grads[f"ext_b{i}"] += dact.sum(axis=0)
             if i:  # nothing uses the gradient w.r.t. the input
-                dact = dz @ self.ext_w[i].T
+                dact = dact @ self.ext_w[i].T
 
 
 @dataclass
@@ -143,10 +152,12 @@ class ForwardCache:
 
 
 class GradientTape:
-    """Named gradient accumulators matching a network's parameter shapes."""
+    """Named gradient accumulators matching a network's parameter shapes:
+    views of one vector ``flat`` laid out like the network's."""
 
     def __init__(self, net: MlpNetwork):
-        self.grads = {name: np.zeros_like(p) for name, p in net.params().items()}
+        self.flat = np.zeros_like(net.flat)
+        self.grads = net.views(self.flat)
 
     def add(self, name: str, g) -> None:
         acc = self.grads[name]
@@ -156,8 +167,7 @@ class GradientTape:
         acc += g
 
     def zero(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.flat.fill(0.0)
 
 
 # ---- energy and cross entropy ---------------------------------------------
@@ -172,8 +182,9 @@ def energy_score_batch(net: MlpNetwork, logits: np.ndarray) -> np.ndarray:
     return -(m + np.log(s.sum(axis=1)))
 
 
-def energy_gradients(net: MlpNetwork, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row energies and d(energy)/d(logit).
+def energy_gradients(energy_w: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row energies and d(energy)/d(logit) under energy weights
+    ``energy_w`` (a network's ``energy_w``). ``logits`` is never written to.
 
     The gradient w.r.t. the free energy parameter u_k equals the gradient
     w.r.t. z_k row-wise (both are -w_k exp(z_k) / sum_j w_j exp(z_j)), so
@@ -181,10 +192,14 @@ def energy_gradients(net: MlpNetwork, logits: np.ndarray) -> tuple[np.ndarray, n
     """
     logits = np.asarray(logits, dtype=float)
     m = logits.max(axis=1)
-    s = net.energy_w * np.exp(logits - m[:, None])
+    s = logits - m[:, None]
+    np.exp(s, out=s)
+    np.multiply(energy_w, s, out=s)
     tot = s.sum(axis=1)
     energies = -(m + np.log(tot))
-    return energies, -s / tot[:, None]
+    np.negative(s, out=s)
+    s /= tot[:, None]
+    return energies, s
 
 
 def cross_entropy_batch(logits: np.ndarray, ys: np.ndarray) -> tuple[float, np.ndarray]:
@@ -194,14 +209,15 @@ def cross_entropy_batch(logits: np.ndarray, ys: np.ndarray) -> tuple[float, np.n
     ys = np.asarray(ys, dtype=int)
     if ys.min() < 0 or ys.max() >= k:
         raise ValueError("cross_entropy_batch: label out of range")
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    tot = e.sum(axis=1)
-    logp = logits - m - np.log(tot)[:, None]
-    loss = float(-logp[np.arange(n), ys].mean())
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), ys] -= 1.0
-    return loss, dlogits / n
+    logp = logits - logits.max(axis=1, keepdims=True)
+    tot = np.exp(logp).sum(axis=1)
+    logp -= np.log(tot)[:, None]
+    rows = np.arange(n)
+    loss = float(-(logp[rows, ys].sum() / n))  # numpy's mean() is this sum over n
+    dlogits = np.exp(logp, out=logp)
+    dlogits[rows, ys] -= 1.0
+    dlogits /= n
+    return loss, dlogits
 
 
 # ---- run state and checkpointing ----------------------------------------------

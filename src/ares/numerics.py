@@ -190,11 +190,12 @@ def kld_gauss1d(p: Gauss1d, q: Gauss1d) -> float:
     """KL divergence KL(p || q) between 1-d Gaussians, closed form.
 
     = log(sig_q/sig_p) + (var_p + (mu_p - mu_q)^2) / (2 var_q) - 1/2,
-    clamped at zero against rounding for near-identical inputs.
+    clamped at zero against rounding for near-identical inputs. Plain float
+    arithmetic: ``gap * gap`` saturates to inf where ``gap ** 2`` would
+    raise OverflowError, so a diverging input yields a non-finite value.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap2 = float(np.square(np.float64(p.mu) - q.mu))
-        val = 0.5 * math.log(q.var / p.var) + (p.var + gap2) / (2.0 * q.var) - 0.5
+    gap = p.mu - q.mu
+    val = 0.5 * math.log(q.var / p.var) + (p.var + gap * gap) / (2.0 * q.var) - 0.5
     if math.isnan(val):
         return val
     return max(0.0, val)
@@ -205,14 +206,11 @@ def moment_match_mixture(p: Gauss1d, q: Gauss1d) -> Gauss1d:
     mixture of ``p`` and ``q``.
 
     The mixture itself is not Gaussian; matching its moments keeps the
-    midpoint divergence in closed form.
+    midpoint divergence in closed form. Overflow saturates to inf, as in
+    :func:`kld_gauss1d`, so callers detect divergence as a non-finite value.
     """
-    mu = 0.5 * (p.mu + q.mu)
-    # numpy arithmetic saturates to inf instead of raising OverflowError,
-    # letting callers detect divergence as a non-finite value
-    with np.errstate(over="ignore"):
-        var = 0.5 * (p.var + q.var) + 0.25 * float(np.square(np.float64(p.mu) - q.mu))
-    return Gauss1d(mu=mu, var=var)
+    gap = p.mu - q.mu
+    return Gauss1d(mu=0.5 * (p.mu + q.mu), var=0.5 * (p.var + q.var) + 0.25 * (gap * gap))
 
 
 def jsd_gauss1d(p: Gauss1d, q: Gauss1d) -> float:

@@ -170,9 +170,10 @@ def cosine_lr(step: int, total_steps: int, lr_start: float, lr_end: float) -> fl
 
 
 def sgd_step(net: MlpNetwork, tape: GradientTape, lr: float) -> None:
-    """theta <- theta - lr * grad for every parameter; zeroes the tape."""
-    for name, p in net.params().items():
-        p -= lr * tape.grads[name]
+    """theta <- theta - lr * grad, as one update of the whole parameter
+    vector; zeroes the tape."""
+    np.multiply(lr, tape.flat, out=tape.flat)
+    net.flat -= tape.flat
     net.version += 1
     tape.zero()
 
@@ -220,9 +221,8 @@ class _SynthesisState:
                 keep = np.sort(self.eps_rng.choice(len(pool), size=cfg.m_candidates, replace=False))
                 self.candidates = pool[keep]
             # the pool and the model are fixed for the epoch, so every
-            # batch's bottom-B is a prefix of this one ranking
-            cand = self.candidates
-            self.ranked = sample_virtual_outliers(cand, model, count=len(cand))
+            # batch's bottom-B is a prefix of this one ranking's first batch
+            self.ranked = sample_virtual_outliers(self.candidates, model, count=cfg.batch_size)
 
     def draw_outliers(self, b_eff: int, context: str) -> np.ndarray:
         """Bottom-``b_eff`` virtual outliers (or a uniform draw when the
@@ -253,13 +253,16 @@ def divergence_terms(
 
     Computes the energy scores of the batch and of the virtual outliers,
     the configured discrimination loss, and its gradient contributions:
-    returns ``(dis, batch_total, dlogits)`` where ``dlogits`` now includes
-    the divergence path and head/energy/classifier gradients for the
-    outlier path have been accumulated on the tape.
+    returns ``(dis, batch_total, dlogits)`` where ``dlogits``, updated in
+    place, now includes the divergence path and head/energy/classifier
+    gradients for the outlier path have been accumulated on the tape.
     """
-    logits_v = v_pts @ net.cls_w + net.cls_b
-    e_id, dedz_id = energy_gradients(net, cache.logits)
-    e_v, dedz_v = energy_gradients(net, logits_v)
+    energy_w = net.energy_w
+    logits_v = v_pts @ net.cls_w
+    logits_v += net.cls_b
+    e_id, dedz_id = energy_gradients(energy_w, cache.logits)
+    e_v, dedz_v = energy_gradients(energy_w, logits_v)
+    grads = tape.grads
 
     if cfg.loss_kind == "jsd":
         dis, de_id, de_v = jsd_discrimination_grad(e_id, e_v)
@@ -273,14 +276,17 @@ def divergence_terms(
             dis, de_id, de_v, d_hw, d_hb = nce_grad(e_id, e_v, head, cfg.nce_temperature)
         batch_total = cls_loss + cfg.beta * dis
         scale = cfg.beta
-        tape.add("head_w", scale * d_hw)
-        tape.add("head_b", scale * d_hb)
+        grads["head_w"] += scale * d_hw
+        grads["head_b"] += scale * d_hb
 
-    dlogits = dlogits + (scale * de_id)[:, None] * dedz_id
-    dlogits_v = (scale * de_v)[:, None] * dedz_v
-    tape.add("energy_u", (scale * de_id) @ dedz_id + (scale * de_v) @ dedz_v)
-    tape.add("cls_w", v_pts.T @ dlogits_v)
-    tape.add("cls_b", dlogits_v.sum(axis=0))
+    c_id = scale * de_id
+    c_v = scale * de_v
+    grads["energy_u"] += c_id @ dedz_id + c_v @ dedz_v
+    np.multiply(c_id[:, None], dedz_id, out=dedz_id)
+    dlogits += dedz_id
+    np.multiply(c_v[:, None], dedz_v, out=dedz_v)  # the gradient w.r.t. the outliers' logits
+    grads["cls_w"] += v_pts.T @ dedz_v
+    grads["cls_b"] += dedz_v.sum(axis=0)
     return dis, batch_total, dlogits
 
 
@@ -373,6 +379,7 @@ def train(
         lr = cosine_lr(epoch, cfg.total_epochs, cfg.lr_start, cfg.lr_end)
         esc_s = escape_s0 if epoch == start_epoch else 0.0
         order = root.child("shuffle", epoch).permutation(len(dstar))
+        xs, ys = dstar.x[order], dstar.y[order]  # each batch is a slice of these
         joint = epoch >= cfg.pretrain_epochs and cfg.beta != 0.0
         steps_per_epoch = (len(dstar) + cfg.batch_size - 1) // cfg.batch_size
         warmup_steps = cfg.beta_warmup_epochs * steps_per_epoch
@@ -401,12 +408,12 @@ def train(
         cls_sum = dis_sum = tot_sum = 0.0
         n_batches = n_joint = 0
         for b, lo in enumerate(range(0, len(order), cfg.batch_size)):
-            idx = order[lo : lo + cfg.batch_size]
+            xb, yb = xs[lo : lo + cfg.batch_size], ys[lo : lo + cfg.batch_size]
             v_pts = None
             step_cfg = cfg
             if joint:
                 t0 = time.perf_counter()
-                v_pts = synth.draw_outliers(len(idx), context=f"epoch {epoch}, batch {b}")
+                v_pts = synth.draw_outliers(len(xb), context=f"epoch {epoch}, batch {b}")
                 est_s += time.perf_counter() - t0
                 if b == 0:  # the batch a checkpoint keeps for ``ares eval``
                     virtual = v_pts
@@ -420,7 +427,7 @@ def train(
 
             t0 = time.perf_counter()
             cache, cls_loss, dis, batch_total, dlogits = batch_terms(
-                net, dstar.x[idx], dstar.y[idx], step_cfg, tape, v_pts
+                net, xb, yb, step_cfg, tape, v_pts
             )
             if joint:  # a joint batch's loss terms, forward pass included
                 dis_sum += dis

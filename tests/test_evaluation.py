@@ -420,6 +420,8 @@ def test_suite_survives_a_dead_worker(micro_bundle, monkeypatch):
     assert [r.variant for r in reports] == [name for name, _cfg in ablation_variants(micro_cfg())]
     by_name = {r.variant: r for r in reports}
     assert "BrokenProcessPool" in by_name["loss-nce"].error
+    # the variants the dead worker took down with it are rerun and train fine
+    assert [r.variant for r in reports if r.error is not None] == ["loss-nce"]
 
 
 @pytest.mark.parametrize("only", ["stages", None])

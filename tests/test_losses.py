@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,73 @@ def test_jsd_grad_matches_finite_differences():
     denom_b = np.maximum(np.abs(fd_b), 1e-6)
     assert np.max(np.abs(d_a - fd_a) / denom_a) <= 1e-4
     assert np.max(np.abs(d_b - fd_b) / denom_b) <= 1e-4
+
+
+def oracle_jsd_grad(id_scores, ood_scores):
+    """The JSD gradient through ``mean()``, numpy scalars, ``np.square`` in
+    the Gaussian divergences and one ``errstate`` per expression group."""
+    e = np.asarray(id_scores, dtype=float)
+    f = np.asarray(ood_scores, dtype=float)
+    b1, b2 = e.size, f.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_p = e.mean()
+        vp_raw = float(((e - mu_p) ** 2).mean())
+        mu_q = f.mean()
+        vq_raw = float(((f - mu_q) ** 2).mean())
+    vp = max(vp_raw, VAR_FLOOR)
+    vq = max(vq_raw, VAR_FLOOR)
+    mu_m = 0.5 * (mu_p + mu_q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vm_raw = 0.5 * (vp + vq) + 0.25 * (mu_p - mu_q) ** 2
+
+    def kld(m1, v1, m2, v2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap2 = float(np.square(np.float64(m1) - m2))
+            val = 0.5 * math.log(v2 / v1) + (v1 + gap2) / (2.0 * v2) - 0.5
+        return val if math.isnan(val) else max(0.0, val)
+
+    with np.errstate(over="ignore"):  # the loss against the moment-matched midpoint
+        mix_var = 0.5 * (vp + vq) + 0.25 * float(np.square(np.float64(mu_p) - mu_q))
+    mix_mu, mix_var = 0.5 * (float(mu_p) + float(mu_q)), max(mix_var, VAR_FLOOR)
+    loss = 0.5 * kld(float(mu_p), vp, mix_mu, mix_var) + 0.5 * kld(float(mu_q), vq, mix_mu, mix_var)
+    vm = max(vm_raw, VAR_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_mu_m = -(mu_p - mu_m) / vm - (mu_q - mu_m) / vm
+        g_vm = 1.0 / vm - (vp + (mu_p - mu_m) ** 2 + vq + (mu_q - mu_m) ** 2) / (2.0 * vm**2)
+        vm_active = 1.0 if vm_raw > VAR_FLOOR else 0.0
+        d_mu_p = 0.5 * ((mu_p - mu_m) / vm + 0.5 * g_mu_m + 0.5 * (mu_p - mu_q) * g_vm * vm_active)
+        d_mu_q = 0.5 * ((mu_q - mu_m) / vm + 0.5 * g_mu_m - 0.5 * (mu_p - mu_q) * g_vm * vm_active)
+        d_vp = 0.5 * (-0.5 / vp + 0.5 / vm + 0.5 * g_vm * vm_active)
+        d_vq = 0.5 * (-0.5 / vq + 0.5 / vm + 0.5 * g_vm * vm_active)
+        vp_active = 1.0 if vp_raw > VAR_FLOOR else 0.0
+        vq_active = 1.0 if vq_raw > VAR_FLOOR else 0.0
+        d_id = d_mu_p / b1 + d_vp * 2.0 * (e - mu_p) / b1 * vp_active
+        d_ood = d_mu_q / b2 + d_vq * 2.0 * (f - mu_q) / b2 * vq_active
+    return float(loss), d_id, d_ood
+
+
+@pytest.mark.parametrize("case", ["normal", "wide", "constant", "one-constant", "single", "huge", "inf"])
+def test_jsd_grad_matches_mean_oracle_bitwise(case):
+    rng = Rng(6)
+    a = rng.standard_normal(128) * 3.0 - 20.0
+    b = rng.standard_normal(96) - 25.0
+    if case == "wide":
+        a, b = a * 1e5, b * 1e-5
+    elif case == "constant":
+        a, b = np.full(128, -3.0), np.full(96, -3.0)
+    elif case == "one-constant":
+        b = np.full(96, -7.5)
+    elif case == "single":
+        a, b = a[:1], b[:1]
+    elif case == "huge":  # the squared deviations overflow
+        a, b = a * 1e160, b * 1e155
+    elif case == "inf":
+        a[3] = np.inf
+    loss, d_a, d_b = jsd_discrimination_grad(a, b)
+    want, want_a, want_b = oracle_jsd_grad(a, b)
+    assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+    assert d_a.tobytes() == want_a.tobytes()
+    assert d_b.tobytes() == want_b.tobytes()
 
 
 def test_jsd_empty_rejected():

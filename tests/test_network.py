@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ares.datagen import make_bundle
 from ares.errors import ConfigError
+from ares.losses import DIV_GUARD, LogisticHead, ce_logistic_grad, jsd_discrimination_grad, nce_grad, total_loss
 from ares.network import (
     GradientTape,
     MlpNetwork,
@@ -19,6 +20,7 @@ from ares.network import (
 from ares.rng import Rng
 from ares.training import (
     TrainConfig,
+    batch_terms,
     compute_batch_gradients,
     compute_batch_loss,
     sgd_step,
@@ -102,11 +104,12 @@ def oracle_forward(net, x):
     return pres, a, a @ net.cls_w + net.cls_b
 
 
-def oracle_backward(net, x, pres, feats, dlogits):
+def oracle_backward(net, x, pres, feats, dlogits, tape=None):
     """The backward pass over pre-activations: masks with ``pre > 0``,
     recomputes each layer's input with ``np.maximum`` and propagates down
-    to the input."""
-    tape = GradientTape(net)
+    to the input, accumulating through ``tape.add`` (a fresh tape by
+    default)."""
+    tape = GradientTape(net) if tape is None else tape
     tape.add("cls_w", feats.T @ dlogits)
     tape.add("cls_b", dlogits.sum(axis=0))
     dact = dlogits @ net.cls_w.T
@@ -164,6 +167,128 @@ def test_forward_and_backward_match_out_of_place_oracle(n, kind):
     assert tape.grads.keys() == expected.grads.keys()
     for name, g in expected.grads.items():
         assert tape.grads[name].tobytes() == g.tobytes(), name
+
+
+# ---- a whole training step, against an out-of-place, per-parameter oracle -------
+
+def oracle_cross_entropy(logits, ys):
+    n = logits.shape[0]
+    m = logits.max(axis=1, keepdims=True)
+    tot = np.exp(logits - m).sum(axis=1)
+    logp = logits - m - np.log(tot)[:, None]
+    dlogits = np.exp(logp)
+    dlogits[np.arange(n), ys] -= 1.0
+    return float(-logp[np.arange(n), ys].mean()), dlogits / n
+
+
+def oracle_energy_gradients(net, logits):
+    m = logits.max(axis=1)
+    s = net.energy_w * np.exp(logits - m[:, None])
+    tot = s.sum(axis=1)
+    return -(m + np.log(tot)), -s / tot[:, None]
+
+
+def oracle_divergence_terms(net, logits, cls_loss, dlogits, v_pts, cfg, tape):
+    """The divergence term with fresh arrays throughout and every gradient
+    through ``tape.add``."""
+    e_id, dedz_id = oracle_energy_gradients(net, logits)
+    e_v, dedz_v = oracle_energy_gradients(net, v_pts @ net.cls_w + net.cls_b)
+    if cfg.loss_kind == "jsd":
+        dis, de_id, de_v = jsd_discrimination_grad(e_id, e_v)
+        batch_total = total_loss(cls_loss, dis, cfg.beta)
+        scale = -cfg.beta / (dis + DIV_GUARD) ** 2
+    else:
+        head = LogisticHead(weight=float(net.head_w), bias=float(net.head_b))
+        if cfg.loss_kind == "ce":
+            dis, de_id, de_v, d_hw, d_hb = ce_logistic_grad(e_id, e_v, head)
+        else:
+            dis, de_id, de_v, d_hw, d_hb = nce_grad(e_id, e_v, head, cfg.nce_temperature)
+        batch_total = cls_loss + cfg.beta * dis
+        scale = cfg.beta
+        tape.add("head_w", scale * d_hw)
+        tape.add("head_b", scale * d_hb)
+    dlogits = dlogits + (scale * de_id)[:, None] * dedz_id
+    dlogits_v = (scale * de_v)[:, None] * dedz_v
+    tape.add("energy_u", (scale * de_id) @ dedz_id + (scale * de_v) @ dedz_v)
+    tape.add("cls_w", v_pts.T @ dlogits_v)
+    tape.add("cls_b", dlogits_v.sum(axis=0))
+    return dis, batch_total, dlogits
+
+
+def oracle_sgd_step(net, tape, lr):
+    """One update and one zeroing per parameter tensor."""
+    for name, p in net.params().items():
+        p -= lr * tape.grads[name]
+    net.version += 1
+    for g in tape.grads.values():
+        g[...] = 0.0
+
+
+@pytest.mark.parametrize("loss_kind", ["jsd", "ce", "nce"])
+def test_training_steps_match_out_of_place_oracle(loss_kind):
+    net = oracle_net("dead")
+    ref = RunState.of(net, 0).network()
+    tape, ref_tape = GradientTape(net), GradientTape(ref)
+    cfg = TrainConfig(beta=0.5, loss_kind=loss_kind)
+    rng = Rng(24)
+    for step in range(5):
+        x = 3.0 * rng.standard_normal((128, 2))
+        x[:10] = 0.0
+        y = rng.integers(0, 3, 128)
+        v_pts = None if step == 0 else 4.0 * rng.standard_normal((128, 16))  # a warmup step first
+        lr = 0.05 / (step + 1)
+
+        cache, cls_loss, dis, total, dlogits = batch_terms(net, x, y, cfg, tape, v_pts)
+        net.backward(cache, tape, dlogits)
+        grads = {name: g.copy() for name, g in tape.grads.items()}
+        sgd_step(net, tape, lr)
+
+        pres, feats, logits = oracle_forward(ref, x)
+        want_cls, want_dlogits = oracle_cross_entropy(logits, y)
+        want_dis, want_total = 0.0, want_cls
+        if v_pts is not None:
+            want_dis, want_total, want_dlogits = oracle_divergence_terms(
+                ref, logits, want_cls, want_dlogits, v_pts, cfg, ref_tape
+            )
+        oracle_backward(ref, x, pres, feats, want_dlogits, ref_tape)
+        want_grads = {name: g.copy() for name, g in ref_tape.grads.items()}
+        oracle_sgd_step(ref, ref_tape, lr)
+
+        assert (cls_loss, dis, total) == (want_cls, want_dis, want_total)
+        assert grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            assert grads[name].tobytes() == g.tobytes(), (step, name)
+        for name, p in ref.params().items():
+            assert net.params()[name].tobytes() == p.tobytes(), (step, name)
+        assert not tape.flat.any()
+
+
+def _assert_views_of_flat(net):
+    params = net.params()
+    assert sum(p.size for p in params.values()) == net.flat.size
+    for name, p in params.items():
+        assert np.shares_memory(p, net.flat), name
+
+
+def test_parameters_and_gradients_are_views_of_one_vector(tmp_path):
+    net = oracle_net("dead")
+    _assert_views_of_flat(net)
+    assert net.params()["cls_w"] is net.cls_w and net.params()["head_w"].shape == ()
+    tape = GradientTape(net)
+    assert tape.flat.shape == net.flat.shape
+    for name, g in tape.grads.items():
+        assert g.shape == net.params()[name].shape and np.shares_memory(g, tape.flat), name
+
+    state = RunState.of(net, 3)
+    for name, p in state.params.items():
+        assert not np.shares_memory(p, net.flat), name
+    copy = state.network()
+    _assert_views_of_flat(copy)
+    assert copy.flat.tobytes() == net.flat.tobytes()
+    save_checkpoint(state, tmp_path / "ckpt.json")
+    loaded = load_checkpoint(tmp_path / "ckpt.json").network()
+    _assert_views_of_flat(loaded)
+    assert loaded.flat.tobytes() == net.flat.tobytes()
 
 
 # ---- energy score ---------------------------------------------------------------

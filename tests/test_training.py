@@ -219,7 +219,8 @@ def _record_synthesis(monkeypatch):
 
     def rank(xs, model, count):
         out = real_rank(xs, model, count=count)
-        events.append(("rank", len(xs), count, out.copy()))
+        whole = real_rank(xs, model, count=len(xs))  # the ranking of the whole pool
+        events.append(("rank", len(xs), count, out.copy(), whole))
         return out
 
     def draw(self, b_eff, context):
@@ -243,8 +244,10 @@ def test_candidates_ranked_once_per_joint_epoch(monkeypatch):
     sizes = []
     for kind, *rest in events:
         if kind == "rank":
-            n_cand, count, ranking = rest
-            assert count == n_cand
+            # only the first batch's worth of the pool's ranking is kept
+            n_cand, count, ranking, whole = rest
+            assert (n_cand, count) == (120, cfg.batch_size)
+            assert np.array_equal(ranking, whole[:count])
             sizes.append([])
             continue
         b_eff, pts = rest
@@ -276,15 +279,15 @@ def test_escape_mask_trains_on_original_points(monkeypatch):
     assert calls["n"] == 0
 
 
-def _diverge_at(monkeypatch, epoch, steps_per_epoch):
-    """Make the classification loss of the first batch of ``epoch`` NaN."""
+def _diverge_at(monkeypatch, epoch, steps_per_epoch, batch=0):
+    """Make the classification loss of batch ``batch`` of ``epoch`` NaN."""
     real = training_mod.cross_entropy_batch
     calls = {"n": 0}
 
     def poisoned(logits, ys):
         calls["n"] += 1
         loss, dlogits = real(logits, ys)
-        if calls["n"] == epoch * steps_per_epoch + 1:
+        if calls["n"] == epoch * steps_per_epoch + batch + 1:
             return float("nan"), dlogits
         return loss, dlogits
 
@@ -320,6 +323,22 @@ def test_divergence_without_checkpoint_dir_writes_no_file(tmp_path, monkeypatch)
     assert exc.value.checkpoint_path is None
     assert exc.value.state.epoch == 1
     assert [p.name for p in tmp_path.rglob("*")] == ["tmp"]
+
+
+def test_divergence_state_does_not_follow_the_live_network(monkeypatch):
+    # aborting at batch 0 or at batch 2 of epoch 1 hands back the same state,
+    # taken after epoch 0, although the live network stepped twice more
+    states = []
+    for batch in (0, 2):
+        with monkeypatch.context() as m:
+            _diverge_at(m, 1, steps_per_epoch=4, batch=batch)
+            with pytest.raises(TrainingDiverged) as exc:
+                train(tiny_cfg(), tiny_bundle())
+        assert exc.value.batch == batch
+        states.append(exc.value.state)
+    assert states[0].epoch == states[1].epoch == 1
+    for name, p in states[0].params.items():
+        assert p.tobytes() == states[1].params[name].tobytes(), name
 
 
 def test_synthesis_underflow_reports_context():
