@@ -20,7 +20,7 @@ import numpy as np
 
 from .datagen import MIN_GATE_SCORES, DataBundle
 from .network import MlpNetwork, energy_score_batch
-from .training import TrainConfig, train
+from .training import TrainConfig, _init_pool_worker, train
 
 __all__ = [
     "RunReport",
@@ -216,28 +216,6 @@ def _train_and_evaluate(name: str, cfg: TrainConfig, bundle: DataBundle) -> RunR
         return _failed_report(name, cfg.seed, err)
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: cap the loaded OpenBLAS at one thread, so that the
-    workers' BLAS threads do not spin on each other's cores. Without an
-    OpenBLAS or its setter, BLAS is left alone."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            path = next((line.split()[-1] for line in fh if "openblas" in line.lower()), None)
-        if path is None:
-            return
-        lib = ctypes.CDLL(path)
-    except OSError:
-        return
-    for sym in ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
-        setter = getattr(lib, sym, None)
-        if setter is not None:
-            setter(1)
-            return
-
-
 def run_ablation_suite(
     base_cfg: TrainConfig,
     bundle: DataBundle,
@@ -247,9 +225,10 @@ def run_ablation_suite(
 
     ``only`` restricts the matrix to "stages", "losses", or "epochs".
     Variants train in parallel, one forked worker per usable CPU, each
-    with one BLAS thread; a run is a pure function of its config and seed,
-    so the reports equal a sequential run's, in the matrix order. Their
-    stage times are each worker's own wall time. A variant that raises,
+    with one BLAS thread and ``train()``'s side work inline; a run is a
+    pure function of its config and seed, so the reports equal a
+    sequential run's, in the matrix order. Their stage times are each
+    worker's own wall time. A variant that raises,
     or whose worker dies, gets a report with its ``error`` set; the suite
     itself does not raise. A dying worker breaks the whole pool, so every
     variant it took down is rerun alone in a fresh one-worker pool.
@@ -275,7 +254,7 @@ def run_ablation_suite(
 
     def pool(workers):
         return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_one_blas_thread)
+                                   initializer=_init_pool_worker)
 
     reports: dict[str, RunReport] = {}
     broken = []

@@ -2,10 +2,18 @@
 classification-only warmup phase, then joint classification + score
 repulsion with per-epoch candidate synthesis, plain SGD, and a cosine
 learning-rate schedule. All randomness flows from ``cfg.seed`` through
-named child streams, so a run is bitwise reproducible."""
+named child streams, so a run is bitwise reproducible.
+
+Training runs on one BLAS thread. When the process has a core to spare,
+one helper thread takes the work that does not feed the SGD chain: each
+epoch's accuracy pass, on a copy of the parameters, while the next epoch
+trains, and the next joint epoch's synthesis while this one trains. It
+computes the same arrays with the same numpy calls, so a run's results do
+not depend on whether the helper runs."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import time
@@ -124,6 +132,12 @@ class EpochRecord:
 
 @dataclass
 class TrainLog:
+    """Per-epoch records and the final run state. The stage times are wall
+    times of the stage's own work: an epoch's ``expansion_s`` and
+    ``estimation_s`` include its synthesis, timed where it ran, which on the
+    helper thread was while the previous epoch trained. Stage times can
+    therefore overlap each other and the loop's wall time."""
+
     records: list = field(default_factory=list)
     state: RunState | None = None  # the run state after the last epoch (what a checkpoint stores)
 
@@ -203,9 +217,12 @@ def check_resume(state: RunState, cfg: TrainConfig, data: DataBundle, source="re
 
 class _SynthesisState:
     """Candidate pool and fitted region model of one joint epoch, drawn from
-    the features of the joint-start network on the epoch's own streams."""
+    the features of the joint-start network on the epoch's own streams.
+    ``expansion_s`` and ``estimation_s`` time the mixing and the fit and
+    ranking, in whichever thread builds the state."""
 
     def __init__(self, cfg: TrainConfig, feats: np.ndarray, epoch: int):
+        t0 = time.perf_counter()
         root = Rng(cfg.seed)
         self.eps_rng = root.child("epsilon", epoch)
         pool = feats
@@ -214,6 +231,7 @@ class _SynthesisState:
             pool = expand_features(feats, cfg.alpha2, feats.shape[0], expand_rng).points
         self.candidates = pool
         self.ranked = None
+        t1 = time.perf_counter()
         if cfg.estimation:
             # one class-agnostic Gaussian: real outliers scatter across the whole space
             model = fit_gaussian(pool, ridge_scale=cfg.ridge_scale)
@@ -223,6 +241,8 @@ class _SynthesisState:
             # the pool and the model are fixed for the epoch, so every
             # batch's bottom-B is a prefix of this one ranking's first batch
             self.ranked = sample_virtual_outliers(self.candidates, model, count=cfg.batch_size)
+        self.expansion_s = t1 - t0
+        self.estimation_s = time.perf_counter() - t1
 
     def draw_outliers(self, b_eff: int, context: str) -> np.ndarray:
         """Bottom-``b_eff`` virtual outliers (or a uniform draw when the
@@ -335,6 +355,81 @@ def compute_batch_loss(net: MlpNetwork, xb, yb, cfg: TrainConfig, v_pts=None) ->
     return cls_loss + cfg.beta * nce_loss(e_id, e_v, head, cfg.nce_temperature)
 
 
+# ---- threads ----------------------------------------------------------------
+
+_OPENBLAS = None  # (getter, setter) of the loaded OpenBLAS's thread count, () without one
+_POOL_WORKER = False  # set in the ablation pool's workers, whose siblings fill the cores
+
+
+def _openblas() -> tuple:
+    """The thread-count getter and setter of the OpenBLAS this process has
+    loaded, looked up once; ``()`` when there is none or it lacks either."""
+    global _OPENBLAS
+    if _OPENBLAS is None:
+        _OPENBLAS, lib = (), None
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                path = next((line.split()[-1] for line in fh if "openblas" in line.lower()), None)
+            if path is not None:
+                lib = ctypes.CDLL(path)
+        except OSError:
+            pass
+        for symbol in ("openblas_{}", "openblas_{}64_", "scipy_openblas_{}64_", "scipy_openblas_{}"):
+            get = getattr(lib, symbol.format("get_num_threads"), None)
+            put = getattr(lib, symbol.format("set_num_threads"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                _OPENBLAS = (get, put)
+                break
+    return _OPENBLAS
+
+
+def _set_blas_threads(n: int) -> int | None:
+    """Set the loaded OpenBLAS to ``n`` threads and return the count it had,
+    to restore later; without an OpenBLAS getter and setter, leave BLAS
+    alone and return None."""
+    if not _openblas():
+        return None
+    get, put = _OPENBLAS
+    before = get()
+    put(n)
+    return before
+
+
+def _init_pool_worker() -> None:
+    """Initializer of the ablation pool's workers: one BLAS thread for the
+    worker's life, and ``train()`` runs its side work inline, because the
+    sibling workers already fill the cores."""
+    global _POOL_WORKER
+    _POOL_WORKER = True
+    _set_blas_threads(1)
+
+
+def _has_spare_core(blas_threads: int | None) -> bool:
+    """Whether ``train()`` gives its side work to a helper thread: it capped
+    an OpenBLAS at one thread (``blas_threads`` is the count before), the
+    process is not an ablation-pool worker, and more than one CPU is usable."""
+    return blas_threads is not None and not _POOL_WORKER and len(os.sched_getaffinity(0)) > 1
+
+
+class _Done:
+    """A work item run at once in the calling thread: ``result()`` returns
+    its value or raises its exception, as a helper thread's future does."""
+
+    def __init__(self, fn, *args):
+        self._value = self._error = None
+        try:
+            self._value = fn(*args)
+        except Exception as err:
+            self._error = err
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def train(
     cfg: TrainConfig,
     data: DataBundle,
@@ -348,9 +443,17 @@ def train(
     ``resume`` continues a run, exactly, from a :class:`RunState` whose
     architecture matches ``cfg`` and ``data`` (see :func:`check_resume`).
     ``progress`` is an optional callable receiving one machine-parseable
-    line per epoch. Raises :class:`TrainingDiverged` (with the last good run
-    state, also written to ``checkpoint_dir`` when given) if a loss goes
-    non-finite, and propagates synthesis underflows with epoch/batch context.
+    line per epoch, in epoch order. Raises :class:`TrainingDiverged` (with
+    the last good run state, also written to ``checkpoint_dir`` when given)
+    if a loss goes non-finite, and propagates synthesis underflows with
+    epoch/batch context; the lines of every finished epoch come first.
+
+    The call caps OpenBLAS at one thread and restores the caller's count on
+    return or raise. With a spare core (more than one usable CPU, an
+    OpenBLAS whose thread count it can set, and not an ablation-pool
+    worker) one helper thread runs the accuracy passes and prefetches the
+    synthesis, and it is gone when the call returns or raises; otherwise
+    the same work items run inline, in the same order.
     """
     root = Rng(cfg.seed)
     if resume is not None:
@@ -363,6 +466,28 @@ def train(
     if state.epoch == cfg.total_epochs:  # a finished run: nothing to escape or train
         return net, TrainLog(state=state)
 
+    blas_threads = _set_blas_threads(1)
+    helper = None
+    try:
+        if _has_spare_core(blas_threads):
+            # imported here, so that ``import ares`` does not load it
+            from concurrent.futures import ThreadPoolExecutor
+
+            helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ares-train-helper")
+        return _run_epochs(cfg, data, state, net, root, checkpoint_dir, progress, helper)
+    finally:
+        if helper is not None:  # drops the prefetches no epoch will consume
+            helper.shutdown(wait=True, cancel_futures=True)
+        if blas_threads is not None:
+            _set_blas_threads(blas_threads)
+
+
+def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNetwork, root: Rng,
+                checkpoint_dir, progress, helper) -> tuple[MlpNetwork, TrainLog]:
+    """The epochs of :func:`train` from ``state`` on, with the accuracy
+    passes and the synthesis prefetches on ``helper`` (an executor) or, when
+    it is None, inline."""
+    submit = _Done if helper is None else helper.submit
     tape = GradientTape(net)
     log = TrainLog()
     start_epoch = state.epoch
@@ -374,100 +499,121 @@ def train(
         escape_s0 = time.perf_counter() - t0
     anchor_feats = None
     virtual = state.virtual
+    next_synth = None  # the next epoch's synthesis, submitted while this one trains
 
-    for epoch in range(start_epoch, cfg.total_epochs):
-        lr = cosine_lr(epoch, cfg.total_epochs, cfg.lr_start, cfg.lr_end)
-        esc_s = escape_s0 if epoch == start_epoch else 0.0
-        order = root.child("shuffle", epoch).permutation(len(dstar))
-        xs, ys = dstar.x[order], dstar.y[order]  # each batch is a slice of these
-        joint = epoch >= cfg.pretrain_epochs and cfg.beta != 0.0
-        steps_per_epoch = (len(dstar) + cfg.batch_size - 1) // cfg.batch_size
-        warmup_steps = cfg.beta_warmup_epochs * steps_per_epoch
+    shadow = state.network()  # the accuracy pass's copy of the parameters
+    x_train, y_train = data.id_train.x, data.id_train.y
 
-        exp_s = est_s = div_s = 0.0
-        synth = None
-        if joint:
-            t0 = time.perf_counter()
-            # the features are snapshotted once at joint start, from the
-            # joint-start parameters the run state keeps; fresh mixtures are
-            # still drawn from the snapshot every epoch
-            if anchor_feats is None:
-                if state.joint_start is None:
-                    state = replace(state, joint_start=state.params)
-                anchor_feats = state.network(state.joint_start).forward(dstar.x).feats
-            t1 = time.perf_counter()
-            synth = _SynthesisState(cfg, anchor_feats, epoch)
-            t2 = time.perf_counter()
-            exp_s += t1 - t0
-            # mixing happens inside _SynthesisState; attribute the fit separately
-            if cfg.estimation:
-                est_s += t2 - t1
-            else:
-                exp_s += t2 - t1
+    def accuracy(flat: np.ndarray) -> float:
+        shadow.flat[...] = flat
+        return float((shadow.predict(x_train) == y_train).mean())
 
-        cls_sum = dis_sum = tot_sum = 0.0
-        n_batches = n_joint = 0
-        for b, lo in enumerate(range(0, len(order), cfg.batch_size)):
-            xb, yb = xs[lo : lo + cfg.batch_size], ys[lo : lo + cfg.batch_size]
-            v_pts = None
-            step_cfg = cfg
+    pending = []  # (record, its accuracy) of finished epochs not yet logged, in epoch order
+
+    def flush(keep: int = 0) -> None:
+        """Log every pending epoch but the newest ``keep``, in order."""
+        while len(pending) > keep:
+            rec, acc = pending.pop(0)
+            rec.train_accuracy = acc.result()
+            log.append(rec)
+            if progress is not None:
+                progress(
+                    f"epoch={rec.epoch} cls={rec.cls_loss:.6g} dis={rec.dis_loss:.6g} "
+                    f"lr={rec.lr:.6g} acc={rec.train_accuracy:.4f}"
+                )
+
+    try:
+        for epoch in range(start_epoch, cfg.total_epochs):
+            lr = cosine_lr(epoch, cfg.total_epochs, cfg.lr_start, cfg.lr_end)
+            esc_s = escape_s0 if epoch == start_epoch else 0.0
+            order = root.child("shuffle", epoch).permutation(len(dstar))
+            xs, ys = dstar.x[order], dstar.y[order]  # each batch is a slice of these
+            joint = epoch >= cfg.pretrain_epochs and cfg.beta != 0.0
+            steps_per_epoch = (len(dstar) + cfg.batch_size - 1) // cfg.batch_size
+            warmup_steps = cfg.beta_warmup_epochs * steps_per_epoch
+
+            exp_s = est_s = div_s = 0.0
+            synth = None
             if joint:
+                if anchor_feats is None:
+                    # the features are snapshotted once at joint start, from
+                    # the joint-start parameters the run state keeps; fresh
+                    # mixtures are still drawn from the snapshot every epoch
+                    t0 = time.perf_counter()
+                    if state.joint_start is None:
+                        state = replace(state, joint_start=state.params)
+                    anchor_feats = state.network(state.joint_start).forward(dstar.x).feats
+                    exp_s += time.perf_counter() - t0
+                    synth = _SynthesisState(cfg, anchor_feats, epoch)
+                else:  # a prefetch's exception surfaces here, at the epoch that needed it
+                    synth = next_synth.result()
+                if epoch + 1 < cfg.total_epochs:
+                    next_synth = submit(_SynthesisState, cfg, anchor_feats, epoch + 1)
+                exp_s += synth.expansion_s
+                est_s += synth.estimation_s
+
+            cls_sum = dis_sum = tot_sum = 0.0
+            n_batches = n_joint = 0
+            for b, lo in enumerate(range(0, len(order), cfg.batch_size)):
+                xb, yb = xs[lo : lo + cfg.batch_size], ys[lo : lo + cfg.batch_size]
+                v_pts = None
+                step_cfg = cfg
+                if joint:
+                    t0 = time.perf_counter()
+                    v_pts = synth.draw_outliers(len(xb), context=f"epoch {epoch}, batch {b}")
+                    est_s += time.perf_counter() - t0
+                    if b == 0:  # the batch a checkpoint keeps for ``ares eval``
+                        virtual = v_pts
+                    # ramp the discrimination weight over the first joint steps;
+                    # the raw reciprocal gradient at near-zero divergence is
+                    # otherwise large enough to destroy the warmed-up network
+                    if warmup_steps:
+                        done = (epoch - cfg.pretrain_epochs) * steps_per_epoch + b
+                        if done + 1 < warmup_steps:
+                            step_cfg = cfg.replace(beta=cfg.beta * (done + 1) / warmup_steps)
+
                 t0 = time.perf_counter()
-                v_pts = synth.draw_outliers(len(xb), context=f"epoch {epoch}, batch {b}")
-                est_s += time.perf_counter() - t0
-                if b == 0:  # the batch a checkpoint keeps for ``ares eval``
-                    virtual = v_pts
-                # ramp the discrimination weight over the first joint steps;
-                # the raw reciprocal gradient at near-zero divergence is
-                # otherwise large enough to destroy the warmed-up network
-                if warmup_steps:
-                    done = (epoch - cfg.pretrain_epochs) * steps_per_epoch + b
-                    if done + 1 < warmup_steps:
-                        step_cfg = cfg.replace(beta=cfg.beta * (done + 1) / warmup_steps)
+                cache, cls_loss, dis, batch_total, dlogits = batch_terms(
+                    net, xb, yb, step_cfg, tape, v_pts
+                )
+                if joint:  # a joint batch's loss terms, forward pass included
+                    dis_sum += dis
+                    n_joint += 1
+                    div_s += time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            cache, cls_loss, dis, batch_total, dlogits = batch_terms(
-                net, xb, yb, step_cfg, tape, v_pts
+                for term, value in (("cls", cls_loss), ("dis", dis), ("total", batch_total)):
+                    if not math.isfinite(value):
+                        path = None
+                        if checkpoint_dir is not None:
+                            path = os.path.join(checkpoint_dir, "last_good_checkpoint.json")
+                            save_checkpoint(state, path)
+                        raise TrainingDiverged(epoch, b, term, state, checkpoint_path=path)
+
+                net.backward(cache, tape, dlogits)
+                sgd_step(net, tape, lr)
+                cls_sum += cls_loss
+                tot_sum += batch_total
+                n_batches += 1
+
+            rec = EpochRecord(
+                epoch=epoch,
+                lr=float(lr),
+                cls_loss=cls_sum / n_batches,
+                dis_loss=dis_sum / n_joint if n_joint else 0.0,
+                total_loss=tot_sum / n_batches,
+                train_accuracy=math.nan,  # filled in from the accuracy pass
+                escape_s=esc_s,
+                expansion_s=exp_s,
+                estimation_s=est_s,
+                divergence_s=div_s,
             )
-            if joint:  # a joint batch's loss terms, forward pass included
-                dis_sum += dis
-                n_joint += 1
-                div_s += time.perf_counter() - t0
-
-            for term, value in (("cls", cls_loss), ("dis", dis), ("total", batch_total)):
-                if not math.isfinite(value):
-                    path = None
-                    if checkpoint_dir is not None:
-                        path = os.path.join(checkpoint_dir, "last_good_checkpoint.json")
-                        save_checkpoint(state, path)
-                    raise TrainingDiverged(epoch, b, term, state, checkpoint_path=path)
-
-            net.backward(cache, tape, dlogits)
-            sgd_step(net, tape, lr)
-            cls_sum += cls_loss
-            tot_sum += batch_total
-            n_batches += 1
-
-        accuracy = float((net.predict(data.id_train.x) == data.id_train.y).mean())
-        rec = EpochRecord(
-            epoch=epoch,
-            lr=float(lr),
-            cls_loss=cls_sum / n_batches,
-            dis_loss=dis_sum / n_joint if n_joint else 0.0,
-            total_loss=tot_sum / n_batches,
-            train_accuracy=accuracy,
-            escape_s=esc_s,
-            expansion_s=exp_s,
-            estimation_s=est_s,
-            divergence_s=div_s,
-        )
-        log.append(rec)
-        if progress is not None:
-            progress(
-                f"epoch={rec.epoch} cls={rec.cls_loss:.6g} dis={rec.dis_loss:.6g} "
-                f"lr={rec.lr:.6g} acc={rec.train_accuracy:.4f}"
-            )
-        state = RunState.of(net, epoch + 1, state.joint_start, virtual)
-
+            pending.append((rec, submit(accuracy, net.flat.copy())))
+            # a helper's pass of this epoch overlaps the next one; inline it is done
+            flush(keep=0 if helper is None else 1)
+            state = RunState.of(net, epoch + 1, state.joint_start, virtual)
+    except Exception:
+        flush()  # the finished epochs' lines come before the error
+        raise
+    flush()
     log.state = state
     return net, log

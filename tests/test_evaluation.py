@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ares.evaluation as eval_mod
+import ares.training as training_mod
 from ares.datagen import make_bundle
 from ares.evaluation import (
     _average_ranks,
@@ -438,6 +439,21 @@ def test_suite_equals_in_process_runs(micro_bundle, only):
         assert report.gamma == want.gamma
         assert report.per_set == want.per_set
         assert report.average == want.average
+
+
+def test_suite_workers_train_inline(micro_bundle, monkeypatch):
+    # a worker's siblings fill the cores, so its train() starts no helper
+    # thread; the check fails the variant of any worker that would
+    parent, real = os.getpid(), training_mod._has_spare_core
+
+    def spare_core(blas_threads):
+        if real(blas_threads) and os.getpid() != parent:
+            raise AssertionError("a helper thread would start in a pool worker")
+        return real(blas_threads)
+
+    monkeypatch.setattr(training_mod, "_has_spare_core", spare_core)
+    reports = run_ablation_suite(micro_cfg(), micro_bundle, only="stages")
+    assert [r.error for r in reports] == [None] * 4
 
 
 def test_reports_csv_layout(tmp_path, micro_bundle):

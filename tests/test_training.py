@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
 
 import ares.training as training_mod
 from ares.datagen import make_bundle
-from ares.errors import ConfigError, SynthesisUnderflowError, TrainingDiverged
+from ares.errors import ConfigError, NumericalError, SynthesisUnderflowError, TrainingDiverged
 from ares.network import GradientTape, MlpNetwork, RunState, load_checkpoint, save_checkpoint
 from ares.rng import Rng
 from ares.training import TrainConfig, cosine_lr, sgd_step, train
@@ -212,7 +216,9 @@ def test_alternative_modes_run(flags):
 
 
 def _record_synthesis(monkeypatch):
-    """Log every candidate ranking and every per-batch outlier draw, in order."""
+    """Log every candidate ranking and every per-batch outlier draw (with its
+    epoch). Rankings come in epoch order; the next epoch's ranking may come
+    before this epoch's draws, since it is built ahead."""
     events = []
     real_rank = training_mod.sample_virtual_outliers
     real_draw = training_mod._SynthesisState.draw_outliers
@@ -225,7 +231,7 @@ def _record_synthesis(monkeypatch):
 
     def draw(self, b_eff, context):
         pts = real_draw(self, b_eff, context)
-        events.append(("draw", b_eff, pts.copy()))
+        events.append(("draw", int(context.split()[1].rstrip(",")), b_eff, pts.copy()))
         return pts
 
     monkeypatch.setattr(training_mod, "sample_virtual_outliers", rank)
@@ -238,22 +244,22 @@ def test_candidates_ranked_once_per_joint_epoch(monkeypatch):
     # 120 surrogates in batches of 50: the last batch of each epoch holds 20
     cfg = tiny_cfg(batch_size=50)
     train(cfg, tiny_bundle())
-    ranks = [e for e in events if e[0] == "rank"]
-    assert len(ranks) == cfg.total_epochs - cfg.pretrain_epochs
-    ranking = None
-    sizes = []
+    ranks = [e[1:] for e in events if e[0] == "rank"]
+    joint_epochs = range(cfg.pretrain_epochs, cfg.total_epochs)
+    assert len(ranks) == len(joint_epochs)
+    draws = {}
     for kind, *rest in events:
-        if kind == "rank":
-            # only the first batch's worth of the pool's ranking is kept
-            n_cand, count, ranking, whole = rest
-            assert (n_cand, count) == (120, cfg.batch_size)
-            assert np.array_equal(ranking, whole[:count])
-            sizes.append([])
-            continue
-        b_eff, pts = rest
-        sizes[-1].append(b_eff)
-        assert np.array_equal(pts, ranking[:b_eff])
-    assert sizes == [[50, 50, 20]] * len(ranks)
+        if kind == "draw":
+            epoch, b_eff, pts = rest
+            draws.setdefault(epoch, []).append((b_eff, pts))
+    assert sorted(draws) == list(joint_epochs)
+    for epoch, (n_cand, count, ranking, whole) in zip(joint_epochs, ranks):
+        # only the first batch's worth of the pool's ranking is kept
+        assert (n_cand, count) == (120, cfg.batch_size)
+        assert np.array_equal(ranking, whole[:count])
+        assert [b_eff for b_eff, _pts in draws[epoch]] == [50, 50, 20]
+        for b_eff, pts in draws[epoch]:
+            assert np.array_equal(pts, ranking[:b_eff])
 
 
 def test_no_ranking_without_estimation(monkeypatch):
@@ -465,3 +471,144 @@ def test_log_csv_round_trip(tmp_path):
     tpath = tmp_path / "timings.csv"
     log.write_timings_csv(tpath)
     assert tpath.read_text().startswith("epoch,escape_s,expansion_s,estimation_s,divergence_s")
+
+
+# ---- the helper thread --------------------------------------------------------------
+
+HELPER = "ares-train-helper"
+
+
+def _helpers():
+    return [t for t in threading.enumerate() if t.name.startswith(HELPER)]
+
+
+def _side_work(monkeypatch, overlap):
+    """Run train()'s accuracy passes and synthesis prefetches on the helper
+    thread (``overlap``) or inline, whatever the machine; returns the
+    progress lines' epochs and, for each line, whether a helper was alive."""
+    monkeypatch.setattr(training_mod, "_has_spare_core", lambda blas_threads: overlap)
+    seen = []
+
+    def progress(line):
+        seen.append((int(line.split()[0].removeprefix("epoch=")), bool(_helpers())))
+
+    return seen, progress
+
+
+def _artifacts(log, tmp_path, name):
+    log.write_csv(tmp_path / f"{name}.csv")
+    save_checkpoint(log.state, tmp_path / f"{name}.json")
+    return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("resume_at", [None, 5], ids=["fresh", "resume-joint"])
+def test_overlapped_and_inline_runs_are_byte_equal(monkeypatch, tmp_path, resume_at):
+    # the same run, its side work on the helper thread and inline, writes the
+    # same train_log.csv and checkpoint.json bytes; a resume starts at epoch
+    # 5, inside the joint phase (pretrain epochs 0-2)
+    bundle, cfg = tiny_bundle(), tiny_cfg(**RESUME_CFG)
+    resume = None
+    if resume_at is not None:
+        with monkeypatch.context() as m:
+            _diverge_at(m, resume_at, steps_per_epoch=4)
+            with pytest.raises(TrainingDiverged) as exc:
+                train(cfg, bundle)
+        resume = exc.value.state
+        assert resume.epoch == resume_at and resume.joint_start is not None
+    out = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # many more thread switches than by default
+    try:
+        for overlap in (True, False):
+            with monkeypatch.context() as m:
+                seen, progress = _side_work(m, overlap)
+                _, log = train(cfg, bundle, resume=resume, progress=progress)
+            assert [alive for _epoch, alive in seen] == [overlap] * len(seen)
+            out[overlap] = _artifacts(log, tmp_path, f"overlap{overlap}")
+    finally:
+        sys.setswitchinterval(interval)
+    assert out[True] == out[False]
+
+
+@pytest.mark.parametrize("overlap", [True, False], ids=["helper", "inline"])
+def test_progress_lines_in_order_before_divergence(monkeypatch, overlap):
+    bundle, cfg = tiny_bundle(), tiny_cfg()
+    seen, progress = _side_work(monkeypatch, overlap)
+    _, log = train(cfg, bundle, progress=progress)
+    assert [epoch for epoch, _alive in seen] == list(range(cfg.total_epochs))
+    assert [r.epoch for r in log.records] == list(range(cfg.total_epochs))
+    seen.clear()
+    # batch 2 of epoch 4 goes non-finite: epochs 0-3 each print once, first
+    _diverge_at(monkeypatch, 4, steps_per_epoch=4, batch=2)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(cfg, bundle, progress=progress)
+    assert (exc.value.epoch, exc.value.batch) == (4, 2)
+    assert [epoch for epoch, _alive in seen] == [0, 1, 2, 3]
+
+
+def _fail_fit_at(monkeypatch, *epochs):
+    """Make the Gaussian fit of the given joint epochs of ``tiny_cfg()``
+    (joint from epoch 2) raise a NumericalError; fits run in epoch order."""
+    real = training_mod.fit_gaussian
+    calls = {"n": 0}
+
+    def fit(pool, **kw):
+        epoch = 2 + calls["n"]
+        calls["n"] += 1
+        if epoch in epochs:
+            raise NumericalError(f"injected fit failure at epoch {epoch}")
+        return real(pool, **kw)
+
+    monkeypatch.setattr(training_mod, "fit_gaussian", fit)
+
+
+@pytest.mark.parametrize("overlap", [True, False], ids=["helper", "inline"])
+def test_prefetched_fit_error_surfaces_at_its_epoch(monkeypatch, overlap):
+    bundle, cfg = tiny_bundle(), tiny_cfg()
+    seen, progress = _side_work(monkeypatch, overlap)
+    with monkeypatch.context() as m:
+        _fail_fit_at(m, 4)  # built during epoch 3, needed by epoch 4
+        with pytest.raises(NumericalError, match="at epoch 4"):
+            train(cfg, bundle, progress=progress)
+    assert [epoch for epoch, _alive in seen] == [0, 1, 2, 3]
+    # a failed prefetch whose epoch never runs is dropped: epoch 4 diverges first
+    seen.clear()
+    _fail_fit_at(monkeypatch, 5)
+    _diverge_at(monkeypatch, 4, steps_per_epoch=4)
+    with pytest.raises(TrainingDiverged):
+        train(cfg, bundle, progress=progress)
+    assert [epoch for epoch, _alive in seen] == [0, 1, 2, 3]
+
+
+def test_no_helper_left_and_blas_threads_restored(monkeypatch):
+    # train() runs on one BLAS thread and hands the caller's count back, and
+    # its helper thread is gone, whether it returns or raises
+    blas = training_mod._openblas()
+    count = blas[0] if blas else lambda: None
+    before = training_mod._set_blas_threads(2)  # a count other than train()'s own
+    try:
+        outer, inside = count(), []
+        monkeypatch.setattr(training_mod, "_has_spare_core", lambda blas_threads: True)
+
+        def progress(line):
+            inside.append((count(), bool(_helpers())))
+
+        assert not _helpers()
+        train(tiny_cfg(), tiny_bundle(), progress=progress)
+        assert not _helpers() and count() == outer
+        _diverge_at(monkeypatch, 3, steps_per_epoch=4)
+        with pytest.raises(TrainingDiverged):
+            train(tiny_cfg(), tiny_bundle(), progress=progress)
+        assert not _helpers() and count() == outer
+        assert set(inside) == {(1 if blas else None, True)}
+    finally:
+        if before is not None:
+            training_mod._set_blas_threads(before)
+
+
+def test_import_loads_no_thread_pool():
+    # train() imports its executor when it starts a helper, not at import
+    src = os.path.dirname(os.path.dirname(training_mod.__file__))
+    code = "import sys, ares; sys.exit('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
