@@ -20,7 +20,7 @@ import numpy as np
 
 from .datagen import MIN_GATE_SCORES, DataBundle
 from .network import MlpNetwork, energy_score_batch
-from .training import TrainConfig, _init_pool_worker, train
+from .training import TrainConfig, TrainLog, _init_pool_worker, _warmup, _warmup_key, train
 
 __all__ = [
     "RunReport",
@@ -175,14 +175,18 @@ def evaluate(
     )
 
 
-def _failed_report(variant: str, seed: int, err: Exception) -> RunReport:
+def _error(err: Exception) -> str:
+    return f"{type(err).__name__}: {err}"
+
+
+def _failed_report(variant: str, seed: int, error: str) -> RunReport:
     return RunReport(
         variant=variant,
         seed=seed,
         gamma=float("nan"),
         per_set={},
         average={},
-        error=f"{type(err).__name__}: {err}",
+        error=error,
     )
 
 
@@ -207,13 +211,30 @@ def ablation_variants(base_cfg: TrainConfig) -> list[tuple[str, TrainConfig | No
     ]
 
 
-def _train_and_evaluate(name: str, cfg: TrainConfig, bundle: DataBundle) -> RunReport:
-    """One variant's report, or its failure report; a pool worker runs it."""
+def _train_and_evaluate(name: str, cfg: TrainConfig, bundle: DataBundle,
+                        prefix: TrainLog | None = None) -> RunReport:
+    """One variant's report, or its failure report; a pool worker runs it.
+    With a ``prefix`` (the :func:`_warmup` log of the variant's warmup key)
+    the run resumes from its state, and its log starts with its records."""
     try:
-        net, log = train(cfg, bundle)
+        if prefix is None:
+            net, log = train(cfg, bundle)
+        else:
+            net, log = train(cfg, bundle, resume=prefix.state)
+            log.records[:0] = prefix.records
         return evaluate(net, bundle, variant=name, seed=cfg.seed, stage_times=log.stage_totals())
     except Exception as err:  # per-variant isolation is the contract
-        return _failed_report(name, cfg.seed, err)
+        return _failed_report(name, cfg.seed, _error(err))
+
+
+def _warmup_or_error(cfg: TrainConfig, bundle: DataBundle) -> tuple[TrainLog | None, str | None]:
+    """A shared prefix's log, or the error a run of ``cfg`` would report; a
+    pool worker runs it. The error travels as text: not every exception
+    survives the trip back from the worker."""
+    try:
+        return _warmup(cfg, bundle), None
+    except Exception as err:
+        return None, _error(err)
 
 
 def run_ablation_suite(
@@ -227,11 +248,22 @@ def run_ablation_suite(
     Variants train in parallel, one forked worker per usable CPU, each
     with one BLAS thread and ``train()``'s side work inline; a run is a
     pure function of its config and seed, so the reports equal a
-    sequential run's, in the matrix order. Their stage times are each
-    worker's own wall time. A variant that raises,
-    or whose worker dies, gets a report with its ``error`` set; the suite
-    itself does not raise. A dying worker breaks the whole pool, so every
-    variant it took down is rerun alone in a fresh one-worker pool.
+    sequential run's, in the matrix order.
+
+    Variants whose configs differ only in settings the joint phase first
+    reads (in the default matrix: full, no-expansion, no-estimation,
+    loss-ce and loss-nce) run the same escape stage and warmup epochs. The
+    suite trains that prefix once, then resumes each of them from its state
+    at epoch ``pretrain_epochs``; their reports and logs equal runs from
+    scratch. A variant's stage times are the wall times of the workers
+    that trained it, so each sharing variant's ``escape`` time is the
+    shared prefix's.
+
+    A variant that raises, or whose worker dies, gets a report with its
+    ``error`` set; the suite itself does not raise. A prefix that raises
+    gives each of its variants the error a run of its own would report. A
+    dying worker breaks the whole pool, so every variant it took down is
+    rerun alone, from scratch, in a fresh one-worker pool.
     """
     matrix = ablation_variants(base_cfg)
     if only == "stages":
@@ -245,11 +277,14 @@ def run_ablation_suite(
     if not any(name == "full" for name, _cfg in matrix):
         # without the full run present, shared rows train for themselves
         matrix = [(name, cfg if cfg is not None else base_cfg) for name, cfg in matrix]
-    trained = [(name, cfg) for name, cfg in matrix if cfg is not None]
+    groups: dict[TrainConfig, list] = {}  # warmup key -> the variants that share it
+    for name, cfg in matrix:
+        if cfg is not None:
+            groups.setdefault(_warmup_key(cfg), []).append((name, cfg))
 
     # imported here, so that ``import ares`` does not pay for the pool modules
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
     def pool(workers):
@@ -258,15 +293,47 @@ def run_ablation_suite(
 
     reports: dict[str, RunReport] = {}
     broken = []
-    with pool(min(len(os.sched_getaffinity(0)), len(trained))) as executor:
-        futures = [executor.submit(_train_and_evaluate, name, cfg, bundle) for name, cfg in trained]
-        for (name, cfg), future in zip(trained, futures):
+    n_trained = sum(len(members) for members in groups.values())
+    with pool(min(len(os.sched_getaffinity(0)), n_trained)) as executor:
+        pending = {}  # future -> (the variants it serves, whether it is a shared prefix)
+
+        def submit(members, is_prefix, fn, *args):
             try:
-                reports[name] = future.result()
-            except Exception as err:  # the worker died, or its report did not come back
-                reports[name] = _failed_report(name, cfg.seed, err)
-                if isinstance(err, BrokenProcessPool):
-                    broken.append((name, cfg))
+                pending[executor.submit(fn, *args)] = (members, is_prefix)
+            except BrokenProcessPool as err:  # a worker died since the last submit
+                fail(members, err)
+
+        def fail(members, err):
+            for name, cfg in members:
+                reports[name] = _failed_report(name, cfg.seed, _error(err))
+            if isinstance(err, BrokenProcessPool):
+                broken.extend(members)
+
+        # the shared prefixes first: their variants wait for them
+        for key, members in groups.items():
+            if len(members) > 1:
+                submit(members, True, _warmup_or_error, key, bundle)
+        for members in groups.values():
+            if len(members) == 1:
+                submit(members, False, _train_and_evaluate, *members[0], bundle)
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                members, is_prefix = pending.pop(future)
+                try:
+                    result = future.result()
+                except Exception as err:  # the worker died, or its result did not come back
+                    fail(members, err)
+                    continue
+                if not is_prefix:
+                    reports[members[0][0]] = result
+                    continue
+                prefix, error = result
+                for name, cfg in members:
+                    if error is not None:
+                        reports[name] = _failed_report(name, cfg.seed, error)
+                    else:
+                        submit([(name, cfg)], False, _train_and_evaluate, name, cfg, bundle, prefix)
     # a dead worker fails every pending future with it: rerun each of those
     # alone, so that only the variant that kills its own worker keeps the error
     for name, cfg in broken:
@@ -274,7 +341,7 @@ def run_ablation_suite(
             try:
                 reports[name] = executor.submit(_train_and_evaluate, name, cfg, bundle).result()
             except Exception as err:
-                reports[name] = _failed_report(name, cfg.seed, err)
+                reports[name] = _failed_report(name, cfg.seed, _error(err))
 
     for name, cfg in matrix:
         if cfg is None:  # shares the full run

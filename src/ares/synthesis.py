@@ -8,32 +8,18 @@ outliers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import GaussianModel, gaussian_logpdf
 from .rng import Rng
 
-__all__ = ["ExpandedSet", "expand_features", "sample_virtual_outliers"]
+__all__ = ["expand_features", "sample_virtual_outliers"]
 
 
-@dataclass
-class ExpandedSet:
-    """Mixed feature points plus provenance: point i is
-    ``lam[i] * feats[idx_i[i]] + (1 - lam[i]) * feats[idx_j[i]]``."""
-
-    points: np.ndarray
-    idx_i: np.ndarray
-    idx_j: np.ndarray
-    lam: np.ndarray
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def expand_features(feats: np.ndarray, alpha2: float, n_pairs: int, rng: Rng) -> ExpandedSet:
-    """Mix ``n_pairs`` random pairs of distinct feature vectors.
+def expand_features(feats: np.ndarray, alpha2: float, n_pairs: int, rng: Rng) -> np.ndarray:
+    """Mix ``n_pairs`` random pairs of distinct feature vectors: point m is
+    ``lam[m] * feats[i[m]] + (1 - lam[m]) * feats[j[m]]`` for pair indices
+    ``i``, ``j`` and coefficients ``lam`` drawn from ``rng`` in that order.
 
     Coefficients are Beta(alpha2, alpha2); every output is a convex
     combination of two inputs, so the pool never leaves the coordinate-wise
@@ -49,8 +35,7 @@ def expand_features(feats: np.ndarray, alpha2: float, n_pairs: int, rng: Rng) ->
     idx_j = rng.integers(0, n - 1, n_pairs)
     idx_j = idx_j + (idx_j >= idx_i)  # uniform over pairs with j != i
     lam = rng.beta(alpha2, alpha2, n_pairs)
-    points = lam[:, None] * feats[idx_i] + (1.0 - lam)[:, None] * feats[idx_j]
-    return ExpandedSet(points=points, idx_i=idx_i, idx_j=idx_j, lam=lam)
+    return lam[:, None] * feats[idx_i] + (1.0 - lam)[:, None] * feats[idx_j]
 
 
 def sample_virtual_outliers(xs, model: GaussianModel, count: int) -> np.ndarray:

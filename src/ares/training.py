@@ -17,11 +17,11 @@ import ctypes
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .datagen import DataBundle
+from .datagen import DataBundle, LabeledDataset
 from .errors import ConfigError, SynthesisUnderflowError, TrainingDiverged
 from .escape import EscapeConfig, escape_dataset
 from .losses import (
@@ -114,6 +114,18 @@ class TrainConfig:
 
     def replace(self, **kw) -> "TrainConfig":
         return replace(self, **kw)
+
+
+# The settings the loop first reads at epoch ``pretrain_epochs``. Runs whose
+# configs differ only here train the same escape stage and warmup, bit for bit.
+_JOINT_ONLY = ("expansion", "estimation", "loss_kind", "beta", "alpha2", "m_candidates",
+               "beta_warmup_epochs", "nce_temperature", "ridge_scale")
+
+
+def _warmup_key(cfg: TrainConfig) -> TrainConfig:
+    """``cfg`` with its joint-only settings at their defaults: runs with equal
+    keys share the warmup prefix that :func:`_warmup` trains."""
+    return cfg.replace(**{f.name: f.default for f in fields(TrainConfig) if f.name in _JOINT_ONLY})
 
 
 @dataclass
@@ -228,7 +240,7 @@ class _SynthesisState:
         pool = feats
         if cfg.expansion:
             expand_rng = root.child("expand", epoch)
-            pool = expand_features(feats, cfg.alpha2, feats.shape[0], expand_rng).points
+            pool = expand_features(feats, cfg.alpha2, feats.shape[0], expand_rng)
         self.candidates = pool
         self.ranked = None
         t1 = time.perf_counter()
@@ -430,6 +442,17 @@ class _Done:
         return self._value
 
 
+@dataclass(frozen=True)
+class _Prefix(RunState):
+    """The run state at the end of a warmup prefix (see :func:`_warmup`),
+    with the training set the prefix trained on, escaped or not, and the
+    escape time no epoch record holds yet. ``train(resume=...)`` takes that
+    set as given instead of running the escape stage again."""
+
+    escaped: LabeledDataset | None = None
+    escape_s: float = 0.0
+
+
 def train(
     cfg: TrainConfig,
     data: DataBundle,
@@ -455,6 +478,20 @@ def train(
     synthesis, and it is gone when the call returns or raises; otherwise
     the same work items run inline, in the same order.
     """
+    return _train(cfg, data, cfg.total_epochs, checkpoint_dir, resume, progress)
+
+
+def _warmup(cfg: TrainConfig, data: DataBundle) -> TrainLog:
+    """The escape stage and the warmup epochs of a run of ``cfg``, which no
+    setting in ``_JOINT_ONLY`` changes. The log's state is a :class:`_Prefix`
+    at epoch ``pretrain_epochs``, from which ``train(resume=...)`` finishes
+    the run of any config with the same :func:`_warmup_key`."""
+    return _train(cfg, data, cfg.pretrain_epochs)[1]
+
+
+def _train(cfg: TrainConfig, data: DataBundle, end: int, checkpoint_dir=None,
+           resume: RunState | None = None, progress=None) -> tuple[MlpNetwork, TrainLog]:
+    """:func:`train`, stopped before epoch ``end``."""
     root = Rng(cfg.seed)
     if resume is not None:
         check_resume(resume, cfg, data)
@@ -474,7 +511,7 @@ def train(
             from concurrent.futures import ThreadPoolExecutor
 
             helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ares-train-helper")
-        return _run_epochs(cfg, data, state, net, root, checkpoint_dir, progress, helper)
+        return _run_epochs(cfg, data, state, net, root, end, checkpoint_dir, progress, helper)
     finally:
         if helper is not None:  # drops the prefetches no epoch will consume
             helper.shutdown(wait=True, cancel_futures=True)
@@ -483,20 +520,24 @@ def train(
 
 
 def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNetwork, root: Rng,
-                checkpoint_dir, progress, helper) -> tuple[MlpNetwork, TrainLog]:
-    """The epochs of :func:`train` from ``state`` on, with the accuracy
-    passes and the synthesis prefetches on ``helper`` (an executor) or, when
-    it is None, inline."""
+                end: int, checkpoint_dir, progress, helper) -> tuple[MlpNetwork, TrainLog]:
+    """The epochs of :func:`train` from ``state`` up to ``end``, with the
+    accuracy passes and the synthesis prefetches on ``helper`` (an executor)
+    or, when it is None, inline. A :class:`_Prefix` state brings its
+    training set; a run that stops before ``total_epochs`` returns one."""
     submit = _Done if helper is None else helper.submit
     tape = GradientTape(net)
     log = TrainLog()
     start_epoch = state.epoch
 
-    dstar, escape_s0 = data.id_train, 0.0  # no-escape trains on the inliers themselves
-    if cfg.escape:
-        t0 = time.perf_counter()
-        dstar = escape_dataset(data.id_train, data.aux, cfg.escape_cfg, root.child("escape"))
-        escape_s0 = time.perf_counter() - t0
+    if isinstance(state, _Prefix):
+        dstar, escape_s0 = state.escaped, state.escape_s
+    else:
+        dstar, escape_s0 = data.id_train, 0.0  # no-escape trains on the inliers themselves
+        if cfg.escape:
+            t0 = time.perf_counter()
+            dstar = escape_dataset(data.id_train, data.aux, cfg.escape_cfg, root.child("escape"))
+            escape_s0 = time.perf_counter() - t0
     anchor_feats = None
     virtual = state.virtual
     next_synth = None  # the next epoch's synthesis, submitted while this one trains
@@ -523,7 +564,7 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
                 )
 
     try:
-        for epoch in range(start_epoch, cfg.total_epochs):
+        for epoch in range(start_epoch, end):
             lr = cosine_lr(epoch, cfg.total_epochs, cfg.lr_start, cfg.lr_end)
             esc_s = escape_s0 if epoch == start_epoch else 0.0
             order = root.child("shuffle", epoch).permutation(len(dstar))
@@ -547,7 +588,7 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
                     synth = _SynthesisState(cfg, anchor_feats, epoch)
                 else:  # a prefetch's exception surfaces here, at the epoch that needed it
                     synth = next_synth.result()
-                if epoch + 1 < cfg.total_epochs:
+                if epoch + 1 < end:
                     next_synth = submit(_SynthesisState, cfg, anchor_feats, epoch + 1)
                 exp_s += synth.expansion_s
                 est_s += synth.estimation_s
@@ -615,5 +656,8 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
         flush()  # the finished epochs' lines come before the error
         raise
     flush()
+    if end < cfg.total_epochs:
+        unbooked = escape_s0 if start_epoch == end else 0.0
+        state = _Prefix(**vars(state), escaped=dstar, escape_s=unbooked)
     log.state = state
     return net, log

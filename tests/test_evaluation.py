@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import ares.evaluation as eval_mod
 import ares.training as training_mod
 from ares.datagen import make_bundle
+from ares.errors import SynthesisUnderflowError
+from ares.escape import EscapeConfig
 from ares.evaluation import (
     _average_ranks,
     _train_and_evaluate,
@@ -22,7 +24,7 @@ from ares.evaluation import (
 )
 from ares.network import MlpNetwork
 from ares.rng import Rng
-from ares.training import TrainConfig
+from ares.training import TrainConfig, _warmup_key
 
 
 # ---- oracles -----------------------------------------------------------------
@@ -454,6 +456,76 @@ def test_suite_workers_train_inline(micro_bundle, monkeypatch):
     monkeypatch.setattr(training_mod, "_has_spare_core", spare_core)
     reports = run_ablation_suite(micro_cfg(), micro_bundle, only="stages")
     assert [r.error for r in reports] == [None] * 4
+
+
+def test_warmup_key_shares_only_joint_settings():
+    base = micro_cfg()
+    variants = {name: cfg for name, cfg in ablation_variants(base) if cfg is not None}
+    joint_only = ["full", "no-expansion", "no-estimation", "loss-ce", "loss-nce"]
+    assert {_warmup_key(variants[name]) for name in joint_only} == {_warmup_key(base)}
+    assert _warmup_key(base.replace(beta=0.0, alpha2=3.0, ridge_scale=1e-3)) == _warmup_key(base)
+    own = [
+        variants["no-escape"],
+        variants["epochs-8"],
+        base.replace(seed=4),
+        base.replace(lr_start=0.06),
+        base.replace(batch_size=31),
+        base.replace(escape_cfg=EscapeConfig(alpha1=2.0)),
+    ]
+    keys = [_warmup_key(cfg) for cfg in own] + [_warmup_key(base)]
+    assert len(set(keys)) == len(keys)
+
+
+def _count_escapes(monkeypatch, path, error=None):
+    """Append a line to ``path`` per escape stage run, which raises ``error``
+    when given; forked workers inherit the patch."""
+    real = training_mod.escape_dataset
+    path.write_text("")
+
+    def counting(*args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("escape\n")
+        if error is not None:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training_mod, "escape_dataset", counting)
+
+
+@pytest.mark.parametrize("only, escapes", [("stages", 1), (None, 2)])
+def test_suite_escapes_once_per_warmup_key(micro_bundle, monkeypatch, tmp_path, only, escapes):
+    # stages: one prefix for full, no-expansion and no-estimation, and
+    # no-escape runs none; the full matrix adds epochs-8 alone
+    path = tmp_path / "escapes.txt"
+    _count_escapes(monkeypatch, path)
+    reports = run_ablation_suite(micro_cfg(), micro_bundle, only=only)
+    assert [r.error for r in reports] == [None] * len(reports)
+    assert path.read_text().count("escape") == escapes
+
+
+def test_suite_prefix_failure_reports_each_variant(micro_bundle, monkeypatch, tmp_path):
+    # an exception that does not survive pickling, raised in the shared prefix:
+    # it reaches each variant as text, and no worker breaks (no reruns)
+    path = tmp_path / "escapes.txt"
+    _count_escapes(monkeypatch, path, SynthesisUnderflowError(5, 3, context="injected"))
+    matrix = ablation_variants(micro_cfg())
+    reports = run_ablation_suite(micro_cfg(), micro_bundle)
+    assert path.read_text().count("escape") == 2
+    full = dict(matrix)["full"]
+    for report, (name, cfg) in zip(reports, matrix):
+        assert report.error == _train_and_evaluate(name, cfg or full, micro_bundle).error
+        assert (report.error is None) == (name == "no-escape"), name
+    assert "[injected]" in reports[0].error
+
+
+def test_suite_reruns_the_variants_of_a_dead_prefix(micro_bundle, monkeypatch):
+    # the prefix's worker dies: each variant that waited on it trains alone, from scratch
+    monkeypatch.setattr(eval_mod, "_warmup", lambda cfg, bundle: os._exit(3))
+    matrix = ablation_variants(micro_cfg())[:4]
+    reports = run_ablation_suite(micro_cfg(), micro_bundle, only="stages")
+    for report, (name, cfg) in zip(reports, matrix):
+        assert report.error is None
+        assert report.average == _train_and_evaluate(name, cfg, micro_bundle).average
 
 
 def test_reports_csv_layout(tmp_path, micro_bundle):

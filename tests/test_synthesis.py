@@ -26,29 +26,51 @@ def brute_force_densities(model, pts):
 
 # ---- expansion -----------------------------------------------------------------
 
+def expand_draws(n, alpha2, n_pairs, rng):
+    """The pair indices and mixing coefficients ``expand_features`` draws
+    from ``rng`` for ``n`` feature vectors, redrawn from a copy of its stream."""
+    idx_i = rng.integers(0, n, n_pairs)
+    idx_j = rng.integers(0, n - 1, n_pairs)
+    return idx_i, idx_j + (idx_j >= idx_i), rng.beta(alpha2, alpha2, n_pairs)
+
+
+def expand_stream(seed):
+    return Rng(seed).child("expand", 0)
+
+
+def test_expansion_mixes_the_redrawn_pairs():
+    feats = Rng(9).standard_normal((30, 4))
+    pts = expand_features(feats, 2.0, 200, expand_stream(10))
+    idx_i, idx_j, lam = expand_draws(30, 2.0, 200, expand_stream(10))
+    assert np.array_equal(pts, lam[:, None] * feats[idx_i] + (1.0 - lam)[:, None] * feats[idx_j])
+
+
 def test_lambda_one_returns_first_endpoint():
     feats = Rng(0).standard_normal((10, 3))
-    xs = expand_features(feats, 2.0, 5, ForcedBetaRng(1, 1.0))
-    assert np.array_equal(xs.points, feats[xs.idx_i])
+    pts = expand_features(feats, 2.0, 5, ForcedBetaRng(1, 1.0))
+    idx_i, _idx_j, _lam = expand_draws(10, 2.0, 5, ForcedBetaRng(1, 1.0))
+    assert np.array_equal(pts, feats[idx_i])
 
 
 def test_lambda_half_midpoint():
     feats = np.array([[0.0, 0.0], [2.0, 2.0]])
-    xs = expand_features(feats, 2.0, 4, ForcedBetaRng(2, 0.5))
-    assert np.allclose(xs.points, [[1.0, 1.0]] * 4)
+    pts = expand_features(feats, 2.0, 4, ForcedBetaRng(2, 0.5))
+    assert np.allclose(pts, [[1.0, 1.0]] * 4)
 
 
 def test_expanded_points_in_pairwise_box():
     feats = Rng(3).standard_normal((20, 4))
-    xs = expand_features(feats, 2.0, 100, Rng(4))
-    lo = np.minimum(feats[xs.idx_i], feats[xs.idx_j])
-    hi = np.maximum(feats[xs.idx_i], feats[xs.idx_j])
-    assert np.all(xs.points >= lo - 1e-12) and np.all(xs.points <= hi + 1e-12)
+    pts = expand_features(feats, 2.0, 100, expand_stream(4))
+    idx_i, idx_j, _lam = expand_draws(20, 2.0, 100, expand_stream(4))
+    lo = np.minimum(feats[idx_i], feats[idx_j])
+    hi = np.maximum(feats[idx_i], feats[idx_j])
+    assert np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12)
 
 
 def test_expansion_never_pairs_point_with_itself():
-    xs = expand_features(Rng(5).standard_normal((7, 2)), 2.0, 500, Rng(6))
-    assert np.all(xs.idx_i != xs.idx_j)
+    # a midpoint of two distinct one-hot rows holds two halves; of a row with itself, a one
+    pts = expand_features(np.eye(7), 2.0, 500, ForcedBetaRng(6, 0.5))
+    assert np.all((pts == 0.5).sum(axis=1) == 2)
 
 
 def test_expansion_needs_two_points():
@@ -57,8 +79,8 @@ def test_expansion_needs_two_points():
 
 
 def test_expansion_lambda_mean_near_half():
-    xs = expand_features(Rng(7).standard_normal((50, 2)), 2.0, 100_000, Rng(8))
-    assert abs(xs.lam.mean() - 0.5) < 0.01
+    _idx_i, _idx_j, lam = expand_draws(50, 2.0, 100_000, expand_stream(8))
+    assert abs(lam.mean() - 0.5) < 0.01
 
 
 # ---- estimation -----------------------------------------------------------------

@@ -448,6 +448,40 @@ def test_resume_is_exact(monkeypatch, tmp_path, at):
     assert (tmp_path / "resumed.json").read_bytes() == (tmp_path / "full.json").read_bytes()
 
 
+# the variants of the ablation matrix that share one warmup prefix, and the edges
+PREFIX_CASES = {
+    "full": {},
+    "no-expansion": {"expansion": False},
+    "no-estimation": {"estimation": False},
+    "loss-ce": {"loss_kind": "ce"},
+    "loss-nce": {"loss_kind": "nce"},
+    "beta-0": {"beta": 0.0},
+    "pretrain-0": {"pretrain_epochs": 0},
+    "pretrain-all": {"pretrain_epochs": 8},
+}
+
+
+@pytest.mark.parametrize("kw", PREFIX_CASES.values(), ids=PREFIX_CASES.keys())
+def test_resume_from_warmup_prefix_is_exact(monkeypatch, tmp_path, kw):
+    # the prefix trains the config's warmup key up to pretrain_epochs; the run
+    # resumed from it, with the prefix's records in front, is the whole run
+    bundle = tiny_bundle()
+    cfg = tiny_cfg(**{**RESUME_CFG, **kw})
+    net, full = train(cfg, bundle)
+    prefix = training_mod._warmup(training_mod._warmup_key(cfg), bundle)
+    assert prefix.state.epoch == cfg.pretrain_epochs
+    assert [r.epoch for r in prefix.records] == list(range(cfg.pretrain_epochs))
+    monkeypatch.setattr(training_mod, "escape_dataset", _must_not_run)  # the set comes carried
+    resumed_net, resumed = train(cfg, bundle, resume=prefix.state)
+    resumed.records[:0] = prefix.records
+    full.write_csv(tmp_path / "full.csv")
+    resumed.write_csv(tmp_path / "resumed.csv")
+    assert (tmp_path / "resumed.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    assert np.array_equal(resumed_net.flat, net.flat)
+    # the prefix's escape time is booked once, in the first record
+    assert [r.escape_s > 0.0 for r in resumed.records] == [True] + [False] * (cfg.total_epochs - 1)
+
+
 def test_learning_accuracy_improves():
     # classification-only on clean blobs is trivially separable; the loop
     # must drive accuracy high (escape-noise robustness is calibrated in
