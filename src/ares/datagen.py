@@ -10,6 +10,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
@@ -38,6 +39,8 @@ AUX_BURN_IN = 20
 # fewest held-out inlier scores the 95%-TPR gate (evaluation.choose_gamma)
 # is defined on: below it, 5% of the scores is less than one score
 MIN_GATE_SCORES = 20
+# rows per formatted block in save_points_csv
+_CSV_BLOCK = 4096
 TRANSFORM_KINDS = ("rotate2d", "flip", "permute")
 ID_GENERATORS = ("blobs", "moons2d", "rings")
 OOD_GENERATORS = ("ring", "uniform", "shifted-blobs")
@@ -362,14 +365,19 @@ def save_points_csv(path, x: np.ndarray, y: np.ndarray | None, role: str, k: int
 
     Header ``dim=<d>,classes=<k>,role=<role>``; one row per point,
     ``y,x0,x1,...`` with y = -1 for unlabeled points. Values carry 17
-    significant digits so a round-trip is exact.
+    significant digits so a round-trip is exact. The rows are formatted
+    ``_CSV_BLOCK`` at a time, each block with one ``%`` on a repeated row
+    template, so the text in memory is bounded by the block.
     """
     x = np.asarray(x, dtype=float)
     labels = np.full(len(x), -1, dtype=int) if y is None else np.asarray(y, dtype=int)
+    row = "%d" + ",%.17g" * x.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dim={x.shape[1]},classes={k},role={role}\n")
-        for lab, row in zip(labels, x):
-            fh.write("%d,%s\n" % (lab, ",".join("%.17g" % v for v in row)))
+        for lo in range(0, len(x), _CSV_BLOCK):
+            block = x[lo : lo + _CSV_BLOCK]
+            values = chain.from_iterable(zip(labels[lo : lo + _CSV_BLOCK].tolist(), *block.T.tolist()))
+            fh.write(row * len(block) % tuple(values))
 
 
 def load_points_csv(path) -> tuple[np.ndarray, np.ndarray | None, dict]:

@@ -27,6 +27,10 @@ class SynthesisUnderflowError(AresError, RuntimeError):
         if context:
             msg += f" [{context}]"
         super().__init__(msg)
+        self.context = context
+
+    def __reduce__(self):
+        return type(self), (self.requested, self.available, self.context)
 
 
 class TrainingDiverged(AresError, RuntimeError):
@@ -45,3 +49,6 @@ class TrainingDiverged(AresError, RuntimeError):
             f"non-finite {term} loss at epoch {epoch}, batch {batch}; "
             f"last good state (epoch {state.epoch}) {where}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.epoch, self.batch, self.term, self.state, self.checkpoint_path)

@@ -289,9 +289,9 @@ def save_checkpoint(state: RunState, path) -> None:
         "joint_start": None if state.joint_start is None else _param_block(state.joint_start),
         "virtual": None if state.virtual is None else _tensor(state.virtual),
     }
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"  # the C encoder, in one write
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
 
 
 def _check_arch(arch: dict) -> None:

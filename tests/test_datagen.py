@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ares import datagen
 from ares.datagen import (
     geometric_transform,
     ifs_chaos_points,
@@ -250,6 +251,35 @@ def test_csv_round_trip_20k_bitwise(tmp_path):
     x2, y2, _meta = load_points_csv(path)
     assert x2.dtype == x.dtype and x2.tobytes() == x.tobytes()
     assert y2.dtype == y.dtype and np.array_equal(y2, y)
+
+
+def save_points_csv_per_value(path, x, y, role, k=0):
+    """The original writer: one ``"%.17g"`` call per value."""
+    x = np.asarray(x, dtype=float)
+    labels = np.full(len(x), -1, dtype=int) if y is None else np.asarray(y, dtype=int)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"dim={x.shape[1]},classes={k},role={role}\n")
+        for lab, row in zip(labels, x):
+            fh.write("%d,%s\n" % (lab, ",".join("%.17g" % v for v in row)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_csv_bytes_equal_per_value_writer(tmp_path, d):
+    b = datagen._CSV_BLOCK
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.7976931348623157e308,
+               1.7976931348623157e308, 0.1, -0.1, 1.0, 1e16, 123456789.123456789]
+    rng = Rng(18)
+    for n in (0, 1, b - 1, b, b + 1):
+        x = rng.standard_normal((n, d)) * np.exp(rng.uniform(-30, 30, (n, d)))
+        flat = x.reshape(-1)
+        flat[: len(special)] = special[: flat.size]
+        y = rng.integers(0, 3, n)
+        y[::7] = -1
+        for labels in (y, None):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            save_points_csv(got, x, labels, role="id", k=3)
+            save_points_csv_per_value(want, x, labels, role="id", k=3)
+            assert got.read_bytes() == want.read_bytes(), (n, labels is None)
 
 
 def test_bundle_rejects_unknown_keys():

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 import ares.evaluation as eval_mod
 import ares.training as training_mod
-from ares.datagen import make_bundle
+from ares.datagen import DataBundle, LabeledDataset, make_bundle
 from ares.errors import SynthesisUnderflowError
 from ares.escape import EscapeConfig
 from ares.evaluation import (
+    SCORE_BLOCK,
     _average_ranks,
     _train_and_evaluate,
     ablation_variants,
@@ -20,9 +22,10 @@ from ares.evaluation import (
     evaluate,
     fpr95,
     run_ablation_suite,
+    score_bundle,
     write_reports_csv,
 )
-from ares.network import MlpNetwork
+from ares.network import MlpNetwork, energy_score_batch
 from ares.rng import Rng
 from ares.training import TrainConfig, _warmup_key
 
@@ -228,6 +231,15 @@ def test_average_ranks_equal_loop_bitwise():
     for id_scores, ood_scores in score_cases():
         both = np.concatenate([id_scores, ood_scores])
         assert bits(_average_ranks(both)) == bits(average_ranks_loop(both))
+    # tie-heavy vectors, +0.0 and -0.0 in one tie group, in shuffled order:
+    # the sort may order ties any way, their shared rank is the same
+    rng = Rng(23)
+    signed_zeros = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, -0.0])
+    for n in (7, 64, 1000, 40_000):
+        values = rng.choice(np.r_[signed_zeros, 0.5, -0.5, 2.0], n)
+        assert np.signbit(values).any() and (values == 0.0).any()
+        assert bits(_average_ranks(values)) == bits(average_ranks_loop(values))
+    assert bits(_average_ranks(signed_zeros)) == bits(average_ranks_loop(signed_zeros))
 
 
 def test_auroc_and_fpr95_equal_loops_bitwise():
@@ -248,6 +260,54 @@ def test_non_finite_scores_rejected(bad):
     ):
         with pytest.raises(ValueError, match=f"2 non-finite score.*{bad}"):
             call()
+
+
+# ---- score_bundle ----------------------------------------------------------------------
+
+def _points_bundle(id_x, ood_x):
+    """A bundle holding only what score_bundle reads."""
+    ids = LabeledDataset(id_x, np.zeros(len(id_x), dtype=int))
+    return DataBundle(id_train=ids, id_test=ids, aux=id_x, ood_eval={"ring": ood_x})
+
+
+def _default_net(seed):
+    cfg = TrainConfig()
+    return MlpNetwork(2, cfg.hidden_dims, cfg.feature_dim, 3, Rng(seed))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_score_bundle_blocks_equal_whole_array_bitwise(threads):
+    # B + 1 and 2B + 1 would leave a one-row block, whose matmul runs down
+    # another BLAS path; it must join the block before it
+    b = SCORE_BLOCK
+    net = _default_net(31)
+    net.energy_u[...] = Rng(32).standard_normal(3)
+    rng = Rng(33)
+    before = training_mod._set_blas_threads(threads)
+    try:
+        for n in (0, 1, 2, b - 1, b, b + 1, 2 * b + 1, 20_000):
+            id_x, ood_x = 4.0 * rng.standard_normal((n, 2)), 9.0 * rng.standard_normal((n, 2))
+            id_scores, ood_scores = score_bundle(net, _points_bundle(id_x, ood_x))
+            for x, got in ((id_x, id_scores), (ood_x, ood_scores["ring"])):
+                want = energy_score_batch(net, net.forward(x).logits)
+                assert got.shape == (n,) and bits(got) == bits(want), n
+    finally:
+        if before is not None:
+            training_mod._set_blas_threads(before)
+
+
+def test_score_bundle_memory_bounded_by_block():
+    # a whole-set forward of 20000 rows caches two 20000x64 activations
+    # (10.2 MB each); scored in blocks, the peak stays a few MB
+    net = _default_net(34)
+    bundle = _points_bundle(Rng(35).standard_normal((20_000, 2)), Rng(36).standard_normal((20_000, 2)))
+    tracemalloc.start()
+    try:
+        score_bundle(net, bundle)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 # ---- evaluate ------------------------------------------------------------------------

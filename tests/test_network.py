@@ -503,6 +503,20 @@ def test_run_state_is_a_copy():
     assert np.all(state.virtual == 1.0)
 
 
+def test_checkpoint_bytes_equal_streamed_json(tmp_path):
+    # the one-call writer gives the bytes json.dump streams out
+    for joint in (True, False):
+        state = _run_state(15, 9, joint)
+        state.params["cls_w"].reshape(-1)[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 0.1]
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        reference = tmp_path / "streamed.json"
+        with open(reference, "w", encoding="utf-8") as fh:
+            json.dump(json.loads(path.read_text()), fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
+
+
 def test_checkpoint_shape_mismatch(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(_run_state(0, 1), path)

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -354,6 +355,26 @@ def test_synthesis_underflow_reports_context():
     with pytest.raises(SynthesisUnderflowError) as exc:
         train(cfg, bundle)
     assert "epoch 0" in str(exc.value)
+
+
+def test_errors_survive_pickling():
+    for err in (SynthesisUnderflowError(5, 3, "epoch 1"), SynthesisUnderflowError(7, 0)):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is SynthesisUnderflowError and str(back) == str(err)
+        for field in ("requested", "available", "deficit", "context"):
+            assert getattr(back, field) == getattr(err, field), field
+    net = MlpNetwork(2, (4,), 3, 3, Rng(41))
+    state = RunState.of(net, 2, joint_start=net.params(), virtual=Rng(42).standard_normal((5, 3)))
+    for path in ("run/last_good_checkpoint.json", None):
+        err = TrainingDiverged(3, 1, "dis", state, path)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is TrainingDiverged and str(back) == str(err)
+        assert (back.epoch, back.batch, back.term, back.checkpoint_path) == (3, 1, "dis", path)
+        assert (back.state.arch, back.state.epoch) == (state.arch, state.epoch)
+        assert back.state.virtual.tobytes() == state.virtual.tobytes()
+        for name, p in state.params.items():
+            assert back.state.params[name].tobytes() == p.tobytes(), name
+            assert back.state.joint_start[name].tobytes() == state.joint_start[name].tobytes(), name
 
 
 def test_resume_continues_epoch_numbering():
