@@ -5,11 +5,11 @@ learning-rate schedule. All randomness flows from ``cfg.seed`` through
 named child streams, so a run is bitwise reproducible.
 
 Training runs on one BLAS thread. When the process has a core to spare,
-one helper thread takes the work that does not feed the SGD chain: each
-epoch's accuracy pass, on a copy of the parameters, while the next epoch
-trains, and the next joint epoch's synthesis while this one trains. It
-computes the same arrays with the same numpy calls, so a run's results do
-not depend on whether the helper runs."""
+one helper thread runs each epoch's accuracy pass, on a copy of the
+parameters, while the next epoch trains; everything else, the synthesis
+included, runs on the calling thread. The pass computes the same arrays
+with the same numpy calls, so a run's results do not depend on whether
+the helper runs."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -145,10 +146,9 @@ class EpochRecord:
 @dataclass
 class TrainLog:
     """Per-epoch records and the final run state. The stage times are wall
-    times of the stage's own work: an epoch's ``expansion_s`` and
-    ``estimation_s`` include its synthesis, timed where it ran, which on the
-    helper thread was while the previous epoch trained. Stage times can
-    therefore overlap each other and the loop's wall time."""
+    times of the stage's own work, all on the calling thread and in
+    intervals that do not overlap, so they add up to at most the wall time
+    of the ``train()`` call."""
 
     records: list = field(default_factory=list)
     state: RunState | None = None  # the run state after the last epoch (what a checkpoint stores)
@@ -229,9 +229,9 @@ def check_resume(state: RunState, cfg: TrainConfig, data: DataBundle, source="re
 
 class _SynthesisState:
     """Candidate pool and fitted region model of one joint epoch, drawn from
-    the features of the joint-start network on the epoch's own streams.
-    ``expansion_s`` and ``estimation_s`` time the mixing and the fit and
-    ranking, in whichever thread builds the state."""
+    the features of the joint-start network on the epoch's own streams and
+    built at the epoch's start. ``expansion_s`` and ``estimation_s`` time
+    the mixing and the fit and ranking."""
 
     def __init__(self, cfg: TrainConfig, feats: np.ndarray, epoch: int):
         t0 = time.perf_counter()
@@ -425,23 +425,6 @@ def _has_spare_core(blas_threads: int | None) -> bool:
     return blas_threads is not None and not _POOL_WORKER and len(os.sched_getaffinity(0)) > 1
 
 
-class _Done:
-    """A work item run at once in the calling thread: ``result()`` returns
-    its value or raises its exception, as a helper thread's future does."""
-
-    def __init__(self, fn, *args):
-        self._value = self._error = None
-        try:
-            self._value = fn(*args)
-        except Exception as err:
-            self._error = err
-
-    def result(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 @dataclass(frozen=True)
 class _Prefix(RunState):
     """The run state at the end of a warmup prefix (see :func:`_warmup`),
@@ -474,9 +457,8 @@ def train(
     The call caps OpenBLAS at one thread and restores the caller's count on
     return or raise. With a spare core (more than one usable CPU, an
     OpenBLAS whose thread count it can set, and not an ablation-pool
-    worker) one helper thread runs the accuracy passes and prefetches the
-    synthesis, and it is gone when the call returns or raises; otherwise
-    the same work items run inline, in the same order.
+    worker) one helper thread runs the accuracy passes, and it is gone when
+    the call returns or raises; otherwise the passes run inline.
     """
     return _train(cfg, data, cfg.total_epochs, checkpoint_dir, resume, progress)
 
@@ -513,20 +495,18 @@ def _train(cfg: TrainConfig, data: DataBundle, end: int, checkpoint_dir=None,
             helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ares-train-helper")
         return _run_epochs(cfg, data, state, net, root, end, checkpoint_dir, progress, helper)
     finally:
-        if helper is not None:  # drops the prefetches no epoch will consume
-            helper.shutdown(wait=True, cancel_futures=True)
+        if helper is not None:
+            helper.shutdown()
         if blas_threads is not None:
             _set_blas_threads(blas_threads)
 
 
 def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNetwork, root: Rng,
                 end: int, checkpoint_dir, progress, helper) -> tuple[MlpNetwork, TrainLog]:
-    """The epochs of :func:`train` from ``state`` up to ``end``, with the
-    accuracy passes and the synthesis prefetches on ``helper`` (an executor)
-    or, when it is None, inline. A :class:`_Prefix` state brings its
-    training set; a run that stops before ``total_epochs`` returns one."""
-    submit = _Done if helper is None else helper.submit
-    tape = GradientTape(net)
+    """The epochs of :func:`train` from ``state`` up to ``end``, each trained
+    by :func:`_train_epoch`, with the accuracy passes on ``helper`` (an
+    executor) or, when it is None, inline. A :class:`_Prefix` state brings
+    its training set; a run that stops before ``total_epochs`` returns one."""
     log = TrainLog()
     start_epoch = state.epoch
 
@@ -538,9 +518,7 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
             t0 = time.perf_counter()
             dstar = escape_dataset(data.id_train, data.aux, cfg.escape_cfg, root.child("escape"))
             escape_s0 = time.perf_counter() - t0
-    anchor_feats = None
-    virtual = state.virtual
-    next_synth = None  # the next epoch's synthesis, submitted while this one trains
+    feats = None  # the joint-start features, extracted at the first joint epoch
 
     shadow = state.network()  # the accuracy pass's copy of the parameters
     x_train, y_train = data.id_train.x, data.id_train.y
@@ -549,13 +527,13 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
         shadow.flat[...] = flat
         return float((shadow.predict(x_train) == y_train).mean())
 
-    pending = []  # (record, its accuracy) of finished epochs not yet logged, in epoch order
+    pending = []  # (record, its accuracy's getter) of finished epochs not yet logged, in order
 
     def flush(keep: int = 0) -> None:
         """Log every pending epoch but the newest ``keep``, in order."""
         while len(pending) > keep:
             rec, acc = pending.pop(0)
-            rec.train_accuracy = acc.result()
+            rec.train_accuracy = acc()
             log.append(rec)
             if progress is not None:
                 progress(
@@ -564,94 +542,15 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
                 )
 
     try:
-        for epoch in range(start_epoch, end):
-            lr = cosine_lr(epoch, cfg.total_epochs, cfg.lr_start, cfg.lr_end)
-            esc_s = escape_s0 if epoch == start_epoch else 0.0
-            order = root.child("shuffle", epoch).permutation(len(dstar))
-            xs, ys = dstar.x[order], dstar.y[order]  # each batch is a slice of these
-            joint = epoch >= cfg.pretrain_epochs and cfg.beta != 0.0
-            steps_per_epoch = (len(dstar) + cfg.batch_size - 1) // cfg.batch_size
-            warmup_steps = cfg.beta_warmup_epochs * steps_per_epoch
-
-            exp_s = est_s = div_s = 0.0
-            synth = None
-            if joint:
-                if anchor_feats is None:
-                    # the features are snapshotted once at joint start, from
-                    # the joint-start parameters the run state keeps; fresh
-                    # mixtures are still drawn from the snapshot every epoch
-                    t0 = time.perf_counter()
-                    if state.joint_start is None:
-                        state = replace(state, joint_start=state.params)
-                    anchor_feats = state.network(state.joint_start).forward(dstar.x).feats
-                    exp_s += time.perf_counter() - t0
-                    synth = _SynthesisState(cfg, anchor_feats, epoch)
-                else:  # a prefetch's exception surfaces here, at the epoch that needed it
-                    synth = next_synth.result()
-                if epoch + 1 < end:
-                    next_synth = submit(_SynthesisState, cfg, anchor_feats, epoch + 1)
-                exp_s += synth.expansion_s
-                est_s += synth.estimation_s
-
-            cls_sum = dis_sum = tot_sum = 0.0
-            n_batches = n_joint = 0
-            for b, lo in enumerate(range(0, len(order), cfg.batch_size)):
-                xb, yb = xs[lo : lo + cfg.batch_size], ys[lo : lo + cfg.batch_size]
-                v_pts = None
-                step_cfg = cfg
-                if joint:
-                    t0 = time.perf_counter()
-                    v_pts = synth.draw_outliers(len(xb), context=f"epoch {epoch}, batch {b}")
-                    est_s += time.perf_counter() - t0
-                    if b == 0:  # the batch a checkpoint keeps for ``ares eval``
-                        virtual = v_pts
-                    # ramp the discrimination weight over the first joint steps;
-                    # the raw reciprocal gradient at near-zero divergence is
-                    # otherwise large enough to destroy the warmed-up network
-                    if warmup_steps:
-                        done = (epoch - cfg.pretrain_epochs) * steps_per_epoch + b
-                        if done + 1 < warmup_steps:
-                            step_cfg = cfg.replace(beta=cfg.beta * (done + 1) / warmup_steps)
-
-                t0 = time.perf_counter()
-                cache, cls_loss, dis, batch_total, dlogits = batch_terms(
-                    net, xb, yb, step_cfg, tape, v_pts
-                )
-                if joint:  # a joint batch's loss terms, forward pass included
-                    dis_sum += dis
-                    n_joint += 1
-                    div_s += time.perf_counter() - t0
-
-                for term, value in (("cls", cls_loss), ("dis", dis), ("total", batch_total)):
-                    if not math.isfinite(value):
-                        path = None
-                        if checkpoint_dir is not None:
-                            path = os.path.join(checkpoint_dir, "last_good_checkpoint.json")
-                            save_checkpoint(state, path)
-                        raise TrainingDiverged(epoch, b, term, state, checkpoint_path=path)
-
-                net.backward(cache, tape, dlogits)
-                sgd_step(net, tape, lr)
-                cls_sum += cls_loss
-                tot_sum += batch_total
-                n_batches += 1
-
-            rec = EpochRecord(
-                epoch=epoch,
-                lr=float(lr),
-                cls_loss=cls_sum / n_batches,
-                dis_loss=dis_sum / n_joint if n_joint else 0.0,
-                total_loss=tot_sum / n_batches,
-                train_accuracy=math.nan,  # filled in from the accuracy pass
-                escape_s=esc_s,
-                expansion_s=exp_s,
-                estimation_s=est_s,
-                divergence_s=div_s,
-            )
-            pending.append((rec, submit(accuracy, net.flat.copy())))
-            # a helper's pass of this epoch overlaps the next one; inline it is done
+        while state.epoch < end:
+            rec, state, feats = _train_epoch(cfg, state, feats, net, dstar, root, checkpoint_dir)
+            if rec.epoch == start_epoch:
+                rec.escape_s = escape_s0
+            flat = net.flat.copy()
+            acc = partial(accuracy, flat) if helper is None else helper.submit(accuracy, flat).result
+            pending.append((rec, acc))
+            # a helper's pass of this epoch overlaps the next one; inline it runs now
             flush(keep=0 if helper is None else 1)
-            state = RunState.of(net, epoch + 1, state.joint_start, virtual)
     except Exception:
         flush()  # the finished epochs' lines come before the error
         raise
@@ -661,3 +560,92 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
         state = _Prefix(**vars(state), escaped=dstar, escape_s=unbooked)
     log.state = state
     return net, log
+
+
+def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, net: MlpNetwork,
+                 dstar: LabeledDataset, root: Rng, checkpoint_dir):
+    """Train epoch ``state.epoch`` of a run on ``dstar``, the network ``net``
+    holding ``state``'s parameters: a joint epoch first builds its synthesis
+    from ``feats``, the joint-start features (extracted here when None),
+    then every batch takes one SGD step. Returns the epoch's record, whose
+    accuracy and escape time the caller fills in, the run state after the
+    epoch, and the joint-start features. A non-finite loss raises
+    :class:`TrainingDiverged` with the state at the epoch's start (also
+    written to ``checkpoint_dir`` when given)."""
+    epoch, virtual = state.epoch, state.virtual
+    tape = GradientTape(net)
+    lr = cosine_lr(epoch, cfg.total_epochs, cfg.lr_start, cfg.lr_end)
+    order = root.child("shuffle", epoch).permutation(len(dstar))
+    xs, ys = dstar.x[order], dstar.y[order]  # each batch is a slice of these
+    joint = epoch >= cfg.pretrain_epochs and cfg.beta != 0.0
+    steps_per_epoch = (len(dstar) + cfg.batch_size - 1) // cfg.batch_size
+    warmup_steps = cfg.beta_warmup_epochs * steps_per_epoch
+
+    exp_s = est_s = div_s = 0.0
+    if joint:
+        if feats is None:
+            # the features are snapshotted once at joint start, from the
+            # joint-start parameters the run state keeps; fresh mixtures are
+            # still drawn from the snapshot every epoch
+            t0 = time.perf_counter()
+            if state.joint_start is None:
+                state = replace(state, joint_start=state.params)
+            feats = state.network(state.joint_start).forward(dstar.x).feats
+            exp_s += time.perf_counter() - t0
+        synth = _SynthesisState(cfg, feats, epoch)
+        exp_s += synth.expansion_s
+        est_s += synth.estimation_s
+
+    cls_sum = dis_sum = tot_sum = 0.0
+    n_batches = n_joint = 0
+    for b, lo in enumerate(range(0, len(order), cfg.batch_size)):
+        xb, yb = xs[lo : lo + cfg.batch_size], ys[lo : lo + cfg.batch_size]
+        v_pts = None
+        step_cfg = cfg
+        if joint:
+            t0 = time.perf_counter()
+            v_pts = synth.draw_outliers(len(xb), context=f"epoch {epoch}, batch {b}")
+            est_s += time.perf_counter() - t0
+            if b == 0:  # the batch a checkpoint keeps for ``ares eval``
+                virtual = v_pts
+            # ramp the discrimination weight over the first joint steps;
+            # the raw reciprocal gradient at near-zero divergence is
+            # otherwise large enough to destroy the warmed-up network
+            if warmup_steps:
+                done = (epoch - cfg.pretrain_epochs) * steps_per_epoch + b
+                if done + 1 < warmup_steps:
+                    step_cfg = cfg.replace(beta=cfg.beta * (done + 1) / warmup_steps)
+
+        t0 = time.perf_counter()
+        cache, cls_loss, dis, batch_total, dlogits = batch_terms(net, xb, yb, step_cfg, tape, v_pts)
+        if joint:  # a joint batch's loss terms, forward pass included
+            dis_sum += dis
+            n_joint += 1
+            div_s += time.perf_counter() - t0
+
+        for term, value in (("cls", cls_loss), ("dis", dis), ("total", batch_total)):
+            if not math.isfinite(value):
+                path = None
+                if checkpoint_dir is not None:
+                    path = os.path.join(checkpoint_dir, "last_good_checkpoint.json")
+                    save_checkpoint(state, path)
+                raise TrainingDiverged(epoch, b, term, state, checkpoint_path=path)
+
+        net.backward(cache, tape, dlogits)
+        sgd_step(net, tape, lr)
+        cls_sum += cls_loss
+        tot_sum += batch_total
+        n_batches += 1
+
+    rec = EpochRecord(
+        epoch=epoch,
+        lr=float(lr),
+        cls_loss=cls_sum / n_batches,
+        dis_loss=dis_sum / n_joint if n_joint else 0.0,
+        total_loss=tot_sum / n_batches,
+        train_accuracy=math.nan,  # filled in from the accuracy pass
+        expansion_s=exp_s,
+        estimation_s=est_s,
+        divergence_s=div_s,
+    )
+    return rec, RunState.of(net, epoch + 1, state.joint_start, virtual), feats

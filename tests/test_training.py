@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -218,8 +219,8 @@ def test_alternative_modes_run(flags):
 
 def _record_synthesis(monkeypatch):
     """Log every candidate ranking and every per-batch outlier draw (with its
-    epoch). Rankings come in epoch order; the next epoch's ranking may come
-    before this epoch's draws, since it is built ahead."""
+    epoch). Each joint epoch ranks its candidates at its start, so an
+    epoch's ranking comes after every draw of the epoch before."""
     events = []
     real_rank = training_mod.sample_virtual_outliers
     real_draw = training_mod._SynthesisState.draw_outliers
@@ -241,26 +242,30 @@ def _record_synthesis(monkeypatch):
 
 
 def test_candidates_ranked_once_per_joint_epoch(monkeypatch):
-    events = _record_synthesis(monkeypatch)
     # 120 surrogates in batches of 50: the last batch of each epoch holds 20
     cfg = tiny_cfg(batch_size=50)
-    train(cfg, tiny_bundle())
-    ranks = [e[1:] for e in events if e[0] == "rank"]
     joint_epochs = range(cfg.pretrain_epochs, cfg.total_epochs)
-    assert len(ranks) == len(joint_epochs)
-    draws = {}
-    for kind, *rest in events:
-        if kind == "draw":
-            epoch, b_eff, pts = rest
-            draws.setdefault(epoch, []).append((b_eff, pts))
-    assert sorted(draws) == list(joint_epochs)
-    for epoch, (n_cand, count, ranking, whole) in zip(joint_epochs, ranks):
-        # only the first batch's worth of the pool's ranking is kept
-        assert (n_cand, count) == (120, cfg.batch_size)
-        assert np.array_equal(ranking, whole[:count])
-        assert [b_eff for b_eff, _pts in draws[epoch]] == [50, 50, 20]
-        for b_eff, pts in draws[epoch]:
-            assert np.array_equal(pts, ranking[:b_eff])
+    for overlap in (True, False):
+        with monkeypatch.context() as m:
+            _side_work(m, overlap)
+            events = _record_synthesis(m)
+            train(cfg, tiny_bundle())
+        # rank(e), every draw of epoch e, then rank(e + 1)
+        order = [(kind, rest[0] if kind == "draw" else None) for kind, *rest in events]
+        assert order == [ev for e in joint_epochs for ev in [("rank", None)] + [("draw", e)] * 3]
+        ranks = [e[1:] for e in events if e[0] == "rank"]
+        draws = {}
+        for kind, *rest in events:
+            if kind == "draw":
+                epoch, b_eff, pts = rest
+                draws.setdefault(epoch, []).append((b_eff, pts))
+        for epoch, (n_cand, count, ranking, whole) in zip(joint_epochs, ranks):
+            # only the first batch's worth of the pool's ranking is kept
+            assert (n_cand, count) == (120, cfg.batch_size)
+            assert np.array_equal(ranking, whole[:count])
+            assert [b_eff for b_eff, _pts in draws[epoch]] == [50, 50, 20]
+            for b_eff, pts in draws[epoch]:
+                assert np.array_equal(pts, ranking[:b_eff])
 
 
 def test_no_ranking_without_estimation(monkeypatch):
@@ -538,9 +543,9 @@ def _helpers():
 
 
 def _side_work(monkeypatch, overlap):
-    """Run train()'s accuracy passes and synthesis prefetches on the helper
-    thread (``overlap``) or inline, whatever the machine; returns the
-    progress lines' epochs and, for each line, whether a helper was alive."""
+    """Run train()'s accuracy passes on the helper thread (``overlap``) or
+    inline, whatever the machine; returns the progress lines' epochs and,
+    for each line, whether a helper was alive."""
     monkeypatch.setattr(training_mod, "_has_spare_core", lambda blas_threads: overlap)
     seen = []
 
@@ -618,21 +623,33 @@ def _fail_fit_at(monkeypatch, *epochs):
 
 
 @pytest.mark.parametrize("overlap", [True, False], ids=["helper", "inline"])
-def test_prefetched_fit_error_surfaces_at_its_epoch(monkeypatch, overlap):
+def test_fit_error_surfaces_at_its_epoch(monkeypatch, overlap):
     bundle, cfg = tiny_bundle(), tiny_cfg()
     seen, progress = _side_work(monkeypatch, overlap)
     with monkeypatch.context() as m:
-        _fail_fit_at(m, 4)  # built during epoch 3, needed by epoch 4
+        _fail_fit_at(m, 4)
         with pytest.raises(NumericalError, match="at epoch 4"):
             train(cfg, bundle, progress=progress)
     assert [epoch for epoch, _alive in seen] == [0, 1, 2, 3]
-    # a failed prefetch whose epoch never runs is dropped: epoch 4 diverges first
+    # epoch 4 diverges before epoch 5's fit runs
     seen.clear()
     _fail_fit_at(monkeypatch, 5)
     _diverge_at(monkeypatch, 4, steps_per_epoch=4)
     with pytest.raises(TrainingDiverged):
         train(cfg, bundle, progress=progress)
     assert [epoch for epoch, _alive in seen] == [0, 1, 2, 3]
+
+
+def test_stage_times_add_up(monkeypatch):
+    # every stage timer runs on the calling thread, in intervals that do not
+    # overlap, so the stage times add up to at most the call's wall time
+    _side_work(monkeypatch, True)
+    t0 = time.perf_counter()
+    _, log = train(tiny_cfg(), tiny_bundle())
+    wall = time.perf_counter() - t0
+    stages = ("escape_s", "expansion_s", "estimation_s", "divergence_s")
+    assert all(getattr(r, stage) >= 0.0 for r in log.records for stage in stages)
+    assert sum(log.stage_totals().values()) <= wall
 
 
 def test_no_helper_left_and_blas_threads_restored(monkeypatch):
