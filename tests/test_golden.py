@@ -114,5 +114,5 @@ def test_desk_run_bytes(golden, tmp_path, seed):
     assert desk_digests(seed, tmp_path) == golden[f"desk-seed{seed}"]
 
 
-def test_cli_desk_bytes(golden, tmp_path, capsys):
+def test_cli_desk_bytes(golden, tmp_path):
     assert cli_digests(tmp_path) == golden["cli-desk"]
