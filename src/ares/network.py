@@ -3,10 +3,10 @@ learnable energy weights, with explicit forward caching and hand-derived
 reverse-mode gradients.
 
 One forward pass serves training, prediction, the anchor features and
-scoring. It computes each layer in place in one fresh array per layer and
-caches the post-ReLU activations, which are all the backward pass needs:
-each layer's input, and its ReLU mask (``act > 0`` exactly where the
-pre-activation is ``> 0``).
+scoring. It computes each layer in place in one array per layer, fresh or
+taken from a reusable workspace, and caches the post-ReLU activations,
+which are all the backward pass needs: each layer's input, and its ReLU
+mask (``act > 0`` exactly where the pre-activation is ``> 0``).
 
 Parameters are named, reshaped views of one contiguous float64 vector,
 ``MlpNetwork.flat``, addressed by name through ``MlpNetwork.params()``; a
@@ -92,22 +92,32 @@ class MlpNetwork:
 
     # ---- forward ----------------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> "ForwardCache":
+    def forward(self, x: np.ndarray, out: list | None = None) -> "ForwardCache":
         """Full forward pass over an (n, d) batch, caching the post-ReLU
-        activations. ``x`` is never written to."""
+        activations. ``x`` is never written to. With ``out``, a
+        :meth:`workspace` of at least n rows, each layer writes its output
+        into the first n rows of its array, and the cache holds views of
+        them; without it, each layer writes a fresh array."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"forward: expected (n, {self.input_dim}) input, got {x.shape}")
+        bufs = [None] * (len(self.ext_w) + 1) if out is None else [buf[: len(x)] for buf in out]
         a = x
         acts = []
-        for w, b in zip(self.ext_w, self.ext_b):
-            a = a @ w  # fresh array; the bias and the ReLU then work in place
+        for w, b, buf in zip(self.ext_w, self.ext_b, bufs):
+            a = np.matmul(a, w, out=buf)  # the bias and the ReLU then work in place
             a += b
             np.maximum(a, 0.0, out=a)
             acts.append(a)
-        logits = a @ self.cls_w
+        logits = np.matmul(a, self.cls_w, out=bufs[-1])
         logits += self.cls_b
         return ForwardCache(x=x, acts=acts, logits=logits, version=self.version)
+
+    def workspace(self, rows: int) -> list[np.ndarray]:
+        """One ``(rows, width)`` array per layer, each extractor layer and
+        then the logits: the ``out`` of :meth:`forward`, reusable across
+        calls of up to ``rows`` rows."""
+        return [np.empty((rows, width)) for width in (*self.hidden_dims, self.feature_dim, self.n_classes)]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class index per row; ties broken toward the lowest index."""

@@ -374,16 +374,20 @@ _POOL_WORKER = False  # set in the ablation pool's workers, whose siblings fill 
 
 
 def _openblas() -> tuple:
-    """The thread-count getter and setter of the OpenBLAS this process has
-    loaded, looked up once; ``()`` when there is none or it lacks either."""
+    """The thread-count getter and setter of the OpenBLAS numpy runs its
+    matmuls on, looked up once; ``()`` when numpy links none or it lacks
+    either. The symbols are looked up through numpy's own extension
+    module, whose dependencies hold numpy's BLAS only: another OpenBLAS
+    loaded in the process (scipy's, say) is not one of them."""
     global _OPENBLAS
     if _OPENBLAS is None:
         _OPENBLAS, lib = (), None
         try:
-            with open("/proc/self/maps", encoding="utf-8") as fh:
-                path = next((line.split()[-1] for line in fh if "openblas" in line.lower()), None)
-            if path is not None:
-                lib = ctypes.CDLL(path)
+            from numpy._core import _multiarray_umath
+        except ImportError:  # numpy < 2
+            from numpy.core import _multiarray_umath
+        try:
+            lib = ctypes.CDLL(_multiarray_umath.__file__)
         except OSError:
             pass
         for symbol in ("openblas_{}", "openblas_{}64_", "scipy_openblas_{}64_", "scipy_openblas_{}"):

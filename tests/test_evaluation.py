@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import os
 import tracemalloc
@@ -275,25 +276,61 @@ def _default_net(seed):
     return MlpNetwork(2, cfg.hidden_dims, cfg.feature_dim, 3, Rng(seed))
 
 
+@contextlib.contextmanager
+def blas_threads(n):
+    before = training_mod._set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if before is not None:
+            training_mod._set_blas_threads(before)
+
+
+def padded_energies(net, x):
+    """Energy of each row of ``x`` from one forward of the whole array,
+    zero-padded to a multiple of 8 rows."""
+    xs = np.zeros((-(-len(x) // 8) * 8, x.shape[1]))
+    xs[: len(x)] = x
+    return energy_score_batch(net, net.forward(xs).logits)[: len(x)]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_score_bundle_blocks_equal_whole_array_bitwise(threads):
-    # B + 1 and 2B + 1 would leave a one-row block, whose matmul runs down
-    # another BLAS path; it must join the block before it
+    # B + 1 and 2B + 1 leave a one-row block, whose matmul would run down
+    # another BLAS path; padded to 8 rows, it scores as inside the whole array
     b = SCORE_BLOCK
     net = _default_net(31)
     net.energy_u[...] = Rng(32).standard_normal(3)
     rng = Rng(33)
-    before = training_mod._set_blas_threads(threads)
-    try:
+    with blas_threads(threads):
         for n in (0, 1, 2, b - 1, b, b + 1, 2 * b + 1, 20_000):
             id_x, ood_x = 4.0 * rng.standard_normal((n, 2)), 9.0 * rng.standard_normal((n, 2))
             id_scores, ood_scores = score_bundle(net, _points_bundle(id_x, ood_x))
             for x, got in ((id_x, id_scores), (ood_x, ood_scores["ring"])):
-                want = energy_score_batch(net, net.forward(x).logits)
+                want = padded_energies(net, x)
                 assert got.shape == (n,) and bits(got) == bits(want), n
-    finally:
-        if before is not None:
-            training_mod._set_blas_threads(before)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_score_of_a_row_does_not_depend_on_its_block(threads):
+    # unpadded, the last n mod 4 rows of an n-row GEMM take a row-tail path
+    # and can round differently than inside a longer block
+    net = _default_net(37)
+    net.energy_u[...] = Rng(38).standard_normal(3)
+    rng = Rng(39)
+    x = 4.0 * rng.standard_normal((4096, 2))
+    with blas_threads(threads):
+        whole = score_bundle(net, _points_bundle(x, x))[0]
+        for _ in range(400):
+            rows = rng.choice(4096, size=1 + int(rng.integers(599)), replace=False)
+            got = score_bundle(net, _points_bundle(x[rows], x[rows]))[0]
+            assert bits(got) == bits(whole[rows]), len(rows)
+
+
+def test_score_bundle_rejects_other_width():
+    net = _default_net(40)
+    with pytest.raises(ValueError, match=r"expected \(n, 2\) points, got \(5, 1\)"):
+        score_bundle(net, _points_bundle(np.zeros((5, 2)), np.zeros((5, 1))))
 
 
 def test_score_bundle_memory_bounded_by_block():

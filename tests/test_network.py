@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ares.training as training_mod
 from ares.datagen import make_bundle
 from ares.errors import ConfigError
 from ares.losses import DIV_GUARD, LogisticHead, ce_logistic_grad, jsd_discrimination_grad, nce_grad, total_loss
@@ -167,6 +168,32 @@ def test_forward_and_backward_match_out_of_place_oracle(n, kind):
     assert tape.grads.keys() == expected.grads.keys()
     for name, g in expected.grads.items():
         assert tape.grads[name].tobytes() == g.tobytes(), name
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_forward_into_workspace_equals_fresh_forward_bitwise(threads):
+    # forward(x, out=ws) writes each layer into the first n rows of the
+    # workspace, with the same bits as the fresh arrays of forward(x); rows
+    # past n and values left there by an earlier call play no part
+    net = oracle_net("dead")
+    ws = net.workspace(4096)
+    for buf in ws:
+        buf.fill(np.nan)
+    rng = Rng(24)
+    before = training_mod._set_blas_threads(threads)
+    try:
+        for n in (1, 7, 8, 600, 4096):
+            x = 3.0 * rng.standard_normal((n, 2))
+            want, got = net.forward(x), net.forward(x, out=ws)
+            assert got.logits.tobytes() == want.logits.tobytes(), n
+            assert len(got.acts) == len(want.acts) == len(ws) - 1
+            for act, fresh, buf in zip(got.acts, want.acts, ws):
+                assert act.tobytes() == fresh.tobytes(), n
+                assert np.shares_memory(act, buf)
+            assert np.shares_memory(got.logits, ws[-1])
+    finally:
+        if before is not None:
+            training_mod._set_blas_threads(before)
 
 
 # ---- a whole training step, against an out-of-place, per-parameter oracle -------

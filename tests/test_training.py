@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import os
 import pickle
 import subprocess
@@ -676,6 +678,25 @@ def test_no_helper_left_and_blas_threads_restored(monkeypatch):
     finally:
         if before is not None:
             training_mod._set_blas_threads(before)
+
+
+def test_blas_threads_reach_numpys_openblas(monkeypatch):
+    # scipy loads an OpenBLAS of its own (32-bit integers); the cap must
+    # reach the one numpy ships and runs every matmul on, not scipy's
+    pytest.importorskip("scipy.linalg")
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*"))
+    if not libs:
+        pytest.skip("numpy ships no OpenBLAS of its own")
+    count = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    count.argtypes, count.restype = [], ctypes.c_int
+    monkeypatch.setattr(training_mod, "_OPENBLAS", None)  # look it up with scipy's loaded
+    before = training_mod._set_blas_threads(2)
+    try:
+        assert count() == 2
+        training_mod._set_blas_threads(1)
+        assert count() == 1
+    finally:
+        training_mod._set_blas_threads(before)
 
 
 def test_import_loads_no_thread_pool():
