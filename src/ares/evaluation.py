@@ -20,7 +20,7 @@ import numpy as np
 
 from .datagen import MIN_GATE_SCORES, DataBundle
 from .network import MlpNetwork, energy_score_batch
-from .training import TrainConfig, TrainLog, _init_pool_worker, _warmup, _warmup_key, train
+from .training import TrainConfig, TrainLog, _set_blas_threads, _warmup, _warmup_key, train
 
 __all__ = [
     "RunReport",
@@ -258,12 +258,14 @@ def _train_and_evaluate(name: str, cfg: TrainConfig, bundle: DataBundle,
                         prefix: TrainLog | None = None) -> RunReport:
     """One variant's report, or its failure report; a pool worker runs it.
     With a ``prefix`` (the :func:`_warmup` log of the variant's warmup key)
-    the run resumes from its state, and its log starts with its records."""
+    the run resumes from its state, and its log starts with its records.
+    The report reads only the log's stage times, so the run skips its
+    accuracy passes (``accuracy=False``)."""
     try:
         if prefix is None:
-            net, log = train(cfg, bundle)
+            net, log = train(cfg, bundle, accuracy=False)
         else:
-            net, log = train(cfg, bundle, resume=prefix.state)
+            net, log = train(cfg, bundle, resume=prefix.state, accuracy=False)
             log.records[:0] = prefix.records
         return evaluate(net, bundle, variant=name, seed=cfg.seed, stage_times=log.stage_totals())
     except Exception as err:  # per-variant isolation is the contract
@@ -273,7 +275,8 @@ def _train_and_evaluate(name: str, cfg: TrainConfig, bundle: DataBundle,
 def _warmup_or_error(cfg: TrainConfig, bundle: DataBundle) -> tuple[TrainLog | None, str | None]:
     """A shared prefix's log, or the error a run of ``cfg`` would report; a
     pool worker runs it. The error travels as text: not every exception
-    survives the trip back from the worker."""
+    survives the trip back from the worker. Like :func:`_train_and_evaluate`,
+    it skips the accuracy passes."""
     try:
         return _warmup(cfg, bundle), None
     except Exception as err:
@@ -289,18 +292,18 @@ def run_ablation_suite(
 
     ``only`` restricts the matrix to "stages", "losses", or "epochs".
     Variants train in parallel, one forked worker per usable CPU, each
-    with one BLAS thread and ``train()``'s side work inline; a run is a
-    pure function of its config and seed, so the reports equal a
-    sequential run's, in the matrix order.
+    with one BLAS thread; a run is a pure function of its config and seed,
+    so the reports equal a sequential run's, in the matrix order.
 
     Variants whose configs differ only in settings the joint phase first
     reads (in the default matrix: full, no-expansion, no-estimation,
     loss-ce and loss-nce) run the same escape stage and warmup epochs. The
     suite trains that prefix once, then resumes each of them from its state
-    at epoch ``pretrain_epochs``; their reports and logs equal runs from
-    scratch. A variant's stage times are the wall times of the workers
-    that trained it, so each sharing variant's ``escape`` time is the
-    shared prefix's.
+    at epoch ``pretrain_epochs``; their reports equal runs from scratch. A
+    variant's stage times are the wall times of the workers that trained
+    it, so each sharing variant's ``escape`` time is the shared prefix's.
+    No report carries a training accuracy, so the workers train with
+    ``accuracy=False`` and run no accuracy pass.
 
     A variant that raises, or whose worker dies, gets a report with its
     ``error`` set; the suite itself does not raise. A prefix that raises
@@ -332,7 +335,7 @@ def run_ablation_suite(
 
     def pool(workers):
         return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_init_pool_worker)
+                                   initializer=_set_blas_threads, initargs=(1,))
 
     reports: dict[str, RunReport] = {}
     broken = []

@@ -98,6 +98,19 @@ class GaussianModel:
         return cls(mu=mu, sigma=sigma, chol=chol, ridge=ridge)
 
 
+def _row_order(pts: np.ndarray) -> np.ndarray:
+    """The stable lexicographic order of the rows of finite ``pts``, column 0
+    first: the permutation ``np.lexsort(pts.T[::-1])`` returns. Each value
+    becomes an order-preserving big-endian uint64 key (adding 0.0 turns
+    -0.0 into +0.0, which compares equal to it), so one stable sort of the
+    rows as single ``V{8p}`` byte strings ranks them as the columns would."""
+    bits = (pts + 0.0).view(np.uint64)
+    # flip the sign bit of a positive value and every bit of a negative one
+    keys = bits ^ ((bits >> np.uint64(63)) * np.uint64(2**63 - 1) | np.uint64(2**63))
+    rows = keys.astype(">u8", order="C").view(f"V{8 * pts.shape[1]}").ravel()
+    return np.argsort(rows, kind="stable")
+
+
 def _factorize(sigma: np.ndarray, ridge_scale: float) -> tuple[np.ndarray, float]:
     """Cholesky of sigma + ridge*I with x10 ridge escalation on failure."""
     if not np.all(np.isfinite(sigma)):
@@ -132,10 +145,11 @@ def fit_gaussian(points, ridge_scale: float = RIDGE_SCALE) -> GaussianModel:
         ``ridge_scale * trace(sigma) / p``, escalated x10 until the
         Cholesky factorization succeeds.
 
-    The points are sorted lexicographically (column 0 first) before the
-    mean and the covariance are summed, so the fit is bitwise invariant to
-    permutations of the input points (rows that compare equal differ at
-    most in the signs of zeros, and swapping those changes no sum).
+    The points are sorted lexicographically (column 0 first; see
+    :func:`_row_order`) before the mean and the covariance are summed, so
+    the fit is bitwise invariant to permutations of the input points (rows
+    that compare equal differ at most in the signs of zeros, and swapping
+    those changes no sum).
     ``sigma`` is the upper triangle of ``dev.T @ dev / n``, mirrored.
     Raises :class:`NumericalError` if the moments overflow float64.
     """
@@ -145,10 +159,12 @@ def fit_gaussian(points, ridge_scale: float = RIDGE_SCALE) -> GaussianModel:
     n, p = pts.shape
     if n < 2:
         raise ValueError(f"fit_gaussian: need at least 2 points, got {n}")
+    if p < 1:
+        raise ValueError("fit_gaussian: the points have no coordinates")
     if not np.all(np.isfinite(pts)):
         raise ValueError("fit_gaussian: input contains non-finite values")
 
-    pts = pts[np.lexsort(pts.T[::-1])]
+    pts = pts[_row_order(pts)]
     with np.errstate(over="ignore", invalid="ignore"):  # named below instead
         mu = pts.sum(axis=0) / n
         dev = pts - mu

@@ -4,12 +4,16 @@ repulsion with per-epoch candidate synthesis, plain SGD, and a cosine
 learning-rate schedule. All randomness flows from ``cfg.seed`` through
 named child streams, so a run is bitwise reproducible.
 
-Training runs on one BLAS thread. When the process has a core to spare,
-one helper thread runs each epoch's accuracy pass, on a copy of the
-parameters, while the next epoch trains; everything else, the synthesis
-included, runs on the calling thread. The pass computes the same arrays
-with the same numpy calls, so a run's results do not depend on whether
-the helper runs."""
+Training runs on one BLAS thread. After each epoch an accuracy pass
+scores the training set on a copy of the parameters, into one layer
+workspace that every pass of the run reuses. When the process has a core
+to spare, one helper thread runs these passes while the next epoch
+trains; everything else, the synthesis included, runs on the calling
+thread. The pass computes the same arrays with the same numpy calls, so a
+run's results do not depend on whether the helper runs. A caller that
+does not read the accuracy (the ablation suite) trains with
+``accuracy=False``: no pass runs, and every other number of the run is
+unchanged."""
 
 from __future__ import annotations
 
@@ -370,7 +374,6 @@ def compute_batch_loss(net: MlpNetwork, xb, yb, cfg: TrainConfig, v_pts=None) ->
 # ---- threads ----------------------------------------------------------------
 
 _OPENBLAS = None  # (getter, setter) of the loaded OpenBLAS's thread count, () without one
-_POOL_WORKER = False  # set in the ablation pool's workers, whose siblings fill the cores
 
 
 def _openblas() -> tuple:
@@ -413,20 +416,11 @@ def _set_blas_threads(n: int) -> int | None:
     return before
 
 
-def _init_pool_worker() -> None:
-    """Initializer of the ablation pool's workers: one BLAS thread for the
-    worker's life, and ``train()`` runs its side work inline, because the
-    sibling workers already fill the cores."""
-    global _POOL_WORKER
-    _POOL_WORKER = True
-    _set_blas_threads(1)
-
-
 def _has_spare_core(blas_threads: int | None) -> bool:
-    """Whether ``train()`` gives its side work to a helper thread: it capped
-    an OpenBLAS at one thread (``blas_threads`` is the count before), the
-    process is not an ablation-pool worker, and more than one CPU is usable."""
-    return blas_threads is not None and not _POOL_WORKER and len(os.sched_getaffinity(0)) > 1
+    """Whether ``train()`` gives its accuracy passes to a helper thread: it
+    capped an OpenBLAS at one thread (``blas_threads`` is the count before)
+    and more than one CPU is usable."""
+    return blas_threads is not None and len(os.sched_getaffinity(0)) > 1
 
 
 @dataclass(frozen=True)
@@ -446,6 +440,7 @@ def train(
     checkpoint_dir=None,
     resume: RunState | None = None,
     progress=None,
+    accuracy: bool = True,
 ) -> tuple[MlpNetwork, TrainLog]:
     """Run the full pipeline on ``data`` and return the trained network and
     per-epoch log, whose ``state`` is the final run state.
@@ -458,24 +453,30 @@ def train(
     if a loss goes non-finite, and propagates synthesis underflows with
     epoch/batch context; the lines of every finished epoch come first.
 
+    After each epoch, an accuracy pass scores the (unescaped) training set
+    for the record's ``train_accuracy``. With ``accuracy=False`` no pass
+    runs and every record's ``train_accuracy`` is NaN; every other column
+    and every parameter are the same bits.
+
     The call caps OpenBLAS at one thread and restores the caller's count on
-    return or raise. With a spare core (more than one usable CPU, an
-    OpenBLAS whose thread count it can set, and not an ablation-pool
-    worker) one helper thread runs the accuracy passes, and it is gone when
-    the call returns or raises; otherwise the passes run inline.
+    return or raise. With a spare core (more than one usable CPU and an
+    OpenBLAS whose thread count it can set) one helper thread runs the
+    accuracy passes, and it is gone when the call returns or raises;
+    otherwise the passes run inline. Without the passes, no helper starts.
     """
-    return _train(cfg, data, cfg.total_epochs, checkpoint_dir, resume, progress)
+    return _train(cfg, data, cfg.total_epochs, accuracy, checkpoint_dir, resume, progress)
 
 
 def _warmup(cfg: TrainConfig, data: DataBundle) -> TrainLog:
     """The escape stage and the warmup epochs of a run of ``cfg``, which no
-    setting in ``_JOINT_ONLY`` changes. The log's state is a :class:`_Prefix`
-    at epoch ``pretrain_epochs``, from which ``train(resume=...)`` finishes
-    the run of any config with the same :func:`_warmup_key`."""
-    return _train(cfg, data, cfg.pretrain_epochs)[1]
+    setting in ``_JOINT_ONLY`` changes, without accuracy passes. The log's
+    state is a :class:`_Prefix` at epoch ``pretrain_epochs``, from which
+    ``train(resume=...)`` finishes the run of any config with the same
+    :func:`_warmup_key`."""
+    return _train(cfg, data, cfg.pretrain_epochs, False)[1]
 
 
-def _train(cfg: TrainConfig, data: DataBundle, end: int, checkpoint_dir=None,
+def _train(cfg: TrainConfig, data: DataBundle, end: int, accuracy: bool, checkpoint_dir=None,
            resume: RunState | None = None, progress=None) -> tuple[MlpNetwork, TrainLog]:
     """:func:`train`, stopped before epoch ``end``."""
     root = Rng(cfg.seed)
@@ -492,12 +493,13 @@ def _train(cfg: TrainConfig, data: DataBundle, end: int, checkpoint_dir=None,
     blas_threads = _set_blas_threads(1)
     helper = None
     try:
-        if _has_spare_core(blas_threads):
+        if accuracy and _has_spare_core(blas_threads):
             # imported here, so that ``import ares`` does not load it
             from concurrent.futures import ThreadPoolExecutor
 
             helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ares-train-helper")
-        return _run_epochs(cfg, data, state, net, root, end, checkpoint_dir, progress, helper)
+        return _run_epochs(cfg, data, state, net, root, end, checkpoint_dir, progress, accuracy,
+                           helper)
     finally:
         if helper is not None:
             helper.shutdown()
@@ -506,11 +508,13 @@ def _train(cfg: TrainConfig, data: DataBundle, end: int, checkpoint_dir=None,
 
 
 def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNetwork, root: Rng,
-                end: int, checkpoint_dir, progress, helper) -> tuple[MlpNetwork, TrainLog]:
+                end: int, checkpoint_dir, progress, accuracy: bool,
+                helper) -> tuple[MlpNetwork, TrainLog]:
     """The epochs of :func:`train` from ``state`` up to ``end``, each trained
-    by :func:`_train_epoch`, with the accuracy passes on ``helper`` (an
-    executor) or, when it is None, inline. A :class:`_Prefix` state brings
-    its training set; a run that stops before ``total_epochs`` returns one."""
+    by :func:`_train_epoch`, with the accuracy passes (when ``accuracy``) on
+    ``helper`` (an executor) or, when it is None, inline. A :class:`_Prefix`
+    state brings its training set; a run that stops before ``total_epochs``
+    returns one."""
     log = TrainLog()
     start_epoch = state.epoch
 
@@ -524,20 +528,24 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
             escape_s0 = time.perf_counter() - t0
     feats = None  # the joint-start features, extracted at the first joint epoch
 
-    shadow = state.network()  # the accuracy pass's copy of the parameters
     x_train, y_train = data.id_train.x, data.id_train.y
+    if accuracy:
+        shadow = state.network()  # the accuracy pass's copy of the parameters
+        workspace = shadow.workspace(len(x_train))  # passes run one at a time
 
-    def accuracy(flat: np.ndarray) -> float:
-        shadow.flat[...] = flat
-        return float((shadow.predict(x_train) == y_train).mean())
+        def score(flat: np.ndarray) -> float:
+            shadow.flat[...] = flat
+            pred = np.argmax(shadow.forward(x_train, workspace).logits, axis=1)
+            return float((pred == y_train).mean())
 
-    pending = []  # (record, its accuracy's getter) of finished epochs not yet logged, in order
+    pending = []  # (record, accuracy getter or None) of finished epochs not yet logged, in order
 
     def flush(keep: int = 0) -> None:
         """Log every pending epoch but the newest ``keep``, in order."""
         while len(pending) > keep:
             rec, acc = pending.pop(0)
-            rec.train_accuracy = acc()
+            if acc is not None:
+                rec.train_accuracy = acc()
             log.append(rec)
             if progress is not None:
                 progress(
@@ -550,8 +558,12 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
             rec, state, feats = _train_epoch(cfg, state, feats, net, dstar, root, checkpoint_dir)
             if rec.epoch == start_epoch:
                 rec.escape_s = escape_s0
-            flat = net.flat.copy()
-            acc = partial(accuracy, flat) if helper is None else helper.submit(accuracy, flat).result
+            if not accuracy:
+                acc = None  # the record keeps its NaN
+            elif helper is None:
+                acc = partial(score, net.flat.copy())
+            else:
+                acc = helper.submit(score, net.flat.copy()).result
             pending.append((rec, acc))
             # a helper's pass of this epoch overlaps the next one; inline it runs now
             flush(keep=0 if helper is None else 1)
@@ -647,7 +659,7 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
         cls_loss=cls_sum / n_batches,
         dis_loss=dis_sum / n_joint if n_joint else 0.0,
         total_loss=tot_sum / n_batches,
-        train_accuracy=math.nan,  # filled in from the accuracy pass
+        train_accuracy=math.nan,  # filled in from the accuracy pass, if one runs
         expansion_s=exp_s,
         estimation_s=est_s,
         divergence_s=div_s,

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import os
 import tracemalloc
 
@@ -541,16 +542,18 @@ def test_suite_equals_in_process_runs(micro_bundle, only):
 
 
 def test_suite_workers_train_inline(micro_bundle, monkeypatch):
-    # a worker's siblings fill the cores, so its train() starts no helper
-    # thread; the check fails the variant of any worker that would
-    parent, real = os.getpid(), training_mod._has_spare_core
+    # no report reads a training accuracy, so a worker runs no accuracy pass
+    # and, since a helper thread only runs passes, starts no helper; the
+    # check fails the variant of any worker that would
+    parent, real = os.getpid(), training_mod._run_epochs
 
-    def spare_core(blas_threads):
-        if real(blas_threads) and os.getpid() != parent:
-            raise AssertionError("a helper thread would start in a pool worker")
-        return real(blas_threads)
+    def run_epochs(*args):
+        run = inspect.signature(real).bind(*args).arguments
+        if os.getpid() != parent and (run["accuracy"] or run["helper"] is not None):
+            raise AssertionError("an accuracy pass would run in a pool worker")
+        return real(*args)
 
-    monkeypatch.setattr(training_mod, "_has_spare_core", spare_core)
+    monkeypatch.setattr(training_mod, "_run_epochs", run_epochs)
     reports = run_ablation_suite(micro_cfg(), micro_bundle, only="stages")
     assert [r.error for r in reports] == [None] * 4
 

@@ -19,6 +19,7 @@ from ares.numerics import (
     kld_gauss1d,
     moment_match_mixture,
 )
+from ares.numerics import _row_order
 from ares.rng import Rng
 
 
@@ -112,6 +113,8 @@ def test_fit_errors():
         fit_gaussian([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError):
         fit_gaussian(np.zeros(4))
+    with pytest.raises(ValueError, match="no coordinates"):
+        fit_gaussian(np.zeros((3, 0)))
 
 
 def test_fit_overflow_is_a_named_error():
@@ -190,6 +193,36 @@ def test_fit_permutation_invariant_training_shaped_pool():
     mix = rng.standard_normal((16, 16))
     pts = np.tanh(rng.standard_normal((1200, 16)) @ mix + rng.standard_normal(16))
     assert_permutation_invariant(pts, seed=49)
+
+
+# values whose uint64 keys must order as the floats do: signed zeros (equal),
+# the smallest subnormals, the smallest normals and values near the top
+EDGE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300,
+                        1.7e308, -1.7e308, 3.5, -3.5])
+
+
+def test_row_order_equals_lexsort():
+    # the key sort is np.lexsort's stable permutation, ties included, on
+    # 3,000 small arrays: edge values, few distinct values at a tiny or huge
+    # scale (ties in leading columns), and Gaussian rows with duplicates
+    rng = np.random.default_rng(60)
+    for i in range(3000):
+        n, p = int(rng.integers(1, 60)), int(rng.integers(1, 7))
+        if i % 3 == 0:
+            pts = rng.choice(EDGE_VALUES, size=(n, p))
+        elif i % 3 == 1:
+            pts = rng.integers(-2, 3, size=(n, p)) * rng.choice([1.0, 1e-310, 1e300])
+        else:
+            pts = rng.standard_normal((n, p))
+            pts[rng.integers(0, n, size=n // 2)] = pts[0]
+        assert np.array_equal(_row_order(pts), np.lexsort(pts.T[::-1])), (i, pts)
+    # a training-shaped pool, and the same points in other memory layouts
+    pts = np.tanh(rng.standard_normal((1200, 16)))
+    want = np.lexsort(pts.T[::-1])
+    assert np.array_equal(_row_order(pts), want)
+    assert np.array_equal(_row_order(np.asfortranarray(pts)), want)
+    wide = np.repeat(pts, 2, axis=1)[:, ::2]  # strided columns
+    assert np.array_equal(_row_order(wide), want)
 
 
 def test_fit_moments_match_fsum_within_rounding():

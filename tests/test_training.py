@@ -1,7 +1,10 @@
 import ctypes
 import glob
+import math
 import os
 import pickle
+import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,7 +19,8 @@ from ares.datagen import make_bundle
 from ares.errors import ConfigError, NumericalError, SynthesisUnderflowError, TrainingDiverged
 from ares.network import GradientTape, MlpNetwork, RunState, load_checkpoint, save_checkpoint
 from ares.rng import Rng
-from ares.training import TrainConfig, cosine_lr, sgd_step, train
+from ares.training import TrainConfig, TrainLog, cosine_lr, sgd_step, train
+from test_acceptance import BENCH_DATA
 
 
 def tiny_bundle(seed=0, n=120):
@@ -493,14 +497,15 @@ PREFIX_CASES = {
 def test_resume_from_warmup_prefix_is_exact(monkeypatch, tmp_path, kw):
     # the prefix trains the config's warmup key up to pretrain_epochs; the run
     # resumed from it, with the prefix's records in front, is the whole run
+    # (both without accuracy passes, as the prefix runs none)
     bundle = tiny_bundle()
     cfg = tiny_cfg(**{**RESUME_CFG, **kw})
-    net, full = train(cfg, bundle)
+    net, full = train(cfg, bundle, accuracy=False)
     prefix = training_mod._warmup(training_mod._warmup_key(cfg), bundle)
     assert prefix.state.epoch == cfg.pretrain_epochs
     assert [r.epoch for r in prefix.records] == list(range(cfg.pretrain_epochs))
     monkeypatch.setattr(training_mod, "escape_dataset", _must_not_run)  # the set comes carried
-    resumed_net, resumed = train(cfg, bundle, resume=prefix.state)
+    resumed_net, resumed = train(cfg, bundle, resume=prefix.state, accuracy=False)
     resumed.records[:0] = prefix.records
     full.write_csv(tmp_path / "full.csv")
     resumed.write_csv(tmp_path / "resumed.csv")
@@ -606,6 +611,79 @@ def test_progress_lines_in_order_before_divergence(monkeypatch, overlap):
         train(cfg, bundle, progress=progress)
     assert (exc.value.epoch, exc.value.batch) == (4, 2)
     assert [epoch for epoch, _alive in seen] == [0, 1, 2, 3]
+
+
+def _no_pass(*args, **kwargs):
+    raise AssertionError("an accuracy pass ran")
+
+
+def _deterministic_bytes(log):
+    """The log's deterministic columns but ``train_accuracy``, as bytes."""
+    cols = [c for c in TrainLog.DETERMINISTIC_COLUMNS if c != "train_accuracy"]
+    return np.array([[getattr(r, c) for c in cols] for r in log.records]).tobytes()
+
+
+@pytest.mark.parametrize("overlap", [True, False], ids=["helper", "inline"])
+def test_run_without_accuracy_moves_no_other_bit(monkeypatch, tmp_path, overlap):
+    # accuracy=False makes no workspace (so scores nothing) and starts no
+    # helper: every record's train_accuracy is NaN, and every other column,
+    # every parameter and the checkpoint equal the run whose passes ran on
+    # the helper or inline; the warmup prefix, which runs no pass, has the
+    # records of that run's first epochs
+    bundle, cfg = tiny_bundle(), tiny_cfg(**RESUME_CFG)
+    seen, progress = _side_work(monkeypatch, overlap)
+    net, log = train(cfg, bundle, progress=progress)
+    assert [alive for _epoch, alive in seen] == [overlap] * cfg.total_epochs
+    assert not any(math.isnan(r.train_accuracy) for r in log.records)
+    seen.clear()
+    with monkeypatch.context() as m:
+        m.setattr(MlpNetwork, "workspace", _no_pass)
+        bare_net, bare = train(cfg, bundle, progress=progress, accuracy=False)
+        prefix = training_mod._warmup(cfg, bundle)
+    assert seen == [(epoch, False) for epoch in range(cfg.total_epochs)]
+    for n, got in ((cfg.total_epochs, bare), (cfg.pretrain_epochs, prefix)):
+        want = TrainLog(records=log.records[:n])
+        assert [r.epoch for r in got.records] == list(range(n))
+        assert all(math.isnan(r.train_accuracy) for r in got.records)
+        assert _deterministic_bytes(got) == _deterministic_bytes(want)
+    assert bare_net.flat.tobytes() == net.flat.tobytes()
+    save_checkpoint(log.state, tmp_path / "with.json")
+    save_checkpoint(bare.state, tmp_path / "without.json")
+    assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
+
+
+# Two 10-epoch warmup runs on the benchmark world (1200 inliers), the accuracy
+# passes inline on this thread; prints the second run's minor page faults.
+REPEATED_RUN_FAULTS = f"""
+import resource
+import ares.training as training
+from ares.datagen import make_bundle
+training._has_spare_core = lambda blas_threads: False
+bundle = make_bundle({BENCH_DATA!r}, seed=0)
+cfg = training.TrainConfig(total_epochs=10, pretrain_epochs=10, batch_size=128)
+training.train(cfg, bundle)
+before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+training.train(cfg, bundle)
+print(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs RUSAGE_THREAD (Linux)")
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the bound is glibc malloc's")
+def test_accuracy_passes_reuse_one_workspace():
+    # every pass of a run scores into the run's one workspace, so a run faults
+    # in about one workspace's pages (~300 4 KiB pages), where fresh layer
+    # arrays per pass fault ~3,000. It runs in a fresh interpreter with
+    # glibc's default malloc settings: once a process has freed a block of a
+    # few MB, glibc's malloc stops handing such memory back, and fresh arrays
+    # no longer fault either
+    src = os.path.dirname(os.path.dirname(training_mod.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-c", REPEATED_RUN_FAULTS], env=env, check=True,
+                         capture_output=True, text=True)
+    assert int(out.stdout) < 1000
 
 
 def _fail_fit_at(monkeypatch, *epochs):
