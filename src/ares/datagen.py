@@ -1,8 +1,9 @@
 """Synthetic data worlds: labeled inlier sets, structurally-complex auxiliary
 point sets, and disjoint outlier evaluation sets.
 
-All generators are pure functions of ``(params, Rng)``; a dataset persisted
-to CSV round-trips exactly (values are written with 17 significant digits).
+All generators are pure functions of ``(DataConfig, Rng)``; a dataset
+persisted to CSV round-trips exactly (values are written with 17
+significant digits).
 """
 
 from __future__ import annotations
@@ -139,87 +140,57 @@ def _circle_centers(k: int, d: int, radius: float) -> np.ndarray:
     return centers
 
 
-def make_id_dataset(
-    name: str, n: int, k: int, d: int, rng: Rng, params: dict | None = None
-) -> LabeledDataset:
-    """Generate a labeled inlier dataset.
+def make_id_dataset(cfg: DataConfig, n: int, rng: Rng) -> LabeledDataset:
+    """Generate ``n`` labeled inlier points of the world ``cfg``.
 
-    Generators: ``blobs`` (k Gaussian clusters on a circle of configurable
-    radius/spread, or explicit ``centers``), ``moons2d`` (two interleaved
-    half circles, k=2, d=2), ``rings`` (k concentric annuli, d=2). Classes
-    are balanced within +-1.
+    Generators: ``blobs`` (k Gaussian clusters of std ``spread`` on a
+    circle of radius ``center_radius``), ``moons2d`` (two interleaved half
+    circles, k=2, d=2), ``rings`` (k concentric annuli of radius 1, 2, ...,
+    d=2). Classes are balanced within +-1.
     """
-    params = dict(params or {})
-    if n < k or k < 2 or d < 2:
-        raise ValueError(f"make_id_dataset: need n >= k >= 2 and d >= 2, got n={n} k={k} d={d}")
+    k, d = cfg.k, cfg.d
     y = _balanced_labels(n, k)
-
-    if name == "blobs":
-        spread = float(params.get("spread", DataConfig.spread))
-        if "centers" in params:
-            centers = np.asarray(params["centers"], dtype=float)
-            if centers.shape != (k, d):
-                raise ConfigError(f"blobs: centers must have shape ({k}, {d})")
-        else:
-            centers = _circle_centers(k, d, float(params.get("center_radius", DataConfig.center_radius)))
-        x = centers[y] + spread * rng.standard_normal((n, d))
-    elif name == "moons2d":
-        if k != 2 or d != 2:
-            raise ConfigError(f"moons2d requires k=2 and d=2, got k={k} d={d}")
-        noise = float(params.get("noise", 0.1))
+    if cfg.generator == "blobs":
+        centers = _circle_centers(k, d, cfg.center_radius)
+        return LabeledDataset(x=centers[y] + cfg.spread * rng.standard_normal((n, d)), y=y)
+    if cfg.generator == "moons2d":
         t = rng.uniform(0.0, np.pi, n)
         x = np.where(
             (y == 0)[:, None],
             np.column_stack([np.cos(t), np.sin(t)]),
             np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)]),
         )
-        x = x + noise * rng.standard_normal((n, 2))
-    elif name == "rings":
-        if d != 2:
-            raise ConfigError(f"rings requires d=2, got d={d}")
-        base = float(params.get("base_radius", 1.0))
-        gap = float(params.get("gap", 1.0))
-        width = float(params.get("width", 0.1))
-        r = base + gap * y + width * rng.standard_normal(n)
-        theta = rng.uniform(0.0, 2.0 * np.pi, n)
-        x = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    else:
-        raise ConfigError(f"unknown inlier generator: {name!r}")
-    return LabeledDataset(x=x, y=y)
+        return LabeledDataset(x=x + 0.1 * rng.standard_normal((n, 2)), y=y)
+    # rings
+    r = 1.0 + y + 0.1 * rng.standard_normal(n)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    return LabeledDataset(x=np.column_stack([r * np.cos(theta), r * np.sin(theta)]), y=y)
 
 
-def make_ood_eval(name: str, n: int, rng: Rng, params: dict | None = None) -> np.ndarray:
-    """Generate an unlabeled outlier evaluation set.
+def make_ood_eval(
+    name: str, cfg: DataConfig, rng: Rng, centers: np.ndarray | None = None
+) -> np.ndarray:
+    """Generate the outlier evaluation set ``name`` (one of
+    ``cfg.ood_names``) of ``cfg.n_ood`` points.
 
-    Generators: ``ring`` (spherical shell with radius in [inner, outer]),
-    ``uniform`` (axis-aligned box), ``shifted-blobs`` (the given cluster
-    centers displaced radially outward by ``offset``).
+    Generators: ``ring`` (spherical shell with radius in [``ring_inner``,
+    ``ring_outer``]), ``uniform`` (the box [``box_low``, ``box_high``]^d),
+    ``shifted-blobs`` (the inlier cluster ``centers`` displaced radially
+    outward by ``shift_offset``, with the inliers' ``spread``).
     """
-    params = dict(params or {})
+    n, d = cfg.n_ood, cfg.d
     if name == "ring":
-        d = int(params.get("d", DataConfig.d))
-        inner = float(params.get("inner", DataConfig.ring_inner))
-        outer = float(params.get("outer", DataConfig.ring_outer))
         direction = rng.standard_normal((n, d))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        r = rng.uniform(inner, outer, n)
-        return direction * r[:, None]
+        return direction * rng.uniform(cfg.ring_inner, cfg.ring_outer, n)[:, None]
     if name == "uniform":
-        d = int(params.get("d", DataConfig.d))
-        low = float(params.get("low", DataConfig.box_low))
-        high = float(params.get("high", DataConfig.box_high))
-        return rng.uniform(low, high, (n, d))
-    if name == "shifted-blobs":
-        centers = np.asarray(params["centers"], dtype=float)
-        offset = float(params.get("offset", DataConfig.shift_offset))
-        spread = float(params.get("spread", DataConfig.spread))
-        norms = np.linalg.norm(centers, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        shifted = centers + offset * centers / norms
-        k, d = shifted.shape
-        y = _balanced_labels(n, k)
-        return shifted[y] + spread * rng.standard_normal((n, d))
-    raise ConfigError(f"unknown outlier generator: {name!r}")
+        return rng.uniform(cfg.box_low, cfg.box_high, (n, d))
+    # shifted-blobs
+    norms = np.linalg.norm(centers, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    shifted = centers + cfg.shift_offset * centers / norms
+    y = _balanced_labels(n, len(shifted))
+    return shifted[y] + cfg.spread * rng.standard_normal((n, d))
 
 
 def random_ifs(d: int, n_maps: int, rng: Rng) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -237,16 +208,15 @@ def random_ifs(d: int, n_maps: int, rng: Rng) -> list[tuple[np.ndarray, np.ndarr
     return maps
 
 
-def ifs_chaos_points(
-    maps: list[tuple[np.ndarray, np.ndarray]], n: int, rng: Rng, burn_in: int = AUX_BURN_IN
-) -> np.ndarray:
+def ifs_chaos_points(maps: list[tuple[np.ndarray, np.ndarray]], n: int, rng: Rng) -> np.ndarray:
     """Run the chaos game: each output point starts uniform in [-1, 1]^d and
-    applies ``burn_in`` randomly chosen maps; only the final iterate is kept."""
+    applies ``AUX_BURN_IN`` randomly chosen maps; only the final iterate is
+    kept."""
     d = maps[0][0].shape[0]
     mats = np.stack([m for m, _ in maps])
     offs = np.stack([b for _, b in maps])
     x = rng.uniform(-1.0, 1.0, (n, d))
-    for _ in range(burn_in):
+    for _ in range(AUX_BURN_IN):
         idx = rng.integers(0, len(maps), n)
         x = np.einsum("nij,nj->ni", mats[idx], x) + offs[idx]
     return x
@@ -266,31 +236,23 @@ def _rescale_to_box(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return out
 
 
-def make_aux_dataset(
-    n: int, d: int, rng: Rng, ifs_maps: int = DataConfig.ifs_maps, box: tuple | None = None
-) -> np.ndarray:
-    """Auxiliary structurally-complex point set from a random IFS attractor,
-    rescaled into ``box = (lo, hi)`` (normally the inlier bounding box)."""
+def make_aux_dataset(n: int, d: int, rng: Rng, ifs_maps: int, box: tuple) -> np.ndarray:
+    """Auxiliary structurally-complex point set from a random IFS attractor
+    of ``ifs_maps`` maps, rescaled into ``box = (lo, hi)`` (the inlier
+    bounding box)."""
     if n < 1:
         raise ValueError(f"make_aux_dataset: n must be >= 1, got {n}")
     maps = random_ifs(d, ifs_maps, rng)
-    pts = ifs_chaos_points(maps, n, rng)
-    if box is not None:
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
-        pts = _rescale_to_box(pts, lo, hi)
-    return pts
+    lo, hi = np.asarray(box, dtype=float)
+    return _rescale_to_box(ifs_chaos_points(maps, n, rng), lo, hi)
 
 
-def geometric_transform(
-    x: np.ndarray, kind: str, rng: Rng, center=None, *, coords=None, angle=None
-) -> np.ndarray:
+def geometric_transform(x: np.ndarray, kind: str, rng: Rng, center=None) -> np.ndarray:
     """Apply a bijective vector-space transform.
 
     ``rotate2d`` rotates a random coordinate pair about ``center`` (an
     isometry of the distance to ``center``); ``flip`` reflects one random
     coordinate about ``center``; ``permute`` swaps two random coordinates.
-    ``coords``/``angle`` pin the otherwise random choices (for tests).
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
@@ -301,17 +263,17 @@ def geometric_transform(
     center = np.asarray(center, dtype=float)
     out = x.copy()
     if kind == "rotate2d":
-        i, j = coords if coords is not None else sorted(rng.choice(d, size=2, replace=False).tolist())
-        theta = angle if angle is not None else rng.uniform(0.0, 2.0 * np.pi)
+        i, j = sorted(rng.choice(d, size=2, replace=False).tolist())
+        theta = rng.uniform(0.0, 2.0 * np.pi)
         ci, cj = np.cos(theta), np.sin(theta)
         ui, uj = x[i] - center[i], x[j] - center[j]
         out[i] = center[i] + ci * ui - cj * uj
         out[j] = center[j] + cj * ui + ci * uj
     elif kind == "flip":
-        i = coords if coords is not None else int(rng.integers(0, d))
+        i = int(rng.integers(0, d))
         out[i] = 2.0 * center[i] - x[i]
     elif kind == "permute":
-        i, j = coords if coords is not None else rng.choice(d, size=2, replace=False).tolist()
+        i, j = rng.choice(d, size=2, replace=False).tolist()
         out[i], out[j] = x[j], x[i]
     else:
         raise ValueError(f"unknown transform kind: {kind!r}")
@@ -332,30 +294,17 @@ def make_bundle(cfg: DataConfig | Mapping, seed: int) -> DataBundle:
             raise ConfigError(f"make_bundle: unknown data key(s): {', '.join(unknown)}")
         cfg = DataConfig(**cfg)
     rng = Rng(seed).child("data")
-    k, d = cfg.k, cfg.d
-    id_params = {"spread": cfg.spread, "center_radius": cfg.center_radius}
-    id_train = make_id_dataset(cfg.generator, cfg.n_train, k, d, rng.child("id-train"), id_params)
-    id_test = make_id_dataset(cfg.generator, cfg.n_test, k, d, rng.child("id-test"), id_params)
-
-    lo = id_train.x.min(axis=0)
-    hi = id_train.x.max(axis=0)
-    aux = make_aux_dataset(
-        cfg.aux_size or cfg.n_train, d, rng.child("aux"), ifs_maps=cfg.ifs_maps, box=(lo, hi)
-    )
-
+    id_train = make_id_dataset(cfg, cfg.n_train, rng.child("id-train"))
+    id_test = make_id_dataset(cfg, cfg.n_test, rng.child("id-test"))
+    box = (id_train.x.min(axis=0), id_train.x.max(axis=0))
+    aux = make_aux_dataset(cfg.aux_size or cfg.n_train, cfg.d, rng.child("aux"), cfg.ifs_maps, box)
     centers = (
-        _circle_centers(k, d, cfg.center_radius)
+        _circle_centers(cfg.k, cfg.d, cfg.center_radius)
         if cfg.generator == "blobs"
-        else id_train.x.mean(axis=0, keepdims=True).repeat(k, axis=0)
+        else id_train.x.mean(axis=0, keepdims=True).repeat(cfg.k, axis=0)
     )
-    ood_params = {
-        "ring": {"inner": cfg.ring_inner, "outer": cfg.ring_outer},
-        "uniform": {"low": cfg.box_low, "high": cfg.box_high},
-        "shifted-blobs": {"centers": centers, "offset": cfg.shift_offset, "spread": cfg.spread},
-    }
     ood_eval = {
-        name: make_ood_eval(name, cfg.n_ood, rng.child("ood", name), {"d": d, **ood_params[name]})
-        for name in cfg.ood_names
+        name: make_ood_eval(name, cfg, rng.child("ood", name), centers) for name in cfg.ood_names
     }
     return DataBundle(id_train=id_train, id_test=id_test, aux=aux, ood_eval=ood_eval)
 

@@ -13,26 +13,6 @@ class NumericalError(AresError, ArithmeticError):
     """A numerical routine could not produce a usable result (e.g. factorization failure)."""
 
 
-class SynthesisUnderflowError(AresError, RuntimeError):
-    """Fewer candidate points qualified as virtual outliers than were requested."""
-
-    def __init__(self, requested: int, available: int, context: str = ""):
-        self.requested = requested
-        self.available = available
-        self.deficit = requested - available
-        msg = (
-            f"virtual outlier synthesis underflow: requested {requested}, "
-            f"only {available} qualify (deficit {self.deficit})"
-        )
-        if context:
-            msg += f" [{context}]"
-        super().__init__(msg)
-        self.context = context
-
-    def __reduce__(self):
-        return type(self), (self.requested, self.available, self.context)
-
-
 class TrainingDiverged(AresError, RuntimeError):
     """Training produced a non-finite loss ``term`` (``cls``, ``dis`` or ``total``); carries
     the last good run ``state`` to resume from, and ``checkpoint_path``, where it was

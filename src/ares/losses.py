@@ -19,7 +19,6 @@ from .numerics import VAR_FLOOR, Gauss1d, jsd_gauss1d
 
 __all__ = [
     "DIV_GUARD",
-    "EnergyDist",
     "LogisticHead",
     "ce_logistic_grad",
     "ce_logistic_loss",
@@ -36,18 +35,6 @@ __all__ = [
 DIV_GUARD = 1e-8
 
 
-@dataclass(frozen=True)
-class EnergyDist:
-    """Gaussian summary of a batch of energy scores (population moments)."""
-
-    mu: float
-    var: float
-    count: int
-
-    def as_gauss1d(self) -> Gauss1d:
-        return Gauss1d(mu=self.mu, var=self.var)
-
-
 @dataclass
 class LogisticHead:
     """Scalar affine head mapping an energy score to a logit; its sigmoid
@@ -60,23 +47,22 @@ class LogisticHead:
         return self.weight * np.asarray(scores, dtype=float) + self.bias
 
 
-def fit_energy_distribution(scores) -> EnergyDist:
-    """Population mean/variance of a score list, variance floored."""
+def fit_energy_distribution(scores) -> Gauss1d:
+    """Population mean/variance of a score list, variance floored (by
+    :class:`Gauss1d`)."""
     s = np.asarray(scores, dtype=float)
     if s.size == 0:
         raise ValueError("fit_energy_distribution: empty score list")
     mu = float(s.mean())
     var = float(((s - mu) ** 2).mean())
-    return EnergyDist(mu=mu, var=max(var, VAR_FLOOR), count=s.size)
+    return Gauss1d(mu=mu, var=var)
 
 
 def jsd_discrimination_loss(id_scores, ood_scores) -> float:
     """Jensen-Shannon divergence between the fitted score distributions."""
     if len(id_scores) == 0 or len(ood_scores) == 0:
         raise ValueError("jsd_discrimination_loss: empty score list")
-    p = fit_energy_distribution(id_scores).as_gauss1d()
-    q = fit_energy_distribution(ood_scores).as_gauss1d()
-    return jsd_gauss1d(p, q)
+    return jsd_gauss1d(fit_energy_distribution(id_scores), fit_energy_distribution(ood_scores))
 
 
 def jsd_discrimination_grad(id_scores, ood_scores) -> tuple[float, np.ndarray, np.ndarray]:

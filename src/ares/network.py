@@ -2,11 +2,11 @@
 learnable energy weights, with explicit forward caching and hand-derived
 reverse-mode gradients.
 
-One forward pass serves training, prediction, the anchor features and
-scoring. It computes each layer in place in one array per layer, fresh or
-taken from a reusable workspace, and caches the post-ReLU activations,
-which are all the backward pass needs: each layer's input, and its ReLU
-mask (``act > 0`` exactly where the pre-activation is ``> 0``).
+One forward pass serves training, the accuracy pass, the anchor features
+and scoring. It computes each layer in place in one array per layer,
+fresh or taken from a reusable workspace, and caches the post-ReLU
+activations, which are all the backward pass needs: each layer's input,
+and its ReLU mask (``act > 0`` exactly where the pre-activation is ``> 0``).
 
 Parameters are named, reshaped views of one contiguous float64 vector,
 ``MlpNetwork.flat``, addressed by name through ``MlpNetwork.params()``; a
@@ -118,10 +118,6 @@ class MlpNetwork:
         then the logits: the ``out`` of :meth:`forward`, reusable across
         calls of up to ``rows`` rows."""
         return [np.empty((rows, width)) for width in (*self.hidden_dims, self.feature_dim, self.n_classes)]
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class index per row; ties broken toward the lowest index."""
-        return np.argmax(self.forward(x).logits, axis=1)
 
     # ---- backward ---------------------------------------------------------
 

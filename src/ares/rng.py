@@ -60,9 +60,6 @@ class Rng:
     def uniform(self, low=0.0, high=1.0, size=None):
         return self.generator.uniform(low, high, size)
 
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self.generator.normal(loc, scale, size)
-
     def standard_normal(self, size=None):
         return self.generator.standard_normal(size)
 

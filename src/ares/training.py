@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .datagen import DataBundle, LabeledDataset
-from .errors import ConfigError, SynthesisUnderflowError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged
 from .escape import EscapeConfig, escape_dataset
 from .losses import (
     DIV_GUARD,
@@ -71,7 +71,6 @@ class TrainConfig:
     lr_end: float = 1e-6
     beta: float = 0.1
     alpha2: float = 2.0
-    m_candidates: int = 10000
     seed: int = 0
     loss_kind: str = "jsd"
     # stage mask (ablations disable individual stages)
@@ -106,8 +105,7 @@ class TrainConfig:
             )
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        for name in ("lr_start", "alpha2", "m_candidates", "feature_dim", "nce_temperature",
-                     "ridge_scale"):
+        for name in ("lr_start", "alpha2", "feature_dim", "nce_temperature", "ridge_scale"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not all(h > 0 for h in self.hidden_dims):
@@ -123,8 +121,8 @@ class TrainConfig:
 
 # The settings the loop first reads at epoch ``pretrain_epochs``. Runs whose
 # configs differ only here train the same escape stage and warmup, bit for bit.
-_JOINT_ONLY = ("expansion", "estimation", "loss_kind", "beta", "alpha2", "m_candidates",
-               "beta_warmup_epochs", "nce_temperature", "ridge_scale")
+_JOINT_ONLY = ("expansion", "estimation", "loss_kind", "beta", "alpha2", "beta_warmup_epochs",
+               "nce_temperature", "ridge_scale")
 
 
 def _warmup_key(cfg: TrainConfig) -> TrainConfig:
@@ -234,8 +232,9 @@ def check_resume(state: RunState, cfg: TrainConfig, data: DataBundle, source="re
 class _SynthesisState:
     """Candidate pool and fitted region model of one joint epoch, drawn from
     the features of the joint-start network on the epoch's own streams and
-    built at the epoch's start. ``expansion_s`` and ``estimation_s`` time
-    the mixing and the fit and ranking."""
+    built at the epoch's start. The pool holds one candidate per training
+    point, so no batch asks for more than it has. ``expansion_s`` and
+    ``estimation_s`` time the mixing and the fit and ranking."""
 
     def __init__(self, cfg: TrainConfig, feats: np.ndarray, epoch: int):
         t0 = time.perf_counter()
@@ -251,28 +250,22 @@ class _SynthesisState:
         if cfg.estimation:
             # one class-agnostic Gaussian: real outliers scatter across the whole space
             model = fit_gaussian(pool, ridge_scale=cfg.ridge_scale)
-            if len(pool) > cfg.m_candidates:
-                keep = np.sort(self.eps_rng.choice(len(pool), size=cfg.m_candidates, replace=False))
-                self.candidates = pool[keep]
             # the pool and the model are fixed for the epoch, so every
             # batch's bottom-B is a prefix of this one ranking's first batch
-            self.ranked = sample_virtual_outliers(self.candidates, model, count=cfg.batch_size)
+            self.ranked = sample_virtual_outliers(pool, model, count=cfg.batch_size)
         self.expansion_s = t1 - t0
         self.estimation_s = time.perf_counter() - t1
 
-    def draw_outliers(self, b_eff: int, context: str) -> np.ndarray:
+    def draw_outliers(self, b_eff: int) -> np.ndarray:
         """Bottom-``b_eff`` virtual outliers (or a uniform draw when the
         estimation stage is masked off).
 
         The bottom-``b_eff`` is a prefix of the epoch's (density, index)
         ranking, so it stays well-defined when densities tie.
         """
-        cand = self.candidates
-        if len(cand) < b_eff:
-            raise SynthesisUnderflowError(requested=b_eff, available=len(cand), context=context)
         if self.ranked is None:
-            idx = self.eps_rng.choice(len(cand), size=b_eff, replace=False)
-            return cand[idx]
+            idx = self.eps_rng.choice(len(self.candidates), size=b_eff, replace=False)
+            return self.candidates[idx]
         return self.ranked[:b_eff]
 
 
@@ -450,8 +443,7 @@ def train(
     ``progress`` is an optional callable receiving one machine-parseable
     line per epoch, in epoch order. Raises :class:`TrainingDiverged` (with
     the last good run state, also written to ``checkpoint_dir`` when given)
-    if a loss goes non-finite, and propagates synthesis underflows with
-    epoch/batch context; the lines of every finished epoch come first.
+    if a loss goes non-finite; the lines of every finished epoch come first.
 
     After each epoch, an accuracy pass scores the (unescaped) training set
     for the record's ``train_accuracy``. With ``accuracy=False`` no pass
@@ -620,7 +612,7 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
         step_cfg = cfg
         if joint:
             t0 = time.perf_counter()
-            v_pts = synth.draw_outliers(len(xb), context=f"epoch {epoch}, batch {b}")
+            v_pts = synth.draw_outliers(len(xb))
             est_s += time.perf_counter() - t0
             if b == 0:  # the batch a checkpoint keeps for ``ares eval``
                 virtual = v_pts

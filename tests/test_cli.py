@@ -78,7 +78,8 @@ def test_gen_unknown_generator_names_field(tmp_path, capsys):
 def test_unknown_config_key_rejected(tmp_path, capsys):
     # feature_refresh, n_mix, reescape_each_epoch and debug_gradcheck are
     # keys of training modes that no longer exist; t_rank set the threshold
-    # of the histogram pool that ares eval no longer builds
+    # of the histogram pool that ares eval no longer builds; m_candidates
+    # capped a candidate pool that never held more than n_train points
     cases = [
         ("train", "learning_rate", "0.1"),
         ("train", "feature_refresh", "epoch"),
@@ -87,6 +88,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("train", "t_rank", "128"),
         ("eval", "t_rank", "128"),
         ("train", "debug_gradcheck", "true"),
+        ("train", "m_candidates", "10000"),
     ]
     for section, key, value in cases:
         cfg = tmp_path / "bad.ini"
@@ -403,16 +405,23 @@ def test_eval_histogram_shows_training_outliers(smoke, tmp_path, monkeypatch, in
     _, data_dir, _ = smoke
     cfg = tmp_path / "run.ini"
     cfg.write_text(SMOKE_CONFIG + ini)
-    drawn = {}
+    drawn = {}  # epoch -> the outlier draws of its batches, in order
+    epoch = []  # the epoch _train_epoch is training
     real_draw = training_mod._SynthesisState.draw_outliers
+    real_epoch = training_mod._train_epoch
 
-    def draw(self, b_eff, context):
-        pts = real_draw(self, b_eff, context)
-        drawn[context] = pts.copy()
+    def train_epoch(cfg, state, *rest):
+        epoch[:] = [state.epoch]
+        return real_epoch(cfg, state, *rest)
+
+    def draw(self, b_eff):
+        pts = real_draw(self, b_eff)
+        drawn.setdefault(epoch[0], []).append(pts.copy())
         return pts
 
     run = tmp_path / "run"
     with monkeypatch.context() as m:
+        m.setattr(training_mod, "_train_epoch", train_epoch)
         m.setattr(training_mod._SynthesisState, "draw_outliers", draw)
         assert main([
             "train", "--config", str(cfg), "--data", str(data_dir), "--out", str(run),
@@ -428,7 +437,7 @@ def test_eval_histogram_shows_training_outliers(smoke, tmp_path, monkeypatch, in
         ]) == 0
     state = load_checkpoint(run / "checkpoint.json")
     net = state.network()
-    virtual = drawn["epoch 7, batch 0"]
+    virtual = drawn[7][0]
     assert len(virtual) == 30
     assert np.array_equal(state.virtual, virtual)
     id_scores, ood_scores = score_bundle(net, _load_bundle(data_dir))

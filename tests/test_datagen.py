@@ -1,11 +1,13 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ares import datagen
 from ares.datagen import (
+    DataConfig,
     geometric_transform,
     ifs_chaos_points,
     load_points_csv,
@@ -40,19 +42,19 @@ def correlation_dimension(pts: np.ndarray, n_pairs: int = 200_000, seed: int = 0
 # ---- inlier generators -------------------------------------------------------
 
 def test_blobs_balance_exact():
-    data = make_id_dataset("blobs", 300, 3, 2, Rng(0))
+    data = make_id_dataset(DataConfig(), 300, Rng(0))
     counts = np.bincount(data.y, minlength=3)
     assert np.array_equal(counts, [100, 100, 100])
 
 
 def test_balance_within_one_when_uneven():
-    data = make_id_dataset("blobs", 301, 3, 2, Rng(0))
+    data = make_id_dataset(DataConfig(), 301, Rng(0))
     counts = np.bincount(data.y, minlength=3)
     assert counts.max() - counts.min() <= 1
 
 
 def test_blobs_zero_spread_hits_centers():
-    data = make_id_dataset("blobs", 30, 3, 2, Rng(1), {"spread": 0.0, "center_radius": 2.0})
+    data = make_id_dataset(DataConfig(spread=0.0, center_radius=2.0), 30, Rng(1))
     centers = np.array(
         [[2.0, 0.0], [2.0 * np.cos(2 * np.pi / 3), 2.0 * np.sin(2 * np.pi / 3)],
          [2.0 * np.cos(4 * np.pi / 3), 2.0 * np.sin(4 * np.pi / 3)]]
@@ -61,28 +63,28 @@ def test_blobs_zero_spread_hits_centers():
 
 
 def test_moons_class_means_separate():
-    data = make_id_dataset("moons2d", 10_000, 2, 2, Rng(2))
+    data = make_id_dataset(DataConfig(generator="moons2d", k=2), 10_000, Rng(2))
     m0 = data.x[data.y == 0].mean(axis=0)
     m1 = data.x[data.y == 1].mean(axis=0)
     assert np.all(np.abs(m0 - m1) > 0.5)
 
 
 def test_rings_radii_ordered():
-    data = make_id_dataset("rings", 600, 3, 2, Rng(3))
+    data = make_id_dataset(DataConfig(generator="rings"), 600, Rng(3))
     radii = [np.linalg.norm(data.x[data.y == c], axis=1).mean() for c in range(3)]
     assert radii[0] < radii[1] < radii[2]
 
 
 def test_unknown_generator_is_config_error():
     with pytest.raises(ConfigError):
-        make_id_dataset("spiral", 100, 2, 2, Rng(0))
+        DataConfig(generator="spiral")
     with pytest.raises(ConfigError):
-        make_ood_eval("donut", 100, Rng(0))
+        DataConfig(ood_sets="donut")
 
 
 def test_generators_deterministic():
-    a = make_id_dataset("blobs", 100, 2, 3, Rng(9))
-    b = make_id_dataset("blobs", 100, 2, 3, Rng(9))
+    a = make_id_dataset(DataConfig(k=2, d=3), 100, Rng(9))
+    b = make_id_dataset(DataConfig(k=2, d=3), 100, Rng(9))
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
@@ -97,27 +99,30 @@ def test_all_finite():
 # ---- outlier eval sets ----------------------------------------------------------
 
 def test_ring_separated_from_inliers():
-    data = make_id_dataset("blobs", 300, 3, 2, Rng(4), {"center_radius": 3.0, "spread": 0.3})
+    cfg = DataConfig(spread=0.3, n_ood=300)
+    data = make_id_dataset(cfg, 300, Rng(4))
     max_norm = np.linalg.norm(data.x, axis=1).max()
-    ood = make_ood_eval("ring", 300, Rng(5), {"d": 2, "inner": max_norm + 1.0, "outer": max_norm + 3.0})
+    cfg = replace(cfg, ring_inner=max_norm + 1.0, ring_outer=max_norm + 3.0)
+    ood = make_ood_eval("ring", cfg, Rng(5))
     from scipy.spatial.distance import cdist
 
     assert cdist(ood, data.x).min() > 0.5
 
 
 def test_uniform_overlaps_inlier_support():
-    data = make_id_dataset("blobs", 300, 3, 2, Rng(6))
-    ood = make_ood_eval("uniform", 2000, Rng(7), {"d": 2, "low": -4.0, "high": 4.0})
+    cfg = DataConfig(n_ood=2000, box_low=-4.0, box_high=4.0)
+    data = make_id_dataset(cfg, 300, Rng(6))
+    ood = make_ood_eval("uniform", cfg, Rng(7))
     from scipy.spatial.distance import cdist
 
     assert cdist(ood, data.x).min() < 0.2  # some draws land inside the blobs
 
 
 def test_shifted_blobs_zero_offset_matches_id_distribution():
-    params = {"centers": np.array([[3.0, 0.0], [-1.5, 2.598076211353316], [-1.5, -2.598076211353316]]),
-              "offset": 0.0, "spread": 0.5}
-    id_data = make_id_dataset("blobs", 4000, 3, 2, Rng(8), {"center_radius": 3.0, "spread": 0.5})
-    ood = make_ood_eval("shifted-blobs", 4000, Rng(9), params)
+    centers = np.array([[3.0, 0.0], [-1.5, 2.598076211353316], [-1.5, -2.598076211353316]])
+    cfg = DataConfig(n_ood=4000, shift_offset=0.0)
+    id_data = make_id_dataset(cfg, 4000, Rng(8))
+    ood = make_ood_eval("shifted-blobs", cfg, Rng(9), centers)
     # same (class-collapsed) first and second moments
     assert np.all(np.abs(id_data.x.mean(axis=0) - ood.mean(axis=0)) < 0.15)
     assert np.all(np.abs(id_data.x.std(axis=0) - ood.std(axis=0)) < 0.15)
@@ -128,7 +133,7 @@ def test_shifted_blobs_zero_offset_matches_id_distribution():
 def test_aux_inside_box():
     lo = np.array([-2.0, 1.0])
     hi = np.array([3.0, 4.0])
-    pts = make_aux_dataset(500, 2, Rng(10), box=(lo, hi))
+    pts = make_aux_dataset(500, 2, Rng(10), ifs_maps=3, box=(lo, hi))
     assert np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12)
 
 
@@ -149,17 +154,24 @@ def test_aux_has_lower_dimensional_structure():
 
 def test_aux_requires_positive_count():
     with pytest.raises(ValueError):
-        make_aux_dataset(0, 2, Rng(0))
+        make_aux_dataset(0, 2, Rng(0), ifs_maps=3, box=(np.zeros(2), np.ones(2)))
     with pytest.raises(ValueError):
         random_ifs(2, 1, Rng(0))
 
 
 # ---- geometric transforms ----------------------------------------------------------
 
+class _ZeroAngle(Rng):
+    """Draws every uniform value at its low end: a rotation by 0."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low
+
+
 def test_rotate_zero_angle_is_identity():
     x = np.array([1.0, 2.0, 3.0])
-    out = geometric_transform(x, "rotate2d", Rng(0), coords=(0, 2), angle=0.0)
-    assert np.array_equal(out, x)
+    for seed in range(5):  # whichever pair is drawn
+        assert np.array_equal(geometric_transform(x, "rotate2d", _ZeroAngle(seed)), x)
 
 
 def test_rotate_preserves_distance_to_center():
@@ -171,17 +183,22 @@ def test_rotate_preserves_distance_to_center():
 
 
 def test_flip_is_involution():
-    x = np.array([1.0, -2.0])
-    center = np.array([0.3, 0.7])
-    once = geometric_transform(x, "flip", Rng(0), center=center, coords=1)
-    twice = geometric_transform(once, "flip", Rng(0), center=center, coords=1)
-    assert np.array_equal(twice, x)
+    # dyadic values, so that 2c - (2c - x) == x exactly
+    x = np.array([1.0, -2.0, 0.5])
+    center = np.array([0.25, 0.75, -1.5])
+    for seed in range(5):  # the same seed flips the same coordinate
+        once = geometric_transform(x, "flip", Rng(seed), center=center)
+        twice = geometric_transform(once, "flip", Rng(seed), center=center)
+        assert np.count_nonzero(once != x) == 1
+        assert np.array_equal(twice, x)
 
 
 def test_permute_swaps():
     x = np.array([1.0, 2.0, 3.0])
-    out = geometric_transform(x, "permute", Rng(0), coords=(0, 2))
-    assert np.array_equal(out, [3.0, 2.0, 1.0])
+    for seed in range(5):
+        out = geometric_transform(x, "permute", Rng(seed))
+        assert np.array_equal(np.sort(out), x)  # a permutation of the input
+        assert np.count_nonzero(out != x) == 2  # that swaps two coordinates
 
 
 def test_transform_rejects_1d():

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 import ares.escape as escape_mod
-from ares.datagen import LabeledDataset, make_aux_dataset, make_id_dataset
+from ares.datagen import DataConfig, LabeledDataset, make_aux_dataset, make_id_dataset
 from ares.escape import EscapeConfig, escape_dataset, escape_instance
 from ares.rng import Rng
 
 
 @pytest.fixture
 def blob_world():
-    data = make_id_dataset("blobs", 300, 3, 2, Rng(100))
+    data = make_id_dataset(DataConfig(), 300, Rng(100))
     lo, hi = data.x.min(axis=0), data.x.max(axis=0)
-    aux = make_aux_dataset(300, 2, Rng(101), box=(lo, hi))
+    aux = make_aux_dataset(300, 2, Rng(101), ifs_maps=3, box=(lo, hi))
     return data, aux
 
 

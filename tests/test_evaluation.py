@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import inspect
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 import ares.evaluation as eval_mod
 import ares.training as training_mod
 from ares.datagen import DataBundle, LabeledDataset, make_bundle
-from ares.errors import SynthesisUnderflowError
 from ares.escape import EscapeConfig
 from ares.evaluation import (
     SCORE_BLOCK,
@@ -603,11 +603,22 @@ def test_suite_escapes_once_per_warmup_key(micro_bundle, monkeypatch, tmp_path, 
     assert path.read_text().count("escape") == escapes
 
 
+class _Unpicklable(Exception):
+    """Two required arguments and no ``__reduce__``: pickle rebuilds an
+    exception from its ``args``, here the one message, and so fails."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} [{where}]")
+
+
 def test_suite_prefix_failure_reports_each_variant(micro_bundle, monkeypatch, tmp_path):
     # an exception that does not survive pickling, raised in the shared prefix:
     # it reaches each variant as text, and no worker breaks (no reruns)
+    error = _Unpicklable("prefix failed", "injected")
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(error))
     path = tmp_path / "escapes.txt"
-    _count_escapes(monkeypatch, path, SynthesisUnderflowError(5, 3, context="injected"))
+    _count_escapes(monkeypatch, path, error)
     matrix = ablation_variants(micro_cfg())
     reports = run_ablation_suite(micro_cfg(), micro_bundle)
     assert path.read_text().count("escape") == 2

@@ -37,7 +37,7 @@ def fd_score_grads(loss_fn, scores, h=1e-6):
 
 def test_fit_constant_scores_floors_variance():
     d = fit_energy_distribution([1.0, 1.0, 1.0])
-    assert d.mu == 1.0 and d.var == VAR_FLOOR and d.count == 3
+    assert d.mu == 1.0 and d.var == VAR_FLOOR
 
 
 def test_fit_two_point():

@@ -76,14 +76,6 @@ def test_zero_classifier_weights_give_bias_logits():
     assert np.array_equal(logits, np.tile([0.3, -0.1, 2.0], (4, 1)))
 
 
-def test_prediction_tie_breaks_low_index():
-    net = small_net(k=2)
-    net.cls_w[...] = 0.0
-    net.cls_b[...] = np.array([1.5, 1.5])
-    pred = net.predict(np.zeros((1, 3)))
-    assert pred[0] == 0
-
-
 def test_dimension_mismatch_errors():
     net = small_net()
     with pytest.raises(ValueError):

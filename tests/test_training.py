@@ -16,7 +16,7 @@ import pytest
 
 import ares.training as training_mod
 from ares.datagen import make_bundle
-from ares.errors import ConfigError, NumericalError, SynthesisUnderflowError, TrainingDiverged
+from ares.errors import ConfigError, NumericalError, TrainingDiverged
 from ares.network import GradientTape, MlpNetwork, RunState, load_checkpoint, save_checkpoint
 from ares.rng import Rng
 from ares.training import TrainConfig, TrainLog, cosine_lr, sgd_step, train
@@ -36,7 +36,6 @@ def tiny_cfg(**kw):
         batch_size=30,
         lr_start=0.05,
         lr_end=1e-4,
-        m_candidates=10000,
         seed=1,
     )
     base.update(kw)
@@ -224,12 +223,18 @@ def test_alternative_modes_run(flags):
 
 
 def _record_synthesis(monkeypatch):
-    """Log every candidate ranking and every per-batch outlier draw (with its
-    epoch). Each joint epoch ranks its candidates at its start, so an
-    epoch's ranking comes after every draw of the epoch before."""
+    """Log every candidate ranking and every per-batch outlier draw (with the
+    epoch being trained). Each joint epoch ranks its candidates at its start,
+    so an epoch's ranking comes after every draw of the epoch before."""
     events = []
+    epoch = []  # the epoch _train_epoch is training
     real_rank = training_mod.sample_virtual_outliers
     real_draw = training_mod._SynthesisState.draw_outliers
+    real_epoch = training_mod._train_epoch
+
+    def train_epoch(cfg, state, *rest):
+        epoch[:] = [state.epoch]
+        return real_epoch(cfg, state, *rest)
 
     def rank(xs, model, count):
         out = real_rank(xs, model, count=count)
@@ -237,11 +242,12 @@ def _record_synthesis(monkeypatch):
         events.append(("rank", len(xs), count, out.copy(), whole))
         return out
 
-    def draw(self, b_eff, context):
-        pts = real_draw(self, b_eff, context)
-        events.append(("draw", int(context.split()[1].rstrip(",")), b_eff, pts.copy()))
+    def draw(self, b_eff):
+        pts = real_draw(self, b_eff)
+        events.append(("draw", epoch[0], b_eff, pts.copy()))
         return pts
 
+    monkeypatch.setattr(training_mod, "_train_epoch", train_epoch)
     monkeypatch.setattr(training_mod, "sample_virtual_outliers", rank)
     monkeypatch.setattr(training_mod._SynthesisState, "draw_outliers", draw)
     return events
@@ -359,21 +365,7 @@ def test_divergence_state_does_not_follow_the_live_network(monkeypatch):
         assert p.tobytes() == states[1].params[name].tobytes(), name
 
 
-def test_synthesis_underflow_reports_context():
-    bundle = tiny_bundle(n=120)
-    # 8 sampled candidates can never cover a 30-point batch
-    cfg = tiny_cfg(m_candidates=8, total_epochs=3, pretrain_epochs=0)
-    with pytest.raises(SynthesisUnderflowError) as exc:
-        train(cfg, bundle)
-    assert "epoch 0" in str(exc.value)
-
-
 def test_errors_survive_pickling():
-    for err in (SynthesisUnderflowError(5, 3, "epoch 1"), SynthesisUnderflowError(7, 0)):
-        back = pickle.loads(pickle.dumps(err))
-        assert type(back) is SynthesisUnderflowError and str(back) == str(err)
-        for field in ("requested", "available", "deficit", "context"):
-            assert getattr(back, field) == getattr(err, field), field
     net = MlpNetwork(2, (4,), 3, 3, Rng(41))
     state = RunState.of(net, 2, joint_start=net.params(), virtual=Rng(42).standard_normal((5, 3)))
     for path in ("run/last_good_checkpoint.json", None):
