@@ -331,7 +331,8 @@ def save_points_csv(path, x: np.ndarray, y: np.ndarray | None, role: str, k: int
 
 def load_points_csv(path) -> tuple[np.ndarray, np.ndarray | None, dict]:
     """Read the CSV point format back; returns (x, y-or-None, header meta).
-    Blank lines are skipped; a malformed header or row is a ConfigError."""
+    Blank lines are skipped; a malformed header or row, or a label below
+    -1 or -1 on some rows only, is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         meta = {}
@@ -358,4 +359,7 @@ def load_points_csv(path) -> tuple[np.ndarray, np.ndarray | None, dict]:
     y = labels.astype(int)
     if np.all(y == -1):
         return x, None, meta
+    if y.min() < 0:  # -1 means unlabeled, and only when every row has it
+        raise ConfigError(f"{path}: label {y.min()}: class labels must be >= 0, "
+                          "or -1 (unlabeled) on every row")
     return x, y, meta

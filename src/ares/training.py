@@ -4,13 +4,9 @@ repulsion with per-epoch candidate synthesis, plain SGD, and a cosine
 learning-rate schedule. All randomness flows from ``cfg.seed`` through
 named child streams, so a run is bitwise reproducible.
 
-Training runs on one BLAS thread. After each epoch an accuracy pass
-scores the training set on a copy of the parameters, into one layer
-workspace that every pass of the run reuses. When the process has a core
-to spare, one helper thread runs these passes while the next epoch
-trains; everything else, the synthesis included, runs on the calling
-thread. The pass computes the same arrays with the same numpy calls, so a
-run's results do not depend on whether the helper runs. A caller that
+Training runs on one BLAS thread, on the calling thread. After each
+epoch an accuracy pass scores the training set on the trained network,
+into one layer workspace that every pass of the run reuses. A caller that
 does not read the accuracy (the ablation suite) trains with
 ``accuracy=False``: no pass runs, and every other number of the run is
 unchanged."""
@@ -22,7 +18,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -409,13 +404,6 @@ def _set_blas_threads(n: int) -> int | None:
     return before
 
 
-def _has_spare_core(blas_threads: int | None) -> bool:
-    """Whether ``train()`` gives its accuracy passes to a helper thread: it
-    capped an OpenBLAS at one thread (``blas_threads`` is the count before)
-    and more than one CPU is usable."""
-    return blas_threads is not None and len(os.sched_getaffinity(0)) > 1
-
-
 @dataclass(frozen=True)
 class _Prefix(RunState):
     """The run state at the end of a warmup prefix (see :func:`_warmup`),
@@ -451,10 +439,7 @@ def train(
     and every parameter are the same bits.
 
     The call caps OpenBLAS at one thread and restores the caller's count on
-    return or raise. With a spare core (more than one usable CPU and an
-    OpenBLAS whose thread count it can set) one helper thread runs the
-    accuracy passes, and it is gone when the call returns or raises;
-    otherwise the passes run inline. Without the passes, no helper starts.
+    return or raise.
     """
     return _train(cfg, data, cfg.total_epochs, accuracy, checkpoint_dir, resume, progress)
 
@@ -483,30 +468,19 @@ def _train(cfg: TrainConfig, data: DataBundle, end: int, accuracy: bool, checkpo
         return net, TrainLog(state=state)
 
     blas_threads = _set_blas_threads(1)
-    helper = None
     try:
-        if accuracy and _has_spare_core(blas_threads):
-            # imported here, so that ``import ares`` does not load it
-            from concurrent.futures import ThreadPoolExecutor
-
-            helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ares-train-helper")
-        return _run_epochs(cfg, data, state, net, root, end, checkpoint_dir, progress, accuracy,
-                           helper)
+        return _run_epochs(cfg, data, state, net, root, end, checkpoint_dir, progress, accuracy)
     finally:
-        if helper is not None:
-            helper.shutdown()
         if blas_threads is not None:
             _set_blas_threads(blas_threads)
 
 
 def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNetwork, root: Rng,
-                end: int, checkpoint_dir, progress, accuracy: bool,
-                helper) -> tuple[MlpNetwork, TrainLog]:
+                end: int, checkpoint_dir, progress, accuracy: bool) -> tuple[MlpNetwork, TrainLog]:
     """The epochs of :func:`train` from ``state`` up to ``end``, each trained
-    by :func:`_train_epoch`, with the accuracy passes (when ``accuracy``) on
-    ``helper`` (an executor) or, when it is None, inline. A :class:`_Prefix`
-    state brings its training set; a run that stops before ``total_epochs``
-    returns one."""
+    by :func:`_train_epoch` and then, when ``accuracy``, scored on the
+    training set. A :class:`_Prefix` state brings its training set; a run
+    that stops before ``total_epochs`` returns one."""
     log = TrainLog()
     start_epoch = state.epoch
 
@@ -522,47 +496,21 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
 
     x_train, y_train = data.id_train.x, data.id_train.y
     if accuracy:
-        shadow = state.network()  # the accuracy pass's copy of the parameters
-        workspace = shadow.workspace(len(x_train))  # passes run one at a time
+        workspace = net.workspace(len(x_train))  # every pass of the run scores into it
 
-        def score(flat: np.ndarray) -> float:
-            shadow.flat[...] = flat
-            pred = np.argmax(shadow.forward(x_train, workspace).logits, axis=1)
-            return float((pred == y_train).mean())
-
-    pending = []  # (record, accuracy getter or None) of finished epochs not yet logged, in order
-
-    def flush(keep: int = 0) -> None:
-        """Log every pending epoch but the newest ``keep``, in order."""
-        while len(pending) > keep:
-            rec, acc = pending.pop(0)
-            if acc is not None:
-                rec.train_accuracy = acc()
-            log.append(rec)
-            if progress is not None:
-                progress(
-                    f"epoch={rec.epoch} cls={rec.cls_loss:.6g} dis={rec.dis_loss:.6g} "
-                    f"lr={rec.lr:.6g} acc={rec.train_accuracy:.4f}"
-                )
-
-    try:
-        while state.epoch < end:
-            rec, state, feats = _train_epoch(cfg, state, feats, net, dstar, root, checkpoint_dir)
-            if rec.epoch == start_epoch:
-                rec.escape_s = escape_s0
-            if not accuracy:
-                acc = None  # the record keeps its NaN
-            elif helper is None:
-                acc = partial(score, net.flat.copy())
-            else:
-                acc = helper.submit(score, net.flat.copy()).result
-            pending.append((rec, acc))
-            # a helper's pass of this epoch overlaps the next one; inline it runs now
-            flush(keep=0 if helper is None else 1)
-    except Exception:
-        flush()  # the finished epochs' lines come before the error
-        raise
-    flush()
+    while state.epoch < end:
+        rec, state, feats = _train_epoch(cfg, state, feats, net, dstar, root, checkpoint_dir)
+        if rec.epoch == start_epoch:
+            rec.escape_s = escape_s0
+        if accuracy:  # otherwise the record keeps its NaN
+            pred = np.argmax(net.forward(x_train, workspace).logits, axis=1)
+            rec.train_accuracy = float((pred == y_train).mean())
+        log.append(rec)
+        if progress is not None:
+            progress(
+                f"epoch={rec.epoch} cls={rec.cls_loss:.6g} dis={rec.dis_loss:.6g} "
+                f"lr={rec.lr:.6g} acc={rec.train_accuracy:.4f}"
+            )
     if end < cfg.total_epochs:
         unbooked = escape_s0 if start_epoch == end else 0.0
         state = _Prefix(**vars(state), escaped=dstar, escape_s=unbooked)

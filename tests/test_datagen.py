@@ -232,8 +232,10 @@ def test_csv_unlabeled_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "row, what",
-    [("0,1.5\n", "number of columns"), ("0,1.5,abc\n", "abc"), ("0.5,1.5,2.5\n", "integers")],
-    ids=["ragged", "non-numeric", "non-integer-label"],
+    [("0,1.5\n", "number of columns"), ("0,1.5,abc\n", "abc"), ("0.5,1.5,2.5\n", "integers"),
+     ("-1,1.5,2.5\n", "label -1: .* on every row"), ("-2,1.5,2.5\n", "label -2: .* on every row")],
+    ids=["ragged", "non-numeric", "non-integer-label", "unlabeled-row-among-labeled",
+         "label-below-unlabeled"],
 )
 def test_csv_bad_row_names_file(tmp_path, row, what):
     path = tmp_path / "bad.csv"

@@ -541,15 +541,14 @@ def test_suite_equals_in_process_runs(micro_bundle, only):
         assert report.average == want.average
 
 
-def test_suite_workers_train_inline(micro_bundle, monkeypatch):
-    # no report reads a training accuracy, so a worker runs no accuracy pass
-    # and, since a helper thread only runs passes, starts no helper; the
-    # check fails the variant of any worker that would
+def test_suite_workers_run_no_accuracy_pass(micro_bundle, monkeypatch):
+    # no report reads a training accuracy, so a worker runs no accuracy pass;
+    # the check fails the variant of any worker that would
     parent, real = os.getpid(), training_mod._run_epochs
 
     def run_epochs(*args):
         run = inspect.signature(real).bind(*args).arguments
-        if os.getpid() != parent and (run["accuracy"] or run["helper"] is not None):
+        if os.getpid() != parent and run["accuracy"]:
             raise AssertionError("an accuracy pass would run in a pool worker")
         return real(*args)
 

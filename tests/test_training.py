@@ -8,7 +8,6 @@ import resource
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 
 import numpy as np
@@ -257,27 +256,24 @@ def test_candidates_ranked_once_per_joint_epoch(monkeypatch):
     # 120 surrogates in batches of 50: the last batch of each epoch holds 20
     cfg = tiny_cfg(batch_size=50)
     joint_epochs = range(cfg.pretrain_epochs, cfg.total_epochs)
-    for overlap in (True, False):
-        with monkeypatch.context() as m:
-            _side_work(m, overlap)
-            events = _record_synthesis(m)
-            train(cfg, tiny_bundle())
-        # rank(e), every draw of epoch e, then rank(e + 1)
-        order = [(kind, rest[0] if kind == "draw" else None) for kind, *rest in events]
-        assert order == [ev for e in joint_epochs for ev in [("rank", None)] + [("draw", e)] * 3]
-        ranks = [e[1:] for e in events if e[0] == "rank"]
-        draws = {}
-        for kind, *rest in events:
-            if kind == "draw":
-                epoch, b_eff, pts = rest
-                draws.setdefault(epoch, []).append((b_eff, pts))
-        for epoch, (n_cand, count, ranking, whole) in zip(joint_epochs, ranks):
-            # only the first batch's worth of the pool's ranking is kept
-            assert (n_cand, count) == (120, cfg.batch_size)
-            assert np.array_equal(ranking, whole[:count])
-            assert [b_eff for b_eff, _pts in draws[epoch]] == [50, 50, 20]
-            for b_eff, pts in draws[epoch]:
-                assert np.array_equal(pts, ranking[:b_eff])
+    events = _record_synthesis(monkeypatch)
+    train(cfg, tiny_bundle())
+    # rank(e), every draw of epoch e, then rank(e + 1)
+    order = [(kind, rest[0] if kind == "draw" else None) for kind, *rest in events]
+    assert order == [ev for e in joint_epochs for ev in [("rank", None)] + [("draw", e)] * 3]
+    ranks = [e[1:] for e in events if e[0] == "rank"]
+    draws = {}
+    for kind, *rest in events:
+        if kind == "draw":
+            epoch, b_eff, pts = rest
+            draws.setdefault(epoch, []).append((b_eff, pts))
+    for epoch, (n_cand, count, ranking, whole) in zip(joint_epochs, ranks):
+        # only the first batch's worth of the pool's ranking is kept
+        assert (n_cand, count) == (120, cfg.batch_size)
+        assert np.array_equal(ranking, whole[:count])
+        assert [b_eff for b_eff, _pts in draws[epoch]] == [50, 50, 20]
+        for b_eff, pts in draws[epoch]:
+            assert np.array_equal(pts, ranking[:b_eff])
 
 
 def test_no_ranking_without_estimation(monkeypatch):
@@ -532,69 +528,24 @@ def test_log_csv_round_trip(tmp_path):
     assert tpath.read_text().startswith("epoch,escape_s,expansion_s,estimation_s,divergence_s")
 
 
-# ---- the helper thread --------------------------------------------------------------
-
-HELPER = "ares-train-helper"
+# ---- progress, the accuracy pass and BLAS threads ----------------------------------
 
 
-def _helpers():
-    return [t for t in threading.enumerate() if t.name.startswith(HELPER)]
-
-
-def _side_work(monkeypatch, overlap):
-    """Run train()'s accuracy passes on the helper thread (``overlap``) or
-    inline, whatever the machine; returns the progress lines' epochs and,
-    for each line, whether a helper was alive."""
-    monkeypatch.setattr(training_mod, "_has_spare_core", lambda blas_threads: overlap)
+def _progress_epochs():
+    """A progress callable and the list of epochs its lines name, in order."""
     seen = []
 
     def progress(line):
-        seen.append((int(line.split()[0].removeprefix("epoch=")), bool(_helpers())))
+        seen.append(int(line.split()[0].removeprefix("epoch=")))
 
     return seen, progress
 
 
-def _artifacts(log, tmp_path, name):
-    log.write_csv(tmp_path / f"{name}.csv")
-    save_checkpoint(log.state, tmp_path / f"{name}.json")
-    return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.json").read_bytes()
-
-
-@pytest.mark.parametrize("resume_at", [None, 5], ids=["fresh", "resume-joint"])
-def test_overlapped_and_inline_runs_are_byte_equal(monkeypatch, tmp_path, resume_at):
-    # the same run, its side work on the helper thread and inline, writes the
-    # same train_log.csv and checkpoint.json bytes; a resume starts at epoch
-    # 5, inside the joint phase (pretrain epochs 0-2)
-    bundle, cfg = tiny_bundle(), tiny_cfg(**RESUME_CFG)
-    resume = None
-    if resume_at is not None:
-        with monkeypatch.context() as m:
-            _diverge_at(m, resume_at, steps_per_epoch=4)
-            with pytest.raises(TrainingDiverged) as exc:
-                train(cfg, bundle)
-        resume = exc.value.state
-        assert resume.epoch == resume_at and resume.joint_start is not None
-    out = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # many more thread switches than by default
-    try:
-        for overlap in (True, False):
-            with monkeypatch.context() as m:
-                seen, progress = _side_work(m, overlap)
-                _, log = train(cfg, bundle, resume=resume, progress=progress)
-            assert [alive for _epoch, alive in seen] == [overlap] * len(seen)
-            out[overlap] = _artifacts(log, tmp_path, f"overlap{overlap}")
-    finally:
-        sys.setswitchinterval(interval)
-    assert out[True] == out[False]
-
-
-@pytest.mark.parametrize("overlap", [True, False], ids=["helper", "inline"])
-def test_progress_lines_in_order_before_divergence(monkeypatch, overlap):
+def test_progress_lines_in_order_before_divergence(monkeypatch):
     bundle, cfg = tiny_bundle(), tiny_cfg()
-    seen, progress = _side_work(monkeypatch, overlap)
+    seen, progress = _progress_epochs()
     _, log = train(cfg, bundle, progress=progress)
-    assert [epoch for epoch, _alive in seen] == list(range(cfg.total_epochs))
+    assert seen == list(range(cfg.total_epochs))
     assert [r.epoch for r in log.records] == list(range(cfg.total_epochs))
     seen.clear()
     # batch 2 of epoch 4 goes non-finite: epochs 0-3 each print once, first
@@ -602,7 +553,7 @@ def test_progress_lines_in_order_before_divergence(monkeypatch, overlap):
     with pytest.raises(TrainingDiverged) as exc:
         train(cfg, bundle, progress=progress)
     assert (exc.value.epoch, exc.value.batch) == (4, 2)
-    assert [epoch for epoch, _alive in seen] == [0, 1, 2, 3]
+    assert seen == [0, 1, 2, 3]
 
 
 def _no_pass(*args, **kwargs):
@@ -615,24 +566,22 @@ def _deterministic_bytes(log):
     return np.array([[getattr(r, c) for c in cols] for r in log.records]).tobytes()
 
 
-@pytest.mark.parametrize("overlap", [True, False], ids=["helper", "inline"])
-def test_run_without_accuracy_moves_no_other_bit(monkeypatch, tmp_path, overlap):
-    # accuracy=False makes no workspace (so scores nothing) and starts no
-    # helper: every record's train_accuracy is NaN, and every other column,
-    # every parameter and the checkpoint equal the run whose passes ran on
-    # the helper or inline; the warmup prefix, which runs no pass, has the
-    # records of that run's first epochs
+def test_run_without_accuracy_moves_no_other_bit(monkeypatch, tmp_path):
+    # accuracy=False makes no workspace, so scores nothing: every record's
+    # train_accuracy is NaN, and every other column, every parameter and the
+    # checkpoint equal the run whose passes ran; the warmup prefix, which
+    # runs no pass, has the records of that run's first epochs
     bundle, cfg = tiny_bundle(), tiny_cfg(**RESUME_CFG)
-    seen, progress = _side_work(monkeypatch, overlap)
+    seen, progress = _progress_epochs()
     net, log = train(cfg, bundle, progress=progress)
-    assert [alive for _epoch, alive in seen] == [overlap] * cfg.total_epochs
+    assert seen == list(range(cfg.total_epochs))
     assert not any(math.isnan(r.train_accuracy) for r in log.records)
     seen.clear()
     with monkeypatch.context() as m:
         m.setattr(MlpNetwork, "workspace", _no_pass)
         bare_net, bare = train(cfg, bundle, progress=progress, accuracy=False)
         prefix = training_mod._warmup(cfg, bundle)
-    assert seen == [(epoch, False) for epoch in range(cfg.total_epochs)]
+    assert seen == list(range(cfg.total_epochs))
     for n, got in ((cfg.total_epochs, bare), (cfg.pretrain_epochs, prefix)):
         want = TrainLog(records=log.records[:n])
         assert [r.epoch for r in got.records] == list(range(n))
@@ -644,13 +593,12 @@ def test_run_without_accuracy_moves_no_other_bit(monkeypatch, tmp_path, overlap)
     assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
 
 
-# Two 10-epoch warmup runs on the benchmark world (1200 inliers), the accuracy
-# passes inline on this thread; prints the second run's minor page faults.
+# Two 10-epoch warmup runs on the benchmark world (1200 inliers), each with
+# its accuracy passes; prints the second run's minor page faults.
 REPEATED_RUN_FAULTS = f"""
 import resource
 import ares.training as training
 from ares.datagen import make_bundle
-training._has_spare_core = lambda blas_threads: False
 bundle = make_bundle({BENCH_DATA!r}, seed=0)
 cfg = training.TrainConfig(total_epochs=10, pretrain_epochs=10, batch_size=128)
 training.train(cfg, bundle)
@@ -694,28 +642,26 @@ def _fail_fit_at(monkeypatch, *epochs):
     monkeypatch.setattr(training_mod, "fit_gaussian", fit)
 
 
-@pytest.mark.parametrize("overlap", [True, False], ids=["helper", "inline"])
-def test_fit_error_surfaces_at_its_epoch(monkeypatch, overlap):
+def test_fit_error_surfaces_at_its_epoch(monkeypatch):
     bundle, cfg = tiny_bundle(), tiny_cfg()
-    seen, progress = _side_work(monkeypatch, overlap)
+    seen, progress = _progress_epochs()
     with monkeypatch.context() as m:
         _fail_fit_at(m, 4)
         with pytest.raises(NumericalError, match="at epoch 4"):
             train(cfg, bundle, progress=progress)
-    assert [epoch for epoch, _alive in seen] == [0, 1, 2, 3]
+    assert seen == [0, 1, 2, 3]
     # epoch 4 diverges before epoch 5's fit runs
     seen.clear()
     _fail_fit_at(monkeypatch, 5)
     _diverge_at(monkeypatch, 4, steps_per_epoch=4)
     with pytest.raises(TrainingDiverged):
         train(cfg, bundle, progress=progress)
-    assert [epoch for epoch, _alive in seen] == [0, 1, 2, 3]
+    assert seen == [0, 1, 2, 3]
 
 
-def test_stage_times_add_up(monkeypatch):
+def test_stage_times_add_up():
     # every stage timer runs on the calling thread, in intervals that do not
     # overlap, so the stage times add up to at most the call's wall time
-    _side_work(monkeypatch, True)
     t0 = time.perf_counter()
     _, log = train(tiny_cfg(), tiny_bundle())
     wall = time.perf_counter() - t0
@@ -724,27 +670,25 @@ def test_stage_times_add_up(monkeypatch):
     assert sum(log.stage_totals().values()) <= wall
 
 
-def test_no_helper_left_and_blas_threads_restored(monkeypatch):
-    # train() runs on one BLAS thread and hands the caller's count back, and
-    # its helper thread is gone, whether it returns or raises
+def test_blas_threads_restored(monkeypatch):
+    # train() runs on one BLAS thread and hands the caller's count back,
+    # whether it returns or raises
     blas = training_mod._openblas()
     count = blas[0] if blas else lambda: None
     before = training_mod._set_blas_threads(2)  # a count other than train()'s own
     try:
         outer, inside = count(), []
-        monkeypatch.setattr(training_mod, "_has_spare_core", lambda blas_threads: True)
 
         def progress(line):
-            inside.append((count(), bool(_helpers())))
+            inside.append(count())
 
-        assert not _helpers()
         train(tiny_cfg(), tiny_bundle(), progress=progress)
-        assert not _helpers() and count() == outer
+        assert count() == outer
         _diverge_at(monkeypatch, 3, steps_per_epoch=4)
         with pytest.raises(TrainingDiverged):
             train(tiny_cfg(), tiny_bundle(), progress=progress)
-        assert not _helpers() and count() == outer
-        assert set(inside) == {(1 if blas else None, True)}
+        assert count() == outer
+        assert set(inside) == {1 if blas else None}
     finally:
         if before is not None:
             training_mod._set_blas_threads(before)
@@ -770,7 +714,7 @@ def test_blas_threads_reach_numpys_openblas(monkeypatch):
 
 
 def test_import_loads_no_thread_pool():
-    # train() imports its executor when it starts a helper, not at import
+    # run_ablation_suite() imports its process pool when it runs, not at import
     src = os.path.dirname(os.path.dirname(training_mod.__file__))
     code = "import sys, ares; sys.exit('concurrent.futures' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
