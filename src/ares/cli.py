@@ -106,8 +106,8 @@ def cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     bundle = make_bundle(data_cfg, cfg.seed)
     k = bundle.id_train.n_classes
-    artifacts = ["id_train.csv", "id_test.csv", "aux.csv", "manifest.json"]
-    artifacts += [f"ood_{name}.csv" for name in bundle.ood_eval]
+    points = ["id_train.csv", "id_test.csv", "aux.csv"] + [f"ood_{name}.csv" for name in bundle.ood_eval]
+    artifacts = points + [name + ".bin" for name in points] + ["manifest.json"]
     _write_manifest(args.out, args.config, resolved, cfg.seed, artifacts)
     save_points_csv(os.path.join(args.out, "id_train.csv"), bundle.id_train.x, bundle.id_train.y, "id", k)
     save_points_csv(os.path.join(args.out, "id_test.csv"), bundle.id_test.x, bundle.id_test.y, "id", k)

@@ -3,11 +3,14 @@ point sets, and disjoint outlier evaluation sets.
 
 All generators are pure functions of ``(DataConfig, Rng)``; a dataset
 persisted to CSV round-trips exactly (values are written with 17
-significant digits).
+significant digits), and the binary copy saved beside each CSV loads the
+same bits without parsing the text.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
@@ -42,6 +45,8 @@ AUX_BURN_IN = 20
 MIN_GATE_SCORES = 20
 # rows per formatted block in save_points_csv
 _CSV_BLOCK = 4096
+# bytes of the CSV digest that opens each binary point-file copy (sha256)
+_DIGEST_SIZE = 32
 TRANSFORM_KINDS = ("rotate2d", "flip", "permute")
 ID_GENERATORS = ("blobs", "moons2d", "rings")
 OOD_GENERATORS = ("ring", "uniform", "shifted-blobs")
@@ -309,45 +314,91 @@ def make_bundle(cfg: DataConfig | Mapping, seed: int) -> DataBundle:
     return DataBundle(id_train=id_train, id_test=id_test, aux=aux, ood_eval=ood_eval)
 
 
+def _csv_text(x: np.ndarray, labels: np.ndarray, role: str, k: int):
+    """The point file's text: the header, then ``_CSV_BLOCK`` rows at a time,
+    each block with one ``%`` on a repeated row template."""
+    yield f"dim={x.shape[1]},classes={k},role={role}\n"
+    row = "%d" + ",%.17g" * x.shape[1] + "\n"
+    for lo in range(0, len(x), _CSV_BLOCK):
+        block = x[lo : lo + _CSV_BLOCK]
+        values = chain.from_iterable(zip(labels[lo : lo + _CSV_BLOCK].tolist(), *block.T.tolist()))
+        yield row * len(block) % tuple(values)
+
+
 def save_points_csv(path, x: np.ndarray, y: np.ndarray | None, role: str, k: int = 0) -> None:
-    """Write points to the documented CSV format.
+    """Write points to the documented CSV format, and next to it, at
+    ``<path>.bin``, a binary copy of the table the CSV parses to.
 
     Header ``dim=<d>,classes=<k>,role=<role>``; one row per point,
     ``y,x0,x1,...`` with y = -1 for unlabeled points. Values carry 17
-    significant digits so a round-trip is exact. The rows are formatted
-    ``_CSV_BLOCK`` at a time, each block with one ``%`` on a repeated row
-    template, so the text in memory is bounded by the block.
+    significant digits so a round-trip is exact. The text in memory is
+    bounded by ``_CSV_BLOCK`` rows. The copy is the sha256 of the CSV's
+    bytes, then the ``(n, d + 1)`` table (label column first) as row-major
+    little-endian float64; ``load_points_csv`` reads it only while that
+    digest matches the CSV on disk.
     """
     x = np.asarray(x, dtype=float)
     labels = np.full(len(x), -1, dtype=int) if y is None else np.asarray(y, dtype=int)
-    row = "%d" + ",%.17g" * x.shape[1] + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dim={x.shape[1]},classes={k},role={role}\n")
-        for lo in range(0, len(x), _CSV_BLOCK):
-            block = x[lo : lo + _CSV_BLOCK]
-            values = chain.from_iterable(zip(labels[lo : lo + _CSV_BLOCK].tolist(), *block.T.tolist()))
-            fh.write(row * len(block) % tuple(values))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in _csv_text(x, labels, role, k):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    table = np.column_stack((labels, x)).astype("<f8")
+    table[np.isnan(table)] = np.nan  # the text holds every NaN as "nan", which parses to this one
+    with open(_copy_path(path), "wb") as fh:
+        fh.write(digest.digest())
+        fh.write(table.tobytes())
+
+
+def _copy_path(path) -> str:
+    return os.fspath(path) + ".bin"
+
+
+def _read_copy(path, d: int) -> np.ndarray | None:
+    """The ``(n, d + 1)`` table of the binary copy next to ``path``, or None
+    when the copy is missing or unreadable, or was not written with the
+    CSV's current bytes and row count."""
+    try:
+        with open(_copy_path(path), "rb") as fh:
+            blob = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError:
+        return None
+    n = raw.count(b"\n") - 1  # save_points_csv ends the header and each row with one newline
+    if len(blob) != _DIGEST_SIZE + 8 * (d + 1) * n:
+        return None
+    if blob[:_DIGEST_SIZE] != hashlib.sha256(raw).digest():
+        return None
+    return np.frombuffer(blob, dtype="<f8", offset=_DIGEST_SIZE).reshape(n, d + 1).astype(float)
 
 
 def load_points_csv(path) -> tuple[np.ndarray, np.ndarray | None, dict]:
     """Read the CSV point format back; returns (x, y-or-None, header meta).
-    Blank lines are skipped; a malformed header or row, or a label below
-    -1 or -1 on some rows only, is a ConfigError."""
+    When the binary copy ``save_points_csv`` wrote belongs to the CSV's
+    bytes, its table stands in for parsing the text (the same bits);
+    otherwise the text is parsed. Blank lines are skipped. A malformed
+    header or row, a label below -1 or -1 on some rows only, or a label
+    not below the header's ``classes=`` is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         meta = {}
         for part in header.split(","):
             key, _, val = part.partition("=")
             meta[key] = val
-        if "dim" not in meta or "role" not in meta or not meta["dim"].isdigit():
+        if "dim" not in meta or "role" not in meta or not meta["dim"].isdecimal():
             raise ConfigError(f"{path}: malformed point-file header: {header!r}")
         d = int(meta["dim"])
-        try:
-            with warnings.catch_warnings():  # a header-only file is an empty set
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(filter(str.strip, fh), delimiter=",", ndmin=2, comments=None)
-        except ValueError as err:
-            raise ConfigError(f"{path}: {err}") from None
+        table = _read_copy(path, d)
+        if table is None:
+            try:
+                with warnings.catch_warnings():  # a header-only file is an empty set
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(filter(str.strip, fh), delimiter=",", ndmin=2, comments=None)
+            except ValueError as err:
+                raise ConfigError(f"{path}: {err}") from None
     if table.size == 0:
         table = np.empty((0, d + 1))
     if table.shape[1] != d + 1:
@@ -362,4 +413,10 @@ def load_points_csv(path) -> tuple[np.ndarray, np.ndarray | None, dict]:
     if y.min() < 0:  # -1 means unlabeled, and only when every row has it
         raise ConfigError(f"{path}: label {y.min()}: class labels must be >= 0, "
                           "or -1 (unlabeled) on every row")
+    classes = meta.get("classes")
+    if classes is not None:
+        if not classes.isdecimal():
+            raise ConfigError(f"{path}: header classes={classes!r} is not an integer")
+        if y.max() >= int(classes):
+            raise ConfigError(f"{path}: label {y.max()} is not below the header's classes={classes}")
     return x, y, meta

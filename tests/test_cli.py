@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import time
 
 import pytest
@@ -55,6 +56,11 @@ def test_gen_writes_consistent_files(smoke):
             _, _, meta = load_points_csv(data_dir / name)
             dims.add(meta["dim"])
     assert dims == {"2"}
+    # each point file has its binary copy, and the manifest lists both
+    points = [n for n in names if n.endswith(".csv")]
+    assert sorted(n for n in names if n.endswith(".bin")) == [n + ".bin" for n in points]
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    assert manifest["artifacts"] == sorted(names)
 
 
 def test_gen_idempotent_bytes(smoke, tmp_path):
@@ -149,8 +155,8 @@ def test_library_bundle_matches_gen_defaults(tmp_path):
     save_points_csv(lib / "aux.csv", bundle.aux, None, "aux", 0)
     for name, pts in bundle.ood_eval.items():
         save_points_csv(lib / f"ood_{name}.csv", pts, None, "ood", 0)
-    names = sorted(p.name for p in (tmp_path / "cli").glob("*.csv"))
-    assert names == sorted(p.name for p in lib.glob("*.csv"))
+    names = sorted(p.name for p in (tmp_path / "cli").glob("*.csv*"))  # with the .csv.bin copies
+    assert names == sorted(p.name for p in lib.glob("*.csv*"))
     for name in names:
         assert (tmp_path / "cli" / name).read_bytes() == (lib / name).read_bytes(), name
 
@@ -190,6 +196,24 @@ def test_train_missing_data_errors(smoke, tmp_path, capsys):
     rc = main(["train", "--config", str(cfg), "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "id_train.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k, what", [(3, "label 7 is not below the header's classes=3"),
+                                     ("three", "header classes='three' is not an integer")],
+                         ids=["label-not-below-classes", "classes-not-integer"])
+def test_train_rejects_label_outside_header_classes(smoke, tmp_path, capsys, k, what):
+    # the file is saved with its binary copy, so the check runs on the copy's table
+    cfg, data_dir, _ = smoke
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    x, y, _ = load_points_csv(data / "id_train.csv")
+    y[5] = 7
+    save_points_csv(data / "id_train.csv", x, y, "id", k)
+    out = tmp_path / "out"
+    rc = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+    assert rc == 2
+    assert f"id_train.csv: {what}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_determinism_bytes(smoke, tmp_path):
@@ -240,6 +264,21 @@ def test_eval_artifacts_and_consistency(smoke, tmp_path):
     assert hist[0] == "bin_left,bin_right,count_id,count_ood,count_virtual"
     assert len(hist) == 51
     assert "scores" not in report
+
+
+def test_eval_report_same_without_copies(smoke, tmp_path):
+    # the binary copies only skip the text parse: without them, ares eval
+    # parses every CSV, writes the same report.json, and writes no copy back
+    cfg, data_dir, out_dir = smoke
+    bare = tmp_path / "bare"
+    shutil.copytree(data_dir, bare, ignore=shutil.ignore_patterns("*.bin"))
+    for data, ev in ((data_dir, tmp_path / "e"), (bare, tmp_path / "eb")):
+        assert main([
+            "eval", "--config", str(cfg), "--checkpoint", str(out_dir / "checkpoint.json"),
+            "--data", str(data), "--out", str(ev),
+        ]) == 0
+    assert (tmp_path / "e" / "report.json").read_bytes() == (tmp_path / "eb" / "report.json").read_bytes()
+    assert not list(bare.glob("*.bin"))
 
 
 def test_eval_scores_each_set_once(smoke, tmp_path, monkeypatch):

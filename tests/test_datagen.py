@@ -1,3 +1,5 @@
+import itertools
+import os
 import re
 import warnings
 from dataclasses import replace
@@ -208,40 +210,165 @@ def test_transform_rejects_1d():
 
 # ---- CSV round trip ----------------------------------------------------------------
 
-def test_csv_round_trip_exact(tmp_path):
+def _no_parse(*args, **kwargs):
+    raise AssertionError("np.loadtxt ran although the binary copy is current")
+
+
+# the two ways a file save_points_csv wrote loads back
+LOAD_PATHS = ("with-copy", "copy-deleted")
+
+
+def load_saved(path, how, monkeypatch):
+    """``load_points_csv`` of a file ``save_points_csv`` wrote: through its
+    binary copy (``np.loadtxt`` must not run), or with the copy deleted,
+    through the text parse."""
+    if how == "copy-deleted":
+        os.remove(f"{path}.bin")
+        return load_points_csv(path)
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", _no_parse)
+        return load_points_csv(path)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counts the ``np.loadtxt`` calls ``load_points_csv`` makes."""
+    calls = []
+    real = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    return calls
+
+
+def test_csv_round_trip_exact(tmp_path, monkeypatch):
     rng = Rng(14)
     x = rng.standard_normal((50, 3)) * np.array([1e-8, 1.0, 1e8])
     y = rng.integers(0, 4, 50)
     path = tmp_path / "pts.csv"
-    save_points_csv(path, x, y, role="id", k=4)
-    x2, y2, meta = load_points_csv(path)
-    assert np.array_equal(x, x2)
-    assert np.array_equal(y, y2)
-    assert meta["role"] == "id" and meta["dim"] == "3" and meta["classes"] == "4"
+    for how in LOAD_PATHS:
+        save_points_csv(path, x, y, role="id", k=4)
+        x2, y2, meta = load_saved(path, how, monkeypatch)
+        assert np.array_equal(x, x2), how
+        assert np.array_equal(y, y2), how
+        assert meta["role"] == "id" and meta["dim"] == "3" and meta["classes"] == "4"
 
 
-def test_csv_unlabeled_round_trip(tmp_path):
+def test_csv_unlabeled_round_trip(tmp_path, monkeypatch):
     x = Rng(15).standard_normal((10, 2))
     path = tmp_path / "aux.csv"
-    save_points_csv(path, x, None, role="aux")
-    x2, y2, meta = load_points_csv(path)
-    assert np.array_equal(x, x2)
-    assert y2 is None
-    assert meta["role"] == "aux"
+    for how in LOAD_PATHS:
+        save_points_csv(path, x, None, role="aux")
+        x2, y2, meta = load_saved(path, how, monkeypatch)
+        assert np.array_equal(x, x2), how
+        assert y2 is None
+        assert meta["role"] == "aux"
+
+
+def test_csv_saved_empty_set(tmp_path, monkeypatch):
+    path = tmp_path / "empty.csv"
+    for how in LOAD_PATHS:
+        save_points_csv(path, np.empty((0, 3)), None, role="aux")
+        x, y, meta = load_saved(path, how, monkeypatch)
+        assert x.shape == (0, 3) and y is None and meta["dim"] == "3", how
 
 
 @pytest.mark.parametrize(
     "row, what",
     [("0,1.5\n", "number of columns"), ("0,1.5,abc\n", "abc"), ("0.5,1.5,2.5\n", "integers"),
-     ("-1,1.5,2.5\n", "label -1: .* on every row"), ("-2,1.5,2.5\n", "label -2: .* on every row")],
+     ("-1,1.5,2.5\n", "label -1: .* on every row"), ("-2,1.5,2.5\n", "label -2: .* on every row"),
+     ("2,1.5,2.5\n", "label 2 is not below the header's classes=2")],
     ids=["ragged", "non-numeric", "non-integer-label", "unlabeled-row-among-labeled",
-         "label-below-unlabeled"],
+         "label-below-unlabeled", "label-not-below-classes"],
 )
 def test_csv_bad_row_names_file(tmp_path, row, what):
     path = tmp_path / "bad.csv"
     path.write_text("dim=2,classes=2,role=id\n1,0.25,0.5\n" + row)
     with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*" + what):
         load_points_csv(path)
+
+
+@pytest.mark.parametrize(
+    "header, what",
+    [("dim=²,classes=2,role=id", "malformed point-file header"),
+     ("classes=2,role=id", "malformed point-file header"),
+     ("dim=2,classes=two,role=id", "header classes='two' is not an integer"),
+     ("dim=2,classes=,role=id", "header classes='' is not an integer")],
+    ids=["dim-not-decimal", "no-dim", "classes-not-integer", "classes-empty"],
+)
+def test_csv_bad_header_names_file(tmp_path, header, what):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n1,0.25,0.5\n")
+    with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*" + re.escape(what)):
+        load_points_csv(path)
+
+
+def test_csv_header_classes_checked_on_labels_only(tmp_path):
+    # -1 on every row is an unlabeled set: classes= bounds class labels only
+    path = tmp_path / "aux.csv"
+    path.write_text("dim=2,classes=0,role=aux\n-1,0.25,0.5\n")
+    x, y, _meta = load_points_csv(path)
+    assert y is None and np.array_equal(x, [[0.25, 0.5]])
+    path.write_text("dim=2,role=id\n0,0.25,0.5\n7,1.5,2.5\n")
+    _x, y, _meta = load_points_csv(path)  # no classes= in the header: nothing to check against
+    assert np.array_equal(y, [0, 7])
+
+
+@pytest.mark.parametrize("k, what", [(3, "label 7 is not below the header's classes=3"),
+                                     ("3.5", "header classes='3.5' is not an integer")],
+                         ids=["label-not-below-classes", "classes-not-integer"])
+def test_csv_saved_labels_checked_against_classes(tmp_path, monkeypatch, k, what):
+    x, y = Rng(19).standard_normal((5, 2)), np.array([0, 1, 2, 7, 1])
+    path = tmp_path / "id_train.csv"
+    for how in LOAD_PATHS:
+        save_points_csv(path, x, y, role="id", k=k)
+        with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*" + re.escape(what)):
+            load_saved(path, how, monkeypatch)
+
+
+def test_csv_copy_ignored_unless_current(tmp_path, parses):
+    # a copy is read only when it was written with the CSV's bytes as they
+    # are now; otherwise the text is parsed, as if there were no copy
+    rng = Rng(20)
+    x, other = rng.standard_normal((30, 2)), rng.standard_normal((30, 2))
+    path, foreign = tmp_path / "pts.csv", tmp_path / "other.csv"
+    save_points_csv(path, x, None, role="ood")
+    save_points_csv(foreign, other, None, role="ood")
+    copy_path = tmp_path / "pts.csv.bin"
+    copy = path.read_bytes(), copy_path.read_bytes()
+
+    def restore():
+        path.write_bytes(copy[0])
+        copy_path.write_bytes(copy[1])
+
+    assert np.array_equal(load_points_csv(path)[0], x) and not parses
+    cases = {
+        # the CSV edited after saving: its first value changed, its copy kept
+        "stale": lambda: path.write_text(path.read_text().replace(",%.17g," % x[0, 0], ",0.5,", 1)),
+        "foreign": lambda: copy_path.write_bytes((tmp_path / "other.csv.bin").read_bytes()),
+        "truncated-by-a-value": lambda: copy_path.write_bytes(copy[1][:-8]),
+        "truncated-by-a-row": lambda: copy_path.write_bytes(copy[1][:-24]),
+        "digest-only": lambda: copy_path.write_bytes(copy[1][:32]),
+        "longer": lambda: copy_path.write_bytes(copy[1] + copy[1][-24:]),
+        "csv-row-added": lambda: path.write_bytes(copy[0] + b"-1,0.25,0.5\n"),
+        "unreadable": lambda: (copy_path.unlink(), copy_path.mkdir()),
+    }
+    for name, spoil in cases.items():
+        spoil()
+        want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+        assert (want[0, 0] == 0.5) == (name == "stale"), name
+        parses.clear()
+        x2, y2, _meta = load_points_csv(path)
+        assert len(parses) == 1, name
+        assert x2.tobytes() == want.tobytes() and y2 is None, name
+        if name == "unreadable":
+            copy_path.rmdir()
+        restore()
+    assert np.array_equal(load_points_csv(path)[0], x)
+    assert np.array_equal(load_points_csv(foreign)[0], other)
 
 
 def test_csv_header_only_is_empty_set(tmp_path):
@@ -261,15 +388,16 @@ def test_csv_blank_lines_skipped(tmp_path):
     assert np.array_equal(y, [0, 1])
 
 
-def test_csv_round_trip_20k_bitwise(tmp_path):
+def test_csv_round_trip_20k_bitwise(tmp_path, monkeypatch):
     rng = Rng(17)
     x = rng.standard_normal((20_000, 2)) * np.exp(rng.uniform(-30, 30, (20_000, 2)))
     y = rng.integers(0, 3, 20_000)
     path = tmp_path / "big.csv"
-    save_points_csv(path, x, y, role="id", k=3)
-    x2, y2, _meta = load_points_csv(path)
-    assert x2.dtype == x.dtype and x2.tobytes() == x.tobytes()
-    assert y2.dtype == y.dtype and np.array_equal(y2, y)
+    for how in LOAD_PATHS:
+        save_points_csv(path, x, y, role="id", k=3)
+        x2, y2, _meta = load_saved(path, how, monkeypatch)
+        assert x2.dtype == x.dtype and x2.tobytes() == x.tobytes(), how
+        assert y2.dtype == y.dtype and np.array_equal(y2, y), how
 
 
 def save_points_csv_per_value(path, x, y, role, k=0):
@@ -283,10 +411,11 @@ def save_points_csv_per_value(path, x, y, role, k=0):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_csv_bytes_equal_per_value_writer(tmp_path, d):
+def test_csv_bytes_equal_per_value_writer(tmp_path, d, monkeypatch):
     b = datagen._CSV_BLOCK
     special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.7976931348623157e308,
-               1.7976931348623157e308, 0.1, -0.1, 1.0, 1e16, 123456789.123456789]
+               1.7976931348623157e308, 0.1, -0.1, 1.0, 1e16, 123456789.123456789,
+               np.inf, -np.inf, np.nan, -np.nan]
     rng = Rng(18)
     for n in (0, 1, b - 1, b, b + 1):
         x = rng.standard_normal((n, d)) * np.exp(rng.uniform(-30, 30, (n, d)))
@@ -294,11 +423,20 @@ def test_csv_bytes_equal_per_value_writer(tmp_path, d):
         flat[: len(special)] = special[: flat.size]
         y = rng.integers(0, 3, n)
         y[::7] = -1
-        for labels in (y, None):
+        for labels, how in itertools.product((y, None), LOAD_PATHS):
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
             save_points_csv(got, x, labels, role="id", k=3)
             save_points_csv_per_value(want, x, labels, role="id", k=3)
             assert got.read_bytes() == want.read_bytes(), (n, labels is None)
+            if labels is not None and not np.all(labels == -1):
+                # -1 among class labels is refused on either load path
+                with pytest.raises(ConfigError, match="label -1: .* on every row"):
+                    load_saved(got, how, monkeypatch)
+                continue
+            x2, y2, _meta = load_saved(got, how, monkeypatch)
+            # the text writes every NaN as "nan", which reads back as np.nan
+            assert x2.tobytes() == np.where(np.isnan(x), np.nan, x).tobytes(), (n, how)
+            assert y2 is None
 
 
 def test_bundle_rejects_unknown_keys():
