@@ -70,7 +70,16 @@ def _load_bundle(data_dir) -> DataBundle:
             raise ConfigError(f"missing data file: {path}")
         return path
 
-    x_tr, y_tr, _ = load_points_csv(need("id_train.csv"))
+    train_path = need("id_train.csv")
+    x_tr, y_tr, meta = load_points_csv(train_path)
+    if y_tr is not None and meta.get("classes") is not None:
+        # the network's class count is read off the labels, so a declared
+        # class that no training row uses would silently narrow it
+        # (np.setdiff1d would import numpy.ma, ~2 MB, on every command)
+        missing = np.flatnonzero(np.bincount(y_tr, minlength=int(meta["classes"])) == 0).tolist()
+        if missing:
+            raise ConfigError(f"{train_path}: no row has label(s) {missing} "
+                              f"of the header's classes={meta['classes']}")
     x_te, y_te, _ = load_points_csv(need("id_test.csv"))
     aux, _, _ = load_points_csv(need("aux.csv"))
     ood = {}

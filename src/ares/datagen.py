@@ -252,7 +252,7 @@ def make_aux_dataset(n: int, d: int, rng: Rng, ifs_maps: int, box: tuple) -> np.
     return _rescale_to_box(ifs_chaos_points(maps, n, rng), lo, hi)
 
 
-def geometric_transform(x: np.ndarray, kind: str, rng: Rng, center=None) -> np.ndarray:
+def geometric_transform(x: np.ndarray, kind: str, rng: Rng, center: np.ndarray) -> np.ndarray:
     """Apply a bijective vector-space transform.
 
     ``rotate2d`` rotates a random coordinate pair about ``center`` (an
@@ -263,8 +263,6 @@ def geometric_transform(x: np.ndarray, kind: str, rng: Rng, center=None) -> np.n
     d = x.shape[0]
     if d < 2:
         raise ValueError(f"geometric_transform: need dimension >= 2, got {d}")
-    if center is None:
-        center = np.zeros(d)
     center = np.asarray(center, dtype=float)
     out = x.copy()
     if kind == "rotate2d":

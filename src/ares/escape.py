@@ -39,13 +39,14 @@ def _mix_with_aux(x: np.ndarray, aux: np.ndarray, alpha1: float, rng: Rng) -> np
 
 
 def escape_instance(
-    x: np.ndarray, aux: np.ndarray, cfg: EscapeConfig, rng: Rng, center=None
+    x: np.ndarray, aux: np.ndarray, cfg: EscapeConfig, rng: Rng, center: np.ndarray
 ) -> np.ndarray:
     """Displace one instance.
 
     Draws an iteration count uniformly from [1, max_iters]; each iteration
     either mixes with a random auxiliary point (coefficient ~
-    Beta(alpha1, alpha1)) or applies a random geometric transform. If no
+    Beta(alpha1, alpha1)) or applies a random geometric transform about
+    ``center`` (:func:`escape_dataset` passes the inlier mean). If no
     iteration chose a mix, one extra mix is forced so every output has
     touched the auxiliary set at least once.
     """
@@ -64,7 +65,7 @@ def escape_instance(
             mixed = True
         else:
             kind = TRANSFORM_KINDS[int(rng.integers(0, len(TRANSFORM_KINDS)))]
-            x = geometric_transform(x, kind, rng, center=center)
+            x = geometric_transform(x, kind, rng, center)
     if not mixed:
         x = _mix_with_aux(x, aux, cfg.alpha1, rng)
     return x
@@ -82,5 +83,5 @@ def escape_dataset(
     center = data.x.mean(axis=0)
     out = np.empty_like(data.x)
     for i in range(len(data)):
-        out[i] = escape_instance(data.x[i], aux, cfg, rng.child(i), center=center)
+        out[i] = escape_instance(data.x[i], aux, cfg, rng.child(i), center)
     return LabeledDataset(x=out, y=data.y.copy())

@@ -111,7 +111,6 @@ class RunReport:
     gamma: float
     per_set: dict[str, dict[str, float]]
     average: dict[str, float]
-    config: dict | None = None
     stage_times: dict | None = None
     error: str | None = None
     extra: dict = field(default_factory=dict)
@@ -124,7 +123,6 @@ class RunReport:
             "gamma": self.gamma,
             "per_set": self.per_set,
             "average": self.average,
-            "config": self.config,
             "stage_times": self.stage_times,
             "error": self.error,
             **({"extra": self.extra} if self.extra else {}),
@@ -180,14 +178,7 @@ def score_bundle(net: MlpNetwork, bundle: DataBundle) -> tuple[np.ndarray, dict[
     return id_scores, ood_scores
 
 
-def evaluate(
-    net: MlpNetwork,
-    bundle: DataBundle,
-    variant: str = "full",
-    seed: int = 0,
-    config: dict | None = None,
-    stage_times: dict | None = None,
-) -> RunReport:
+def evaluate(net: MlpNetwork, bundle: DataBundle, variant: str = "full", seed: int = 0) -> RunReport:
     """Score the bundle once and assemble a report with macro averages;
     the report keeps the scores."""
     if not bundle.ood_eval:
@@ -212,8 +203,6 @@ def evaluate(
         gamma=gamma,
         per_set=per_set,
         average=average,
-        config=config,
-        stage_times=stage_times,
         scores=(id_scores, ood_scores),
     )
 
@@ -267,7 +256,9 @@ def _train_and_evaluate(name: str, cfg: TrainConfig, bundle: DataBundle,
         else:
             net, log = train(cfg, bundle, resume=prefix.state, accuracy=False)
             log.records[:0] = prefix.records
-        return evaluate(net, bundle, variant=name, seed=cfg.seed, stage_times=log.stage_totals())
+        report = evaluate(net, bundle, variant=name, seed=cfg.seed)
+        report.stage_times = log.stage_totals()
+        return report
     except Exception as err:  # per-variant isolation is the contract
         return _failed_report(name, cfg.seed, _error(err))
 

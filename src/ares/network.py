@@ -165,27 +165,30 @@ class GradientTape:
         self.flat = np.zeros_like(net.flat)
         self.grads = net.views(self.flat)
 
-    def add(self, name: str, g) -> None:
-        acc = self.grads[name]
-        g = np.asarray(g, dtype=float)
-        if g.shape != acc.shape:
-            raise ValueError(f"gradient shape mismatch for {name}: {g.shape} != {acc.shape}")
-        acc += g
-
     def zero(self) -> None:
         self.flat.fill(0.0)
 
 
 # ---- energy and cross entropy ---------------------------------------------
 
+def _energy_terms(energy_w: np.ndarray, logits: np.ndarray):
+    """The one energy computation: per-row energies
+    ``-log sum_k w_k exp(z_k)``, max-shifted, and the fresh array
+    ``s = w * exp(z - m)`` with its row sums, for the gradient."""
+    m = logits.max(axis=1)
+    s = logits - m[:, None]
+    np.exp(s, out=s)
+    s *= energy_w
+    tot = s.sum(axis=1)
+    return -(m + np.log(tot)), s, tot
+
+
 def energy_score_batch(net: MlpNetwork, logits: np.ndarray) -> np.ndarray:
     """Energy of each logit row: -log sum_k w_k exp(z_k), max-shifted."""
     logits = np.asarray(logits, dtype=float)
     if logits.shape[-1] != net.n_classes:
         raise ValueError(f"energy_score: expected {net.n_classes} logits, got {logits.shape[-1]}")
-    m = logits.max(axis=1)
-    s = net.energy_w * np.exp(logits - m[:, None])
-    return -(m + np.log(s.sum(axis=1)))
+    return _energy_terms(net.energy_w, logits)[0]
 
 
 def energy_gradients(energy_w: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,13 +199,7 @@ def energy_gradients(energy_w: np.ndarray, logits: np.ndarray) -> tuple[np.ndarr
     w.r.t. z_k row-wise (both are -w_k exp(z_k) / sum_j w_j exp(z_j)), so
     the single returned matrix serves both chain rules.
     """
-    logits = np.asarray(logits, dtype=float)
-    m = logits.max(axis=1)
-    s = logits - m[:, None]
-    np.exp(s, out=s)
-    np.multiply(energy_w, s, out=s)
-    tot = s.sum(axis=1)
-    energies = -(m + np.log(tot))
+    energies, s, tot = _energy_terms(energy_w, np.asarray(logits, dtype=float))
     np.negative(s, out=s)
     s /= tot[:, None]
     return energies, s

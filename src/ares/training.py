@@ -330,18 +330,6 @@ def batch_terms(net: MlpNetwork, xb, yb, cfg: TrainConfig, tape: GradientTape, v
     return cache, cls_loss, dis, batch_total, dlogits
 
 
-def compute_batch_gradients(
-    net: MlpNetwork, xb, yb, cfg: TrainConfig, v_pts=None
-) -> tuple[float, float, float, GradientTape]:
-    """One full forward/backward on a batch (fresh tape) through
-    :func:`batch_terms` and ``net.backward``, as the training loop runs
-    them. Returns (cls, dis, total, tape)."""
-    tape = GradientTape(net)
-    cache, cls_loss, dis, batch_total, dlogits = batch_terms(net, xb, yb, cfg, tape, v_pts)
-    net.backward(cache, tape, dlogits)
-    return cls_loss, dis, batch_total, tape
-
-
 def compute_batch_loss(net: MlpNetwork, xb, yb, cfg: TrainConfig, v_pts=None) -> float:
     """Loss value only (no gradients); the finite-difference oracle in the
     test suite drives this."""
@@ -553,7 +541,7 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
         est_s += synth.estimation_s
 
     cls_sum = dis_sum = tot_sum = 0.0
-    n_batches = n_joint = 0
+    n_batches = 0
     for b, lo in enumerate(range(0, len(order), cfg.batch_size)):
         xb, yb = xs[lo : lo + cfg.batch_size], ys[lo : lo + cfg.batch_size]
         v_pts = None
@@ -576,7 +564,6 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
         cache, cls_loss, dis, batch_total, dlogits = batch_terms(net, xb, yb, step_cfg, tape, v_pts)
         if joint:  # a joint batch's loss terms, forward pass included
             dis_sum += dis
-            n_joint += 1
             div_s += time.perf_counter() - t0
 
         for term, value in (("cls", cls_loss), ("dis", dis), ("total", batch_total)):
@@ -597,7 +584,7 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
         epoch=epoch,
         lr=float(lr),
         cls_loss=cls_sum / n_batches,
-        dis_loss=dis_sum / n_joint if n_joint else 0.0,
+        dis_loss=dis_sum / n_batches,  # 0.0 on a warmup epoch
         total_loss=tot_sum / n_batches,
         train_accuracy=math.nan,  # filled in from the accuracy pass, if one runs
         expansion_s=exp_s,

@@ -15,7 +15,7 @@ from scipy import integrate
 from ares.cli import main as cli_main
 from ares.datagen import make_bundle
 from ares.evaluation import auroc, choose_gamma, evaluate, fpr95
-from ares.network import MlpNetwork
+from ares.network import GradientTape, MlpNetwork
 from ares.numerics import (
     Gauss1d,
     GaussianModel,
@@ -26,7 +26,7 @@ from ares.numerics import (
 )
 from ares.rng import Rng
 from ares.synthesis import sample_virtual_outliers
-from ares.training import TrainConfig, compute_batch_gradients, compute_batch_loss, train
+from ares.training import TrainConfig, batch_terms, compute_batch_loss, train
 from gradcheck import finite_difference_grads, max_relative_error
 
 BENCH_DATA = {
@@ -235,13 +235,17 @@ def test_criterion_5_gradients():
     v_pts = rng.standard_normal((8, 4)) * 1.5
     cfg = TrainConfig(beta=0.1, loss_kind="jsd")
 
-    _, _, _, tape = compute_batch_gradients(net, xb, yb, cfg, v_pts=None)
+    tape = GradientTape(net)
+    cache, _, _, _, dlogits = batch_terms(net, xb, yb, cfg, tape, v_pts=None)
+    net.backward(cache, tape, dlogits)
     fd = finite_difference_grads(net, lambda: compute_batch_loss(net, xb, yb, cfg), h=1e-5)
     for name in ("energy_u", "head_w", "head_b"):
         fd.pop(name)
     ce_err = max_relative_error({k: tape.grads[k] for k in fd}, fd)
 
-    _, _, _, tape2 = compute_batch_gradients(net, xb, yb, cfg, v_pts=v_pts)
+    tape2 = GradientTape(net)
+    cache, _, _, _, dlogits = batch_terms(net, xb, yb, cfg, tape2, v_pts=v_pts)
+    net.backward(cache, tape2, dlogits)
     fd2 = finite_difference_grads(
         net, lambda: compute_batch_loss(net, xb, yb, cfg, v_pts=v_pts), h=1e-5
     )

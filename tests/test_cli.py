@@ -216,6 +216,22 @@ def test_train_rejects_label_outside_header_classes(smoke, tmp_path, capsys, k, 
     assert not out.exists()
 
 
+def test_train_rejects_class_missing_from_header(smoke, tmp_path, capsys):
+    # the network's class count comes from the labels: a declared class that
+    # no training row uses must stop the run, not train a narrower network
+    cfg, data_dir, _ = smoke
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    x, y, _ = load_points_csv(data / "id_train.csv")
+    y[y == 2] = 1
+    save_points_csv(data / "id_train.csv", x, y, "id", 3)
+    out = tmp_path / "out"
+    rc = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+    assert rc == 2
+    assert "id_train.csv: no row has label(s) [2] of the header's classes=3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_determinism_bytes(smoke, tmp_path):
     cfg, data_dir, _ = smoke
     a = tmp_path / "a"
@@ -525,6 +541,26 @@ def test_ablate_default_matrix(smoke, tmp_path):
     header = lines[0].split(",")
     for col in ("escape_s", "expansion_s", "estimation_s", "divergence_s"):
         assert col in header
+
+
+REPORT_KEYS = {"variant", "seed", "gamma", "per_set", "average", "stage_times", "error"}
+
+
+def test_report_keys(smoke, tmp_path):
+    # report.json and each ablation_report.json row carry exactly these keys,
+    # plus "extra" on the rows that share the full run
+    cfg, data_dir, out_dir = smoke
+    assert main([
+        "eval", "--config", str(cfg), "--checkpoint", str(out_dir / "checkpoint.json"),
+        "--data", str(data_dir), "--out", str(tmp_path / "eval"),
+    ]) == 0
+    assert set(json.loads((tmp_path / "eval" / "report.json").read_text())) == REPORT_KEYS
+    assert main(["ablate", "--config", str(cfg), "--data", str(data_dir), "--out", str(tmp_path / "abl")]) == 0
+    rows = json.loads((tmp_path / "abl" / "ablation_report.json").read_text())
+    shared = {"loss-jsd", "epochs-8"}
+    assert shared < {row["variant"] for row in rows}
+    for row in rows:
+        assert set(row) == REPORT_KEYS | ({"extra"} if row["variant"] in shared else set())
 
 
 def test_help_documents_flags(capsys):

@@ -173,14 +173,14 @@ class _ZeroAngle(Rng):
 def test_rotate_zero_angle_is_identity():
     x = np.array([1.0, 2.0, 3.0])
     for seed in range(5):  # whichever pair is drawn
-        assert np.array_equal(geometric_transform(x, "rotate2d", _ZeroAngle(seed)), x)
+        assert np.array_equal(geometric_transform(x, "rotate2d", _ZeroAngle(seed), np.zeros(3)), x)
 
 
 def test_rotate_preserves_distance_to_center():
     rng = Rng(13)
     center = np.array([0.5, -1.0, 2.0])
     x = rng.standard_normal(3)
-    out = geometric_transform(x, "rotate2d", rng, center=center)
+    out = geometric_transform(x, "rotate2d", rng, center)
     assert abs(np.linalg.norm(out - center) - np.linalg.norm(x - center)) < 1e-12
 
 
@@ -189,8 +189,8 @@ def test_flip_is_involution():
     x = np.array([1.0, -2.0, 0.5])
     center = np.array([0.25, 0.75, -1.5])
     for seed in range(5):  # the same seed flips the same coordinate
-        once = geometric_transform(x, "flip", Rng(seed), center=center)
-        twice = geometric_transform(once, "flip", Rng(seed), center=center)
+        once = geometric_transform(x, "flip", Rng(seed), center)
+        twice = geometric_transform(once, "flip", Rng(seed), center)
         assert np.count_nonzero(once != x) == 1
         assert np.array_equal(twice, x)
 
@@ -198,14 +198,14 @@ def test_flip_is_involution():
 def test_permute_swaps():
     x = np.array([1.0, 2.0, 3.0])
     for seed in range(5):
-        out = geometric_transform(x, "permute", Rng(seed))
+        out = geometric_transform(x, "permute", Rng(seed), np.zeros(3))
         assert np.array_equal(np.sort(out), x)  # a permutation of the input
         assert np.count_nonzero(out != x) == 2  # that swaps two coordinates
 
 
 def test_transform_rejects_1d():
     with pytest.raises(ValueError):
-        geometric_transform(np.array([1.0]), "flip", Rng(0))
+        geometric_transform(np.array([1.0]), "flip", Rng(0), np.zeros(1))
 
 
 # ---- CSV round trip ----------------------------------------------------------------

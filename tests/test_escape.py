@@ -20,7 +20,7 @@ def test_identity_mix_when_lambda_one(blob_world, monkeypatch):
     monkeypatch.setattr(escape_mod, "beta_sample", lambda a, r: 1.0)
     cfg = EscapeConfig(max_iters=1, p_mix=1.0)
     x = data.x[0]
-    out = escape_instance(x, aux, cfg, Rng(0))
+    out = escape_instance(x, aux, cfg, Rng(0), data.x.mean(axis=0))
     assert np.array_equal(out, x)
 
 
@@ -29,7 +29,7 @@ def test_full_replacement_when_lambda_zero(blob_world, monkeypatch):
     monkeypatch.setattr(escape_mod, "beta_sample", lambda a, r: 0.0)
     cfg = EscapeConfig(max_iters=1, p_mix=1.0)
     rng = Rng(1)
-    out = escape_instance(data.x[0], aux, cfg, rng)
+    out = escape_instance(data.x[0], aux, cfg, rng, data.x.mean(axis=0))
     # the output must be one of the auxiliary points verbatim
     assert any(np.array_equal(out, a) for a in aux)
 
@@ -44,13 +44,13 @@ def test_labels_preserved(blob_world):
 def test_empty_aux_rejected(blob_world):
     data, _ = blob_world
     with pytest.raises(ValueError):
-        escape_instance(data.x[0], np.zeros((0, 2)), EscapeConfig(), Rng(0))
+        escape_instance(data.x[0], np.zeros((0, 2)), EscapeConfig(), Rng(0), data.x.mean(axis=0))
 
 
 def test_dimension_mismatch_rejected(blob_world):
     _, aux = blob_world
     with pytest.raises(ValueError):
-        escape_instance(np.zeros(3), aux, EscapeConfig(), Rng(0))
+        escape_instance(np.zeros(3), aux, EscapeConfig(), Rng(0), np.zeros(3))
 
 
 def test_at_least_one_mix_even_with_p_mix_zero(blob_world, monkeypatch):

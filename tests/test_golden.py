@@ -45,7 +45,7 @@ GOLDEN = {
         "cli-desk": {
             "checkpoint.json": "739724b63037dd781bf189f1fc2998ea2e7e6fe8a0be17567acc6236db98db2c",
             "energy_hist.csv": "3e01403bff0dd34debdd8043888a1fb41196b21672f32080e0dc870a04356a05",
-            "report.json": "0bc786a0b70aedd6d95ae815d17f298a70606bae9c1ef03e05fe281460ea7a90",
+            "report.json": "f038c08552f0cea825654cdc469c9df157b92d158c9a1e2334f63fbe54f2b8c6",
         },
     },
 }

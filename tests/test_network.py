@@ -14,6 +14,7 @@ from ares.network import (
     MlpNetwork,
     RunState,
     cross_entropy_batch,
+    energy_gradients,
     energy_score_batch,
     load_checkpoint,
     save_checkpoint,
@@ -22,7 +23,6 @@ from ares.rng import Rng
 from ares.training import (
     TrainConfig,
     batch_terms,
-    compute_batch_gradients,
     compute_batch_loss,
     sgd_step,
     train,
@@ -37,6 +37,15 @@ def small_net(seed=0, input_dim=3, hidden=(5,), feature_dim=4, k=3):
 def energy_of(net, z):
     """Energy of one logit vector, through the batch function."""
     return energy_score_batch(net, np.asarray(z, dtype=float)[None, :])[0]
+
+
+def batch_gradients(net, xb, yb, cfg, v_pts=None):
+    """A fresh tape holding one batch's gradients: :func:`batch_terms`, then
+    ``net.backward``, as the training loop runs them."""
+    tape = GradientTape(net)
+    cache, _, _, _, dlogits = batch_terms(net, xb, yb, cfg, tape, v_pts)
+    net.backward(cache, tape, dlogits)
+    return tape
 
 
 def ce_of(logits, y):
@@ -100,17 +109,17 @@ def oracle_forward(net, x):
 def oracle_backward(net, x, pres, feats, dlogits, tape=None):
     """The backward pass over pre-activations: masks with ``pre > 0``,
     recomputes each layer's input with ``np.maximum`` and propagates down
-    to the input, accumulating through ``tape.add`` (a fresh tape by
-    default)."""
+    to the input, accumulating into ``tape.grads`` with ``+=`` (a fresh
+    tape by default)."""
     tape = GradientTape(net) if tape is None else tape
-    tape.add("cls_w", feats.T @ dlogits)
-    tape.add("cls_b", dlogits.sum(axis=0))
+    tape.grads["cls_w"] += feats.T @ dlogits
+    tape.grads["cls_b"] += dlogits.sum(axis=0)
     dact = dlogits @ net.cls_w.T
     for i in range(len(net.ext_w) - 1, -1, -1):
         dz = dact * (pres[i] > 0.0)
         inputs = x if i == 0 else np.maximum(pres[i - 1], 0.0)
-        tape.add(f"ext_w{i}", inputs.T @ dz)
-        tape.add(f"ext_b{i}", dz.sum(axis=0))
+        tape.grads[f"ext_w{i}"] += inputs.T @ dz
+        tape.grads[f"ext_b{i}"] += dz.sum(axis=0)
         dact = dz @ net.ext_w[i].T
     return tape
 
@@ -209,7 +218,7 @@ def oracle_energy_gradients(net, logits):
 
 def oracle_divergence_terms(net, logits, cls_loss, dlogits, v_pts, cfg, tape):
     """The divergence term with fresh arrays throughout and every gradient
-    through ``tape.add``."""
+    accumulated into ``tape.grads`` with ``+=``."""
     e_id, dedz_id = oracle_energy_gradients(net, logits)
     e_v, dedz_v = oracle_energy_gradients(net, v_pts @ net.cls_w + net.cls_b)
     if cfg.loss_kind == "jsd":
@@ -224,13 +233,13 @@ def oracle_divergence_terms(net, logits, cls_loss, dlogits, v_pts, cfg, tape):
             dis, de_id, de_v, d_hw, d_hb = nce_grad(e_id, e_v, head, cfg.nce_temperature)
         batch_total = cls_loss + cfg.beta * dis
         scale = cfg.beta
-        tape.add("head_w", scale * d_hw)
-        tape.add("head_b", scale * d_hb)
+        tape.grads["head_w"] += scale * d_hw
+        tape.grads["head_b"] += scale * d_hb
     dlogits = dlogits + (scale * de_id)[:, None] * dedz_id
     dlogits_v = (scale * de_v)[:, None] * dedz_v
-    tape.add("energy_u", (scale * de_id) @ dedz_id + (scale * de_v) @ dedz_v)
-    tape.add("cls_w", v_pts.T @ dlogits_v)
-    tape.add("cls_b", dlogits_v.sum(axis=0))
+    tape.grads["energy_u"] += (scale * de_id) @ dedz_id + (scale * de_v) @ dedz_v
+    tape.grads["cls_w"] += v_pts.T @ dlogits_v
+    tape.grads["cls_b"] += dlogits_v.sum(axis=0)
     return dis, batch_total, dlogits
 
 
@@ -360,6 +369,15 @@ def test_energy_batch_matches_single():
     assert np.allclose(batch, singles, rtol=0, atol=0)
 
 
+def test_energy_scoring_and_training_agree():
+    # the divergence term trains on the very energies the detector scores
+    net = small_net(7)
+    net.energy_u[...] = Rng(8).standard_normal(3)
+    zs = 30.0 * Rng(9).standard_normal((64, 3))
+    energies, _ = energy_gradients(net.energy_w, zs)
+    assert energies.tobytes() == energy_score_batch(net, zs).tobytes()
+
+
 # ---- cross entropy -----------------------------------------------------------------
 
 def test_ce_confident_correct_near_zero():
@@ -393,7 +411,7 @@ def test_gradcheck_cross_entropy_only():
     yb = rng.integers(0, 3, 8)
     cfg = TrainConfig()
 
-    _, _, _, tape = compute_batch_gradients(net, xb, yb, cfg, v_pts=None)
+    tape = batch_gradients(net, xb, yb, cfg, v_pts=None)
     numeric = finite_difference_grads(net, lambda: compute_batch_loss(net, xb, yb, cfg))
     # energy and head parameters take no part in the classification loss
     for name in ("energy_u", "head_w", "head_b"):
@@ -437,7 +455,7 @@ def trained_case(loss_kind):
 def test_gradcheck_composite(case, loss_kind):
     net, xb, yb, v_pts, cfg = case(loss_kind)
 
-    _, _, _, tape = compute_batch_gradients(net, xb, yb, cfg, v_pts=v_pts)
+    tape = batch_gradients(net, xb, yb, cfg, v_pts=v_pts)
     numeric = finite_difference_grads(
         net, lambda: compute_batch_loss(net, xb, yb, cfg, v_pts=v_pts)
     )
@@ -455,7 +473,7 @@ def test_zero_beta_means_zero_energy_gradient():
     yb = rng.integers(0, 3, 6)
     cfg = TrainConfig(beta=0.0, loss_kind="jsd")
     v_pts = rng.standard_normal((6, 4))
-    _, _, _, tape = compute_batch_gradients(net, xb, yb, cfg, v_pts=v_pts)
+    tape = batch_gradients(net, xb, yb, cfg, v_pts=v_pts)
     assert np.all(tape.grads["energy_u"] == 0.0)
 
 
@@ -466,13 +484,6 @@ def test_stale_cache_rejected():
     sgd_step(net, tape, 0.1)
     with pytest.raises(RuntimeError):
         net.backward(cache, tape, np.zeros((2, 3)))
-
-
-def test_tape_shape_validation():
-    net = small_net()
-    tape = GradientTape(net)
-    with pytest.raises(ValueError):
-        tape.add("cls_b", np.zeros(7))
 
 
 # ---- checkpointing ----------------------------------------------------------------

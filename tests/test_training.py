@@ -71,7 +71,7 @@ def test_cosine_range_validation():
 def test_sgd_zero_lr_no_change():
     net = MlpNetwork(2, (4,), 3, 2, Rng(0))
     tape = GradientTape(net)
-    tape.add("cls_b", np.ones(2))
+    tape.grads["cls_b"] += np.ones(2)
     before = {k: v.copy() for k, v in net.params().items()}
     sgd_step(net, tape, 0.0)
     for k, v in net.params().items():
@@ -83,7 +83,7 @@ def test_sgd_quadratic_toy():
     net = MlpNetwork(2, (), 2, 2, Rng(0))
     net.cls_b[...] = [1.0, 0.0]
     tape = GradientTape(net)
-    tape.add("cls_b", np.array([2.0 * net.cls_b[0], 0.0]))
+    tape.grads["cls_b"] += np.array([2.0 * net.cls_b[0], 0.0])
     sgd_step(net, tape, 0.5)
     assert net.cls_b[0] == 0.0
 
@@ -91,7 +91,7 @@ def test_sgd_quadratic_toy():
 def test_sgd_zeroes_tape():
     net = MlpNetwork(2, (), 2, 2, Rng(0))
     tape = GradientTape(net)
-    tape.add("cls_b", np.ones(2))
+    tape.grads["cls_b"] += np.ones(2)
     sgd_step(net, tape, 0.1)
     assert np.all(tape.grads["cls_b"] == 0.0)
 
@@ -103,13 +103,13 @@ def test_sgd_linear_additivity():
     g = np.array([0.3, -0.7])
     start = net.cls_b.copy()
     tape = GradientTape(net)
-    tape.add("cls_b", g)
+    tape.grads["cls_b"] += g
     sgd_step(net, tape, 0.1)
-    tape.add("cls_b", g)
+    tape.grads["cls_b"] += g
     sgd_step(net, tape, 0.1)
     two_steps = net.cls_b.copy()
     net.cls_b[...] = start
-    tape.add("cls_b", 2.0 * g)
+    tape.grads["cls_b"] += 2.0 * g
     sgd_step(net, tape, 0.1)
     assert np.allclose(net.cls_b, two_steps, atol=1e-15)
 
