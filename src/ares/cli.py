@@ -70,8 +70,14 @@ def _load_bundle(data_dir) -> DataBundle:
             raise ConfigError(f"missing data file: {path}")
         return path
 
+    def load(path):
+        x, y, meta = load_points_csv(path)
+        if not np.isfinite(x).all():  # ares gen writes none; one would fail deep inside a command
+            raise ConfigError(f"{path}: every coordinate must be finite")
+        return x, y, meta
+
     train_path = need("id_train.csv")
-    x_tr, y_tr, meta = load_points_csv(train_path)
+    x_tr, y_tr, meta = load(train_path)
     if y_tr is not None and meta.get("classes") is not None:
         # the network's class count is read off the labels, so a declared
         # class that no training row uses would silently narrow it
@@ -80,12 +86,12 @@ def _load_bundle(data_dir) -> DataBundle:
         if missing:
             raise ConfigError(f"{train_path}: no row has label(s) {missing} "
                               f"of the header's classes={meta['classes']}")
-    x_te, y_te, _ = load_points_csv(need("id_test.csv"))
-    aux, _, _ = load_points_csv(need("aux.csv"))
+    x_te, y_te, _ = load(need("id_test.csv"))
+    aux, _, _ = load(need("aux.csv"))
     ood = {}
     for fname in sorted(os.listdir(data_dir)):
         if fname.startswith("ood_") and fname.endswith(".csv"):
-            pts, _, _ = load_points_csv(os.path.join(data_dir, fname))
+            pts, _, _ = load(os.path.join(data_dir, fname))
             ood[fname[len("ood_") : -len(".csv")]] = pts
     if y_tr is None or y_te is None:
         raise ConfigError("id_train.csv / id_test.csv must carry labels")

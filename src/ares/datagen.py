@@ -10,6 +10,7 @@ same bits without parsing the text.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import warnings
 from collections.abc import Mapping
@@ -57,7 +58,8 @@ _KINDS = {"str": str, "int": Integral, "float": Real}  # DataConfig annotation -
 class DataConfig:
     """The data world (the ``[data]`` config section): inlier generator and
     sizes, auxiliary IFS set (``aux_size = 0`` means ``n_train``) and outlier
-    sets (``ood_sets``, a comma list). A bad field is a ConfigError."""
+    sets (``ood_sets``, a comma list). A bad field, such as a non-finite
+    float, is a ConfigError."""
 
     generator: str = "blobs"
     n_train: int = 1200
@@ -81,6 +83,8 @@ class DataConfig:
             value = getattr(self, f.name)
             if not isinstance(value, _KINDS[f.type]):
                 raise ConfigError(f"{f.name}: expected {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.generator not in ID_GENERATORS:
             raise ConfigError(f"generator: unknown inlier generator {self.generator!r}")
         if self.generator == "moons2d" and (self.k, self.d) != (2, 2):

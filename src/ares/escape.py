@@ -4,6 +4,7 @@ geometric transforms. Labels are always preserved."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ class EscapeConfig:
     p_mix: float = 0.9           # per-iteration probability of aux-mix over transform
 
     def __post_init__(self):
-        if not self.alpha1 > 0:
-            raise ValueError(f"alpha1 must be > 0, got {self.alpha1}")
+        if not 0 < self.alpha1 < math.inf:
+            raise ValueError(f"alpha1 must be finite and > 0, got {self.alpha1}")
         if not 1 <= self.max_iters <= 4:
             raise ValueError(f"max_iters must lie in [1, 4], got {self.max_iters}")
         if not 0.0 <= self.p_mix <= 1.0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -222,10 +222,10 @@ def _failed_report(variant: str, seed: int, error: str) -> RunReport:
     )
 
 
-def ablation_variants(base_cfg: TrainConfig) -> list[tuple[str, TrainConfig | None]]:
+def ablation_variants(base_cfg: TrainConfig) -> list[tuple[str, TrainConfig]]:
     """The default ablation matrix: full + three single-stage removals,
-    three discrimination losses, two epoch budgets. Entries with ``None``
-    reuse the full run's trained model."""
+    three discrimination losses, two epoch budgets. ``loss-jsd`` and
+    ``epochs-N`` are the base config itself, so they share the full run."""
     long = base_cfg.replace(
         total_epochs=2 * base_cfg.total_epochs,
         pretrain_epochs=2 * base_cfg.pretrain_epochs,
@@ -237,8 +237,8 @@ def ablation_variants(base_cfg: TrainConfig) -> list[tuple[str, TrainConfig | No
         ("no-estimation", base_cfg.replace(estimation=False)),
         ("loss-ce", base_cfg.replace(loss_kind="ce")),
         ("loss-nce", base_cfg.replace(loss_kind="nce")),
-        ("loss-jsd", None),
-        (f"epochs-{base_cfg.total_epochs}", None),
+        ("loss-jsd", base_cfg),
+        (f"epochs-{base_cfg.total_epochs}", base_cfg),
         (f"epochs-{long.total_epochs}", long),
     ]
 
@@ -286,13 +286,13 @@ def run_ablation_suite(
     with one BLAS thread; a run is a pure function of its config and seed,
     so the reports equal a sequential run's, in the matrix order.
 
-    Variants whose configs differ only in settings the joint phase first
-    reads (in the default matrix: full, no-expansion, no-estimation,
-    loss-ce and loss-nce) run the same escape stage and warmup epochs. The
-    suite trains that prefix once, then resumes each of them from its state
-    at epoch ``pretrain_epochs``; their reports equal runs from scratch. A
-    variant's stage times are the wall times of the workers that trained
-    it, so each sharing variant's ``escape`` time is the shared prefix's.
+    Variants with equal configs share one run: the first trains it, and
+    each other gets a copy of its report with ``extra={"shared_with":
+    <the first>}`` (loss-jsd and epochs-N share full's). Every run resumes
+    from the prefix of its :func:`_warmup_key`, the escape stage and warmup
+    epochs, which the suite trains once per key; the reports equal runs
+    from scratch. A run's stage times are the wall times of the workers
+    that trained it, so each run's ``escape`` time is its prefix's.
     No report carries a training accuracy, so the workers train with
     ``accuracy=False`` and run no accuracy pass.
 
@@ -311,13 +311,12 @@ def run_ablation_suite(
         matrix = [matrix[7], matrix[8]]
     elif only is not None:
         raise ValueError(f"run_ablation_suite: unknown subset {only!r}")
-    if not any(name == "full" for name, _cfg in matrix):
-        # without the full run present, shared rows train for themselves
-        matrix = [(name, cfg if cfg is not None else base_cfg) for name, cfg in matrix]
-    groups: dict[TrainConfig, list] = {}  # warmup key -> the variants that share it
+    owners: dict[TrainConfig, str] = {}  # config -> the first variant with it, which trains the run
     for name, cfg in matrix:
-        if cfg is not None:
-            groups.setdefault(_warmup_key(cfg), []).append((name, cfg))
+        owners.setdefault(cfg, name)
+    groups: dict[TrainConfig, list] = {}  # warmup key -> the runs that resume from its prefix
+    for cfg, name in owners.items():
+        groups.setdefault(_warmup_key(cfg), []).append((name, cfg))
 
     # imported here, so that ``import ares`` does not pay for the pool modules
     import multiprocessing
@@ -330,13 +329,12 @@ def run_ablation_suite(
 
     reports: dict[str, RunReport] = {}
     broken = []
-    n_trained = sum(len(members) for members in groups.values())
-    with pool(min(len(os.sched_getaffinity(0)), n_trained)) as executor:
-        pending = {}  # future -> (the variants it serves, whether it is a shared prefix)
+    with pool(min(len(os.sched_getaffinity(0)), len(owners))) as executor:
+        pending = {}  # future -> the runs it serves: a prefix's runs, or one run
 
-        def submit(members, is_prefix, fn, *args):
+        def submit(members, fn, *args):
             try:
-                pending[executor.submit(fn, *args)] = (members, is_prefix)
+                pending[executor.submit(fn, *args)] = members
             except BrokenProcessPool as err:  # a worker died since the last submit
                 fail(members, err)
 
@@ -346,31 +344,26 @@ def run_ablation_suite(
             if isinstance(err, BrokenProcessPool):
                 broken.extend(members)
 
-        # the shared prefixes first: their variants wait for them
         for key, members in groups.items():
-            if len(members) > 1:
-                submit(members, True, _warmup_or_error, key, bundle)
-        for members in groups.values():
-            if len(members) == 1:
-                submit(members, False, _train_and_evaluate, *members[0], bundle)
+            submit(members, _warmup_or_error, key, bundle)
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                members, is_prefix = pending.pop(future)
+                members = pending.pop(future)
                 try:
                     result = future.result()
                 except Exception as err:  # the worker died, or its result did not come back
                     fail(members, err)
                     continue
-                if not is_prefix:
-                    reports[members[0][0]] = result
+                if isinstance(result, RunReport):
+                    reports[result.variant] = result
                     continue
                 prefix, error = result
                 for name, cfg in members:
                     if error is not None:
                         reports[name] = _failed_report(name, cfg.seed, error)
                     else:
-                        submit([(name, cfg)], False, _train_and_evaluate, name, cfg, bundle, prefix)
+                        submit([(name, cfg)], _train_and_evaluate, name, cfg, bundle, prefix)
     # a dead worker fails every pending future with it: rerun each of those
     # alone, so that only the variant that kills its own worker keeps the error
     for name, cfg in broken:
@@ -380,20 +373,11 @@ def run_ablation_suite(
             except Exception as err:
                 reports[name] = _failed_report(name, cfg.seed, _error(err))
 
-    for name, cfg in matrix:
-        if cfg is None:  # shares the full run
-            full = reports["full"]
-            reports[name] = RunReport(
-                variant=name,
-                seed=full.seed,
-                gamma=full.gamma,
-                per_set=full.per_set,
-                average=full.average,
-                stage_times=full.stage_times,
-                error=full.error,
-                extra={"shared_with": "full"},
-            )
-    return [reports[name] for name, _cfg in matrix]
+    return [
+        reports[name] if owners[cfg] == name
+        else replace(reports[owners[cfg]], variant=name, extra={"shared_with": owners[cfg]}, scores=None)
+        for name, cfg in matrix
+    ]
 
 
 def write_reports_csv(path, reports: list[RunReport]) -> None:

@@ -105,8 +105,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not all(h > 0 for h in self.hidden_dims):
             raise ConfigError(f"hidden_dims must be positive, got {self.hidden_dims}")
-        if not self.beta >= 0:  # 0 is the classification-only baseline
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if not 0 <= self.beta < math.inf:  # 0 is the classification-only baseline
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if self.beta_warmup_epochs < 0:
             raise ConfigError("beta_warmup_epochs must be >= 0")
 

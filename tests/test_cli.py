@@ -122,6 +122,12 @@ def test_bad_config_value_rejected_at_resolve(tmp_path, capsys):
         ("train", "alpha2", "inf"),
         ("train", "nce_temperature", "0"),
         ("train", "lr_start", "inf"),
+        # non-finite values: each failed only inside numerics, generation or training
+        ("escape", "alpha1", "inf"),
+        ("train", "beta", "inf"),
+        ("data", "ring_outer", "nan"),
+        ("data", "spread", "inf"),
+        ("data", "box_low", "-inf"),
         # generator-specific shapes: moons2d needs k = d = 2, rings d = 2
         ("data", "generator", "moons2d"),
         ("data", "generator", "rings\nd = 3"),
@@ -230,6 +236,25 @@ def test_train_rejects_class_missing_from_header(smoke, tmp_path, capsys):
     assert rc == 2
     assert "id_train.csv: no row has label(s) [2] of the header's classes=3" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, value", [("ood_ring", np.inf), ("aux", np.nan), ("id_test", -np.inf)])
+def test_non_finite_coordinate_exits_before_output(smoke, tmp_path, capsys, name, value):
+    # the point file round-trips the value exactly; train and eval refuse it
+    # before writing anything, instead of failing inside training or scoring
+    cfg, data_dir, out_dir = smoke
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    x, y, meta = load_points_csv(data / f"{name}.csv")
+    x[5, 1] = value
+    save_points_csv(data / f"{name}.csv", x, y, meta["role"], int(meta.get("classes", 0)))
+    assert np.array_equal(load_points_csv(data / f"{name}.csv")[0], x, equal_nan=True)
+    for command in (["train"], ["eval", "--checkpoint", str(out_dir / "checkpoint.json")]):
+        out = tmp_path / command[0]
+        rc = main(command + ["--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert rc == 2, command[0]
+        assert f"{name}.csv: every coordinate must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_determinism_bytes(smoke, tmp_path):

@@ -530,11 +530,10 @@ def test_suite_equals_in_process_runs(micro_bundle, only):
     matrix = ablation_variants(micro_cfg())
     if only == "stages":
         matrix = matrix[:4]
-    full = dict(matrix)["full"]
     reports = run_ablation_suite(micro_cfg(), micro_bundle, only=only)
     assert [r.variant for r in reports] == [name for name, _cfg in matrix]
     for report, (name, cfg) in zip(reports, matrix):
-        want = _train_and_evaluate(name, cfg or full, micro_bundle)
+        want = _train_and_evaluate(name, cfg, micro_bundle)
         assert report.error is None and want.error is None
         assert report.gamma == want.gamma
         assert report.per_set == want.per_set
@@ -559,7 +558,7 @@ def test_suite_workers_run_no_accuracy_pass(micro_bundle, monkeypatch):
 
 def test_warmup_key_shares_only_joint_settings():
     base = micro_cfg()
-    variants = {name: cfg for name, cfg in ablation_variants(base) if cfg is not None}
+    variants = dict(ablation_variants(base))
     joint_only = ["full", "no-expansion", "no-estimation", "loss-ce", "loss-nce"]
     assert {_warmup_key(variants[name]) for name in joint_only} == {_warmup_key(base)}
     assert _warmup_key(base.replace(beta=0.0, alpha2=3.0, ridge_scale=1e-3)) == _warmup_key(base)
@@ -594,12 +593,54 @@ def _count_escapes(monkeypatch, path, error=None):
 @pytest.mark.parametrize("only, escapes", [("stages", 1), (None, 2)])
 def test_suite_escapes_once_per_warmup_key(micro_bundle, monkeypatch, tmp_path, only, escapes):
     # stages: one prefix for full, no-expansion and no-estimation, and
-    # no-escape runs none; the full matrix adds epochs-8 alone
+    # no-escape's prefix runs none; the full matrix adds epochs-8's own prefix
     path = tmp_path / "escapes.txt"
     _count_escapes(monkeypatch, path)
     reports = run_ablation_suite(micro_cfg(), micro_bundle, only=only)
     assert [r.error for r in reports] == [None] * len(reports)
     assert path.read_text().count("escape") == escapes
+
+
+def _count_runs(monkeypatch, path):
+    """Append a line to ``path`` per warmup prefix the suite trains
+    ("prefix") and per run it trains, resumed from a prefix ("tail") or
+    not ("whole"); forked workers inherit the patches."""
+    real_warmup, real_train = eval_mod._warmup, eval_mod.train
+    path.write_text("")
+
+    def note(line):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+
+    def warmup(cfg, bundle):
+        note("prefix")
+        return real_warmup(cfg, bundle)
+
+    def train(cfg, bundle, resume=None, **kw):
+        note("whole" if resume is None else "tail")
+        return real_train(cfg, bundle, resume=resume, **kw)
+
+    monkeypatch.setattr(eval_mod, "_warmup", warmup)
+    monkeypatch.setattr(eval_mod, "train", train)
+
+
+@pytest.mark.parametrize("only, runs, prefixes", [(None, 7, 3), ("stages", 4, 2), ("losses", 3, 1),
+                                                  ("epochs", 2, 2)])
+def test_suite_trains_each_config_once_from_its_prefix(micro_bundle, monkeypatch, tmp_path, only, runs,
+                                                        prefixes):
+    # equal configs share one run, and every run resumes from the prefix of
+    # its warmup key, a prefix that serves one run too: in the full matrix
+    # loss-jsd and epochs-4 are full's config, and in a subset without full
+    # the base row trains itself
+    path = tmp_path / "runs.txt"
+    _count_runs(monkeypatch, path)
+    reports = run_ablation_suite(micro_cfg(), micro_bundle, only=only)
+    assert [r.error for r in reports] == [None] * len(reports)
+    lines = path.read_text().split()
+    assert (lines.count("prefix"), lines.count("tail"), lines.count("whole")) == (prefixes, runs, 0)
+    shared = {r.variant: r.extra for r in reports if r.extra}
+    want = {"loss-jsd": {"shared_with": "full"}, "epochs-4": {"shared_with": "full"}}
+    assert shared == (want if only is None else {})
 
 
 class _Unpicklable(Exception):
@@ -621,9 +662,8 @@ def test_suite_prefix_failure_reports_each_variant(micro_bundle, monkeypatch, tm
     matrix = ablation_variants(micro_cfg())
     reports = run_ablation_suite(micro_cfg(), micro_bundle)
     assert path.read_text().count("escape") == 2
-    full = dict(matrix)["full"]
     for report, (name, cfg) in zip(reports, matrix):
-        assert report.error == _train_and_evaluate(name, cfg or full, micro_bundle).error
+        assert report.error == _train_and_evaluate(name, cfg, micro_bundle).error
         assert (report.error is None) == (name == "no-escape"), name
     assert "[injected]" in reports[0].error
 

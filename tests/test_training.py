@@ -468,13 +468,16 @@ def test_resume_is_exact(monkeypatch, tmp_path, at):
     assert (tmp_path / "resumed.json").read_bytes() == (tmp_path / "full.json").read_bytes()
 
 
-# the variants of the ablation matrix that share one warmup prefix, and the edges
+# the variants of the ablation matrix, each of which resumes from a warmup
+# prefix (no-escape and the doubled budget from one of their own), and the edges
 PREFIX_CASES = {
     "full": {},
+    "no-escape": {"escape": False},
     "no-expansion": {"expansion": False},
     "no-estimation": {"estimation": False},
     "loss-ce": {"loss_kind": "ce"},
     "loss-nce": {"loss_kind": "nce"},
+    "epochs-16": {"total_epochs": 16, "pretrain_epochs": 6},
     "beta-0": {"beta": 0.0},
     "pretrain-0": {"pretrain_epochs": 0},
     "pretrain-all": {"pretrain_epochs": 8},
@@ -499,8 +502,8 @@ def test_resume_from_warmup_prefix_is_exact(monkeypatch, tmp_path, kw):
     resumed.write_csv(tmp_path / "resumed.csv")
     assert (tmp_path / "resumed.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
     assert np.array_equal(resumed_net.flat, net.flat)
-    # the prefix's escape time is booked once, in the first record
-    assert [r.escape_s > 0.0 for r in resumed.records] == [True] + [False] * (cfg.total_epochs - 1)
+    # the prefix's escape time is booked once, in the first record (no-escape has none)
+    assert [r.escape_s > 0.0 for r in resumed.records] == [cfg.escape] + [False] * (cfg.total_epochs - 1)
 
 
 def test_learning_accuracy_improves():
