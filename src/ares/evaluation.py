@@ -20,7 +20,7 @@ import numpy as np
 
 from .datagen import MIN_GATE_SCORES, DataBundle
 from .network import MlpNetwork, energy_score_batch
-from .training import TrainConfig, TrainLog, _set_blas_threads, _warmup, _warmup_key, train
+from .training import STAGES, TrainConfig, TrainLog, _set_blas_threads, _warmup, _warmup_key, train
 
 __all__ = [
     "RunReport",
@@ -224,8 +224,8 @@ def _failed_report(variant: str, seed: int, error: str) -> RunReport:
 
 def ablation_variants(base_cfg: TrainConfig) -> list[tuple[str, TrainConfig]]:
     """The default ablation matrix: full + three single-stage removals,
-    three discrimination losses, two epoch budgets. ``loss-jsd`` and
-    ``epochs-N`` are the base config itself, so they share the full run."""
+    three discrimination losses, two epoch budgets. ``epochs-N``, and
+    ``loss-jsd`` on a JSD base, are the base config, so they share the full run."""
     long = base_cfg.replace(
         total_epochs=2 * base_cfg.total_epochs,
         pretrain_epochs=2 * base_cfg.pretrain_epochs,
@@ -237,7 +237,7 @@ def ablation_variants(base_cfg: TrainConfig) -> list[tuple[str, TrainConfig]]:
         ("no-estimation", base_cfg.replace(estimation=False)),
         ("loss-ce", base_cfg.replace(loss_kind="ce")),
         ("loss-nce", base_cfg.replace(loss_kind="nce")),
-        ("loss-jsd", base_cfg),
+        ("loss-jsd", base_cfg.replace(loss_kind="jsd")),
         (f"epochs-{base_cfg.total_epochs}", base_cfg),
         (f"epochs-{long.total_epochs}", long),
     ]
@@ -388,7 +388,7 @@ def write_reports_csv(path, reports: list[RunReport]) -> None:
     for name in set_names:
         cols += [f"{name}_fpr95", f"{name}_auroc", f"{name}_auroc_oriented"]
     cols += ["average_fpr95", "average_auroc", "average_auroc_oriented"]
-    cols += ["escape_s", "expansion_s", "estimation_s", "divergence_s", "error"]
+    cols += [f"{stage}_s" for stage in STAGES] + ["error"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for r in reports:
@@ -398,7 +398,7 @@ def write_reports_csv(path, reports: list[RunReport]) -> None:
                 row += [_fmt(m.get(k)) for k in ("fpr95", "auroc", "auroc_oriented")]
             row += [_fmt(r.average.get(k)) for k in ("fpr95", "auroc", "auroc_oriented")]
             times = r.stage_times or {}
-            row += [_fmt(times.get(k)) for k in ("escape", "expansion", "estimation", "divergence")]
+            row += [_fmt(times.get(stage)) for stage in STAGES]
             row.append("" if r.error is None else r.error.replace(",", ";"))
             fh.write(",".join(row) + "\n")
 

@@ -53,6 +53,11 @@ __all__ = ["EpochRecord", "TrainConfig", "TrainLog", "check_resume", "cosine_lr"
 
 LOSS_KINDS = ("jsd", "ce", "nce")
 
+# ``step`` is the warmup forwards and cross entropy, the backward passes and SGD
+# updates, shuffling and bookkeeping; ``accuracy`` is the per-epoch accuracy pass
+STAGES = ("escape", "expansion", "estimation", "divergence", "step", "accuracy")
+_ESCAPE, _EXPANSION, _ESTIMATION, _DIVERGENCE, _STEP, _ACCURACY = STAGES
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -134,33 +139,22 @@ class EpochRecord:
     dis_loss: float
     total_loss: float
     train_accuracy: float
-    escape_s: float = 0.0
-    expansion_s: float = 0.0
-    estimation_s: float = 0.0
-    divergence_s: float = 0.0
+    times: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))  # seconds per stage
 
 
 @dataclass
 class TrainLog:
-    """Per-epoch records and the final run state. The stage times are wall
-    times of the stage's own work, all on the calling thread and in
-    intervals that do not overlap, so they add up to at most the wall time
-    of the ``train()`` call."""
+    """Per-epoch records and the final run state. The records' stage times
+    add up to the wall time of the ``train()`` call."""
 
     records: list = field(default_factory=list)
     state: RunState | None = None  # the run state after the last epoch (what a checkpoint stores)
 
     DETERMINISTIC_COLUMNS = ("epoch", "lr", "cls_loss", "dis_loss", "total_loss", "train_accuracy")
-    TIMING_COLUMNS = ("epoch", "escape_s", "expansion_s", "estimation_s", "divergence_s")
-
-    def append(self, rec: EpochRecord) -> None:
-        self.records.append(rec)
+    TIMING_COLUMNS = ("epoch", *(f"{stage}_s" for stage in STAGES))
 
     def stage_totals(self) -> dict[str, float]:
-        return {
-            stage: float(sum(getattr(r, f"{stage}_s") for r in self.records))
-            for stage in ("escape", "expansion", "estimation", "divergence")
-        }
+        return {stage: float(sum(r.times[stage] for r in self.records)) for stage in STAGES}
 
     def write_csv(self, path) -> None:
         """Deterministic per-epoch columns only (no wall-clock data)."""
@@ -176,10 +170,7 @@ class TrainLog:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(self.TIMING_COLUMNS) + "\n")
             for r in self.records:
-                fh.write(
-                    "%d,%.6f,%.6f,%.6f,%.6f\n"
-                    % (r.epoch, r.escape_s, r.expansion_s, r.estimation_s, r.divergence_s)
-                )
+                fh.write(",".join([str(r.epoch)] + ["%.6f" % r.times[stage] for stage in STAGES]) + "\n")
 
 
 def cosine_lr(step: int, total_steps: int, lr_start: float, lr_end: float) -> float:
@@ -224,15 +215,35 @@ def check_resume(state: RunState, cfg: TrainConfig, data: DataBundle, source="re
         raise ConfigError(f"{source} does not fit this run: " + "; ".join(wrong))
 
 
+class _Clock:
+    """Books each interval of the calling thread to the one of ``STAGES``
+    that the last :meth:`switch` or :meth:`take` named. It starts on
+    ``step``, with ``totals`` (a prefix's untaken ones) already booked."""
+
+    def __init__(self, totals: dict | None):
+        self.totals = dict(totals or dict.fromkeys(STAGES, 0.0))
+        self.stage, self.since = _STEP, time.perf_counter()
+
+    def switch(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.totals[self.stage] += now - self.since
+        self.stage, self.since = stage, now
+
+    def take(self) -> dict:
+        """The totals booked since the last take; the clock books on from zero, on ``step``."""
+        self.switch(_STEP)
+        taken, self.totals = self.totals, dict.fromkeys(STAGES, 0.0)
+        return taken
+
+
 class _SynthesisState:
     """Candidate pool and fitted region model of one joint epoch, drawn from
     the features of the joint-start network on the epoch's own streams and
     built at the epoch's start. The pool holds one candidate per training
-    point, so no batch asks for more than it has. ``expansion_s`` and
-    ``estimation_s`` time the mixing and the fit and ranking."""
+    point, so no batch asks for more than it has. The caller's ``clock`` is on
+    ``expansion`` for the mixing; the fit and ranking go to ``estimation``."""
 
-    def __init__(self, cfg: TrainConfig, feats: np.ndarray, epoch: int):
-        t0 = time.perf_counter()
+    def __init__(self, cfg: TrainConfig, feats: np.ndarray, epoch: int, clock: _Clock):
         root = Rng(cfg.seed)
         self.eps_rng = root.child("epsilon", epoch)
         pool = feats
@@ -241,15 +252,14 @@ class _SynthesisState:
             pool = expand_features(feats, cfg.alpha2, feats.shape[0], expand_rng)
         self.candidates = pool
         self.ranked = None
-        t1 = time.perf_counter()
+        clock.switch(_ESTIMATION)
         if cfg.estimation:
             # one class-agnostic Gaussian: real outliers scatter across the whole space
             model = fit_gaussian(pool, ridge_scale=cfg.ridge_scale)
             # the pool and the model are fixed for the epoch, so every
             # batch's bottom-B is a prefix of this one ranking's first batch
             self.ranked = sample_virtual_outliers(pool, model, count=cfg.batch_size)
-        self.expansion_s = t1 - t0
-        self.estimation_s = time.perf_counter() - t1
+        clock.switch(_STEP)
 
     def draw_outliers(self, b_eff: int) -> np.ndarray:
         """Bottom-``b_eff`` virtual outliers (or a uniform draw when the
@@ -396,11 +406,11 @@ def _set_blas_threads(n: int) -> int | None:
 class _Prefix(RunState):
     """The run state at the end of a warmup prefix (see :func:`_warmup`),
     with the training set the prefix trained on, escaped or not, and the
-    escape time no epoch record holds yet. ``train(resume=...)`` takes that
+    stage times no epoch record holds yet. ``train(resume=...)`` takes that
     set as given instead of running the escape stage again."""
 
     escaped: LabeledDataset | None = None
-    escape_s: float = 0.0
+    times: dict | None = None
 
 
 def train(
@@ -444,6 +454,7 @@ def _warmup(cfg: TrainConfig, data: DataBundle) -> TrainLog:
 def _train(cfg: TrainConfig, data: DataBundle, end: int, accuracy: bool, checkpoint_dir=None,
            resume: RunState | None = None, progress=None) -> tuple[MlpNetwork, TrainLog]:
     """:func:`train`, stopped before epoch ``end``."""
+    clock = _Clock(resume.times if isinstance(resume, _Prefix) else None)
     root = Rng(cfg.seed)
     if resume is not None:
         check_resume(resume, cfg, data)
@@ -457,29 +468,28 @@ def _train(cfg: TrainConfig, data: DataBundle, end: int, accuracy: bool, checkpo
 
     blas_threads = _set_blas_threads(1)
     try:
-        return _run_epochs(cfg, data, state, net, root, end, checkpoint_dir, progress, accuracy)
+        return _run_epochs(cfg, data, state, net, root, end, checkpoint_dir, progress, accuracy, clock)
     finally:
         if blas_threads is not None:
             _set_blas_threads(blas_threads)
 
 
 def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNetwork, root: Rng,
-                end: int, checkpoint_dir, progress, accuracy: bool) -> tuple[MlpNetwork, TrainLog]:
+                end: int, checkpoint_dir, progress, accuracy: bool, clock) -> tuple[MlpNetwork, TrainLog]:
     """The epochs of :func:`train` from ``state`` up to ``end``, each trained
     by :func:`_train_epoch` and then, when ``accuracy``, scored on the
     training set. A :class:`_Prefix` state brings its training set; a run
-    that stops before ``total_epochs`` returns one."""
+    that stops before ``total_epochs`` returns one, with ``clock``'s untaken times."""
     log = TrainLog()
-    start_epoch = state.epoch
 
     if isinstance(state, _Prefix):
-        dstar, escape_s0 = state.escaped, state.escape_s
+        dstar = state.escaped
     else:
-        dstar, escape_s0 = data.id_train, 0.0  # no-escape trains on the inliers themselves
+        dstar = data.id_train  # no-escape trains on the inliers themselves
         if cfg.escape:
-            t0 = time.perf_counter()
+            clock.switch(_ESCAPE)
             dstar = escape_dataset(data.id_train, data.aux, cfg.escape_cfg, root.child("escape"))
-            escape_s0 = time.perf_counter() - t0
+            clock.switch(_STEP)
     feats = None  # the joint-start features, extracted at the first joint epoch
 
     x_train, y_train = data.id_train.x, data.id_train.y
@@ -487,32 +497,31 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
         workspace = net.workspace(len(x_train))  # every pass of the run scores into it
 
     while state.epoch < end:
-        rec, state, feats = _train_epoch(cfg, state, feats, net, dstar, root, checkpoint_dir)
-        if rec.epoch == start_epoch:
-            rec.escape_s = escape_s0
+        rec, state, feats = _train_epoch(cfg, state, feats, net, dstar, root, checkpoint_dir, clock)
         if accuracy:  # otherwise the record keeps its NaN
+            clock.switch(_ACCURACY)
             pred = np.argmax(net.forward(x_train, workspace).logits, axis=1)
             rec.train_accuracy = float((pred == y_train).mean())
-        log.append(rec)
+        rec.times = clock.take()
+        log.records.append(rec)
         if progress is not None:
             progress(
                 f"epoch={rec.epoch} cls={rec.cls_loss:.6g} dis={rec.dis_loss:.6g} "
                 f"lr={rec.lr:.6g} acc={rec.train_accuracy:.4f}"
             )
     if end < cfg.total_epochs:
-        unbooked = escape_s0 if start_epoch == end else 0.0
-        state = _Prefix(**vars(state), escaped=dstar, escape_s=unbooked)
+        state = _Prefix(**vars(state), escaped=dstar, times=clock.take())
     log.state = state
     return net, log
 
 
 def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, net: MlpNetwork,
-                 dstar: LabeledDataset, root: Rng, checkpoint_dir):
+                 dstar: LabeledDataset, root: Rng, checkpoint_dir, clock: _Clock):
     """Train epoch ``state.epoch`` of a run on ``dstar``, the network ``net``
     holding ``state``'s parameters: a joint epoch first builds its synthesis
     from ``feats``, the joint-start features (extracted here when None),
     then every batch takes one SGD step. Returns the epoch's record, whose
-    accuracy and escape time the caller fills in, the run state after the
+    accuracy and times the caller fills in, the run state after the
     epoch, and the joint-start features. A non-finite loss raises
     :class:`TrainingDiverged` with the state at the epoch's start (also
     written to ``checkpoint_dir`` when given)."""
@@ -525,20 +534,16 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
     steps_per_epoch = (len(dstar) + cfg.batch_size - 1) // cfg.batch_size
     warmup_steps = cfg.beta_warmup_epochs * steps_per_epoch
 
-    exp_s = est_s = div_s = 0.0
     if joint:
+        clock.switch(_EXPANSION)
         if feats is None:
             # the features are snapshotted once at joint start, from the
             # joint-start parameters the run state keeps; fresh mixtures are
             # still drawn from the snapshot every epoch
-            t0 = time.perf_counter()
             if state.joint_start is None:
                 state = replace(state, joint_start=state.params)
             feats = state.network(state.joint_start).forward(dstar.x).feats
-            exp_s += time.perf_counter() - t0
-        synth = _SynthesisState(cfg, feats, epoch)
-        exp_s += synth.expansion_s
-        est_s += synth.estimation_s
+        synth = _SynthesisState(cfg, feats, epoch, clock)
 
     cls_sum = dis_sum = tot_sum = 0.0
     n_batches = 0
@@ -547,9 +552,9 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
         v_pts = None
         step_cfg = cfg
         if joint:
-            t0 = time.perf_counter()
+            clock.switch(_ESTIMATION)
             v_pts = synth.draw_outliers(len(xb))
-            est_s += time.perf_counter() - t0
+            clock.switch(_DIVERGENCE)  # the ramp and a joint batch's loss terms, forward pass included
             if b == 0:  # the batch a checkpoint keeps for ``ares eval``
                 virtual = v_pts
             # ramp the discrimination weight over the first joint steps;
@@ -560,11 +565,8 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
                 if done + 1 < warmup_steps:
                     step_cfg = cfg.replace(beta=cfg.beta * (done + 1) / warmup_steps)
 
-        t0 = time.perf_counter()
         cache, cls_loss, dis, batch_total, dlogits = batch_terms(net, xb, yb, step_cfg, tape, v_pts)
-        if joint:  # a joint batch's loss terms, forward pass included
-            dis_sum += dis
-            div_s += time.perf_counter() - t0
+        clock.switch(_STEP)
 
         for term, value in (("cls", cls_loss), ("dis", dis), ("total", batch_total)):
             if not math.isfinite(value):
@@ -577,6 +579,7 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
         net.backward(cache, tape, dlogits)
         sgd_step(net, tape, lr)
         cls_sum += cls_loss
+        dis_sum += dis  # 0.0 on a warmup batch
         tot_sum += batch_total
         n_batches += 1
 
@@ -587,8 +590,5 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
         dis_loss=dis_sum / n_batches,  # 0.0 on a warmup epoch
         total_loss=tot_sum / n_batches,
         train_accuracy=math.nan,  # filled in from the accuracy pass, if one runs
-        expansion_s=exp_s,
-        estimation_s=est_s,
-        divergence_s=div_s,
     )
     return rec, RunState.of(net, epoch + 1, state.joint_start, virtual), feats

@@ -563,9 +563,8 @@ def test_ablate_default_matrix(smoke, tmp_path):
     assert main(["ablate", "--config", str(cfg), "--data", str(data_dir), "--out", str(out)]) == 0
     lines = (out / "ablation_report.csv").read_text().strip().split("\n")
     assert len(lines) == 10  # header + 9 variants
-    header = lines[0].split(",")
-    for col in ("escape_s", "expansion_s", "estimation_s", "divergence_s"):
-        assert col in header
+    stage_cols = ["escape_s", "expansion_s", "estimation_s", "divergence_s", "step_s", "accuracy_s"]
+    assert lines[0].split(",")[-7:] == stage_cols + ["error"]
 
 
 REPORT_KEYS = {"variant", "seed", "gamma", "per_set", "average", "stage_times", "error"}

@@ -484,6 +484,15 @@ def test_suite_shares_full_run(micro_bundle):
     assert by_name["loss-jsd"].extra.get("shared_with") == "full"
 
 
+def test_suite_loss_jsd_trains_jsd_on_a_ce_base(micro_bundle):
+    # on a CE base config, the loss-jsd row is its own JSD run, not a copy of loss-ce
+    reports = run_ablation_suite(micro_cfg().replace(loss_kind="ce"), micro_bundle, only="losses")
+    by_name = {r.variant: r for r in reports}
+    assert [r.error for r in reports] == [None] * 3
+    assert by_name["loss-jsd"].extra == {}
+    assert by_name["loss-jsd"].average != by_name["loss-ce"].average
+
+
 def test_suite_subsets(micro_bundle):
     assert len(run_ablation_suite(micro_cfg(), micro_bundle, only="losses")) == 3
     assert len(run_ablation_suite(micro_cfg(), micro_bundle, only="stages")) == 4
@@ -687,5 +696,7 @@ def test_reports_csv_layout(tmp_path, micro_bundle):
     assert header[0] == "variant"
     assert "ring_fpr95" in header and "ring_auroc" in header
     assert "average_fpr95" in header and "average_auroc" in header
-    assert {"escape_s", "expansion_s", "estimation_s", "divergence_s"} <= set(header)
+    stage_cols = ["escape_s", "expansion_s", "estimation_s", "divergence_s", "step_s", "accuracy_s"]
+    assert header[-7:] == stage_cols + ["error"]
+    assert all(float(x) >= 0.0 for line in lines[1:] for x in line.split(",")[-7:-1])
     assert len(lines) == 5
