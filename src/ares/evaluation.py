@@ -29,6 +29,7 @@ __all__ = [
     "evaluate",
     "fpr95",
     "run_ablation_suite",
+    "run_variants",
     "score_bundle",
     "write_reports_csv",
 ]
@@ -211,10 +212,10 @@ def _error(err: Exception) -> str:
     return f"{type(err).__name__}: {err}"
 
 
-def _failed_report(variant: str, seed: int, error: str) -> RunReport:
+def _failed_report(variant: str, cfg: TrainConfig, error: str) -> RunReport:
     return RunReport(
         variant=variant,
-        seed=seed,
+        seed=cfg.seed,
         gamma=float("nan"),
         per_set={},
         average={},
@@ -260,7 +261,7 @@ def _train_and_evaluate(name: str, cfg: TrainConfig, bundle: DataBundle,
         report.stage_times = log.stage_totals()
         return report
     except Exception as err:  # per-variant isolation is the contract
-        return _failed_report(name, cfg.seed, _error(err))
+        return _failed_report(name, cfg, _error(err))
 
 
 def _warmup_or_error(cfg: TrainConfig, bundle: DataBundle) -> tuple[TrainLog | None, str | None]:
@@ -274,49 +275,56 @@ def _warmup_or_error(cfg: TrainConfig, bundle: DataBundle) -> tuple[TrainLog | N
         return None, _error(err)
 
 
+# ``run_ablation_suite``'s subsets: the matrix rows whose names start with one of these
+ABLATION_SUBSETS = {"stages": ("full", "no-"), "losses": ("loss-",), "epochs": ("epochs-",)}
+
+
 def run_ablation_suite(
     base_cfg: TrainConfig,
     bundle: DataBundle,
     only: str | None = None,
 ) -> list[RunReport]:
-    """Train and evaluate every ablation variant with shared data and seed.
+    """Train and evaluate every ablation variant with shared data and seed,
+    through :func:`run_variants`, in the matrix order.
 
-    ``only`` restricts the matrix to "stages", "losses", or "epochs".
-    Variants train in parallel, one forked worker per usable CPU, each
-    with one BLAS thread; a run is a pure function of its config and seed,
-    so the reports equal a sequential run's, in the matrix order.
-
-    Variants with equal configs share one run: the first trains it, and
-    each other gets a copy of its report with ``extra={"shared_with":
-    <the first>}`` (loss-jsd and epochs-N share full's). Every run resumes
-    from the prefix of its :func:`_warmup_key`, the escape stage and warmup
-    epochs, which the suite trains once per key; the reports equal runs
-    from scratch. A run's stage times are the wall times of the workers
-    that trained it, so each run's ``escape`` time is its prefix's.
-    No report carries a training accuracy, so the workers train with
-    ``accuracy=False`` and run no accuracy pass.
-
-    A variant that raises, or whose worker dies, gets a report with its
-    ``error`` set; the suite itself does not raise. A prefix that raises
-    gives each of its variants the error a run of its own would report. A
-    dying worker breaks the whole pool, so every variant it took down is
-    rerun alone, from scratch, in a fresh one-worker pool.
+    ``only`` restricts the matrix to "stages", "losses", or "epochs": the
+    rows whose names start as ``ABLATION_SUBSETS`` says.
     """
-    matrix = ablation_variants(base_cfg)
-    if only == "stages":
-        matrix = matrix[:4]
-    elif only == "losses":
-        matrix = [matrix[4], matrix[5], matrix[6]]
-    elif only == "epochs":
-        matrix = [matrix[7], matrix[8]]
-    elif only is not None:
+    if only is not None and only not in ABLATION_SUBSETS:
         raise ValueError(f"run_ablation_suite: unknown subset {only!r}")
-    owners: dict[TrainConfig, str] = {}  # config -> the first variant with it, which trains the run
-    for name, cfg in matrix:
-        owners.setdefault(cfg, name)
-    groups: dict[TrainConfig, list] = {}  # warmup key -> the runs that resume from its prefix
-    for cfg, name in owners.items():
-        groups.setdefault(_warmup_key(cfg), []).append((name, cfg))
+    return run_variants([(name, cfg, bundle) for name, cfg in ablation_variants(base_cfg)
+                         if only is None or name.startswith(ABLATION_SUBSETS[only])])
+
+
+def run_variants(rows: list[tuple[str, TrainConfig, DataBundle]]) -> list[RunReport]:
+    """Train and evaluate each row ``(name, config, bundle)``; the reports
+    come back in row order.
+
+    Rows train in parallel, one forked worker per usable CPU, each with one
+    BLAS thread; a run is a pure function of its config, seed and bundle,
+    so the reports equal a sequential run's.
+
+    Rows with equal configs on the same bundle object share one run: the
+    first trains it, and each other gets a copy of its report with
+    ``extra={"shared_with": <the first's name>}``. Every run resumes from
+    the prefix of its :func:`_warmup_key` on its bundle, the escape stage
+    and warmup epochs, which is trained once per key and bundle; the
+    reports equal runs from scratch. A run's stage times are the wall times
+    of the workers that trained it, so each run's ``escape`` time is its
+    prefix's. No report carries a training accuracy, so the workers train
+    with ``accuracy=False`` and run no accuracy pass.
+
+    A row that raises, or whose worker dies, gets a report with its
+    ``error`` set; the call itself does not raise. A prefix that raises
+    gives each of its rows the error a run of its own would report. A
+    dying worker breaks the whole pool, so every row it took down is rerun
+    alone, from scratch on its own bundle, in a fresh one-worker pool.
+    """
+    owners: dict[tuple, int] = {}  # (config, bundle) -> the first row with them, which trains the run
+    owner = [owners.setdefault((cfg, id(bundle)), i) for i, (_name, cfg, bundle) in enumerate(rows)]
+    groups: dict[tuple, list[int]] = {}  # (warmup key, bundle) -> the runs that resume from its prefix
+    for (cfg, b), i in owners.items():
+        groups.setdefault((_warmup_key(cfg), b), []).append(i)
 
     # imported here, so that ``import ares`` does not pay for the pool modules
     import multiprocessing
@@ -327,10 +335,10 @@ def run_ablation_suite(
         return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
                                    initializer=_set_blas_threads, initargs=(1,))
 
-    reports: dict[str, RunReport] = {}
+    reports: dict[int, RunReport] = {}
     broken = []
     with pool(min(len(os.sched_getaffinity(0)), len(owners))) as executor:
-        pending = {}  # future -> the runs it serves: a prefix's runs, or one run
+        pending = {}  # future -> the rows it serves: a prefix's runs, or one run
 
         def submit(members, fn, *args):
             try:
@@ -339,13 +347,13 @@ def run_ablation_suite(
                 fail(members, err)
 
         def fail(members, err):
-            for name, cfg in members:
-                reports[name] = _failed_report(name, cfg.seed, _error(err))
+            for i in members:
+                reports[i] = _failed_report(*rows[i][:2], _error(err))
             if isinstance(err, BrokenProcessPool):
                 broken.extend(members)
 
-        for key, members in groups.items():
-            submit(members, _warmup_or_error, key, bundle)
+        for (key, _b), members in groups.items():
+            submit(members, _warmup_or_error, key, rows[members[0]][2])
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
@@ -356,39 +364,40 @@ def run_ablation_suite(
                     fail(members, err)
                     continue
                 if isinstance(result, RunReport):
-                    reports[result.variant] = result
+                    reports[members[0]] = result
                     continue
                 prefix, error = result
-                for name, cfg in members:
+                for i in members:
                     if error is not None:
-                        reports[name] = _failed_report(name, cfg.seed, error)
+                        reports[i] = _failed_report(*rows[i][:2], error)
                     else:
-                        submit([(name, cfg)], _train_and_evaluate, name, cfg, bundle, prefix)
+                        submit([i], _train_and_evaluate, *rows[i], prefix)
     # a dead worker fails every pending future with it: rerun each of those
-    # alone, so that only the variant that kills its own worker keeps the error
-    for name, cfg in broken:
+    # alone, so that only the row that kills its own worker keeps the error
+    for i in broken:
         with pool(1) as executor:
             try:
-                reports[name] = executor.submit(_train_and_evaluate, name, cfg, bundle).result()
+                reports[i] = executor.submit(_train_and_evaluate, *rows[i]).result()
             except Exception as err:
-                reports[name] = _failed_report(name, cfg.seed, _error(err))
+                reports[i] = _failed_report(*rows[i][:2], _error(err))
 
     return [
-        reports[name] if owners[cfg] == name
-        else replace(reports[owners[cfg]], variant=name, extra={"shared_with": owners[cfg]}, scores=None)
-        for name, cfg in matrix
+        reports[i] if owner[i] == i
+        else replace(reports[owner[i]], variant=name, extra={"shared_with": rows[owner[i]][0]}, scores=None)
+        for i, (name, _cfg, _bundle) in enumerate(rows)
     ]
 
 
 def write_reports_csv(path, reports: list[RunReport]) -> None:
     """Flat table: one row per variant, per-set FPR95/AUROC columns plus
-    averages, gamma, and per-stage wall times."""
+    averages, gamma, and per-stage wall times when some report has them."""
     set_names = sorted({name for r in reports for name in r.per_set})
+    stages = STAGES if any(r.stage_times for r in reports) else ()
     cols = ["variant", "seed", "gamma"]
     for name in set_names:
         cols += [f"{name}_fpr95", f"{name}_auroc", f"{name}_auroc_oriented"]
     cols += ["average_fpr95", "average_auroc", "average_auroc_oriented"]
-    cols += [f"{stage}_s" for stage in STAGES] + ["error"]
+    cols += [f"{stage}_s" for stage in stages] + ["error"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for r in reports:
@@ -398,7 +407,7 @@ def write_reports_csv(path, reports: list[RunReport]) -> None:
                 row += [_fmt(m.get(k)) for k in ("fpr95", "auroc", "auroc_oriented")]
             row += [_fmt(r.average.get(k)) for k in ("fpr95", "auroc", "auroc_oriented")]
             times = r.stage_times or {}
-            row += [_fmt(times.get(stage)) for stage in STAGES]
+            row += [_fmt(times.get(stage)) for stage in stages]
             row.append("" if r.error is None else r.error.replace(",", ";"))
             fh.write(",".join(row) + "\n")
 

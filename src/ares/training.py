@@ -28,11 +28,8 @@ from .losses import (
     DIV_GUARD,
     LogisticHead,
     ce_logistic_grad,
-    ce_logistic_loss,
     jsd_discrimination_grad,
-    jsd_discrimination_loss,
     nce_grad,
-    nce_loss,
     total_loss,
 )
 from .network import (
@@ -41,7 +38,6 @@ from .network import (
     RunState,
     cross_entropy_batch,
     energy_gradients,
-    energy_score_batch,
     save_checkpoint,
 )
 from .numerics import RIDGE_SCALE, fit_gaussian
@@ -338,23 +334,6 @@ def batch_terms(net: MlpNetwork, xb, yb, cfg: TrainConfig, tape: GradientTape, v
         net, cache, cls_loss, dlogits, np.asarray(v_pts, dtype=float), cfg, tape
     )
     return cache, cls_loss, dis, batch_total, dlogits
-
-
-def compute_batch_loss(net: MlpNetwork, xb, yb, cfg: TrainConfig, v_pts=None) -> float:
-    """Loss value only (no gradients); the finite-difference oracle in the
-    test suite drives this."""
-    cache = net.forward(np.asarray(xb, dtype=float))
-    cls_loss, _ = cross_entropy_batch(cache.logits, yb)
-    if v_pts is None:
-        return cls_loss
-    e_id = energy_score_batch(net, cache.logits)
-    e_v = energy_score_batch(net, np.asarray(v_pts, dtype=float) @ net.cls_w + net.cls_b)
-    if cfg.loss_kind == "jsd":
-        return total_loss(cls_loss, jsd_discrimination_loss(e_id, e_v), cfg.beta)
-    head = LogisticHead(weight=float(net.head_w), bias=float(net.head_b))
-    if cfg.loss_kind == "ce":
-        return cls_loss + cfg.beta * ce_logistic_loss(e_id, e_v, head)
-    return cls_loss + cfg.beta * nce_loss(e_id, e_v, head, cfg.nce_temperature)
 
 
 # ---- threads ----------------------------------------------------------------

@@ -3,6 +3,27 @@ acceptance tests."""
 
 import numpy as np
 
+from ares.losses import LogisticHead, ce_logistic_loss, jsd_discrimination_loss, nce_loss, total_loss
+from ares.network import cross_entropy_batch, energy_score_batch
+
+
+def compute_batch_loss(net, xb, yb, cfg, v_pts=None) -> float:
+    """The training loss of one batch, value only (no gradients): the
+    function the oracle differentiates. ``v_pts=None`` means a warmup batch
+    (classification term only)."""
+    cache = net.forward(np.asarray(xb, dtype=float))
+    cls_loss, _ = cross_entropy_batch(cache.logits, yb)
+    if v_pts is None:
+        return cls_loss
+    e_id = energy_score_batch(net, cache.logits)
+    e_v = energy_score_batch(net, np.asarray(v_pts, dtype=float) @ net.cls_w + net.cls_b)
+    if cfg.loss_kind == "jsd":
+        return total_loss(cls_loss, jsd_discrimination_loss(e_id, e_v), cfg.beta)
+    head = LogisticHead(weight=float(net.head_w), bias=float(net.head_b))
+    if cfg.loss_kind == "ce":
+        return cls_loss + cfg.beta * ce_logistic_loss(e_id, e_v, head)
+    return cls_loss + cfg.beta * nce_loss(e_id, e_v, head, cfg.nce_temperature)
+
 
 def finite_difference_grads(net, loss_fn, h: float = 1e-5) -> dict:
     """Central differences of ``loss_fn()`` w.r.t. every parameter of ``net``."""

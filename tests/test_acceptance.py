@@ -14,7 +14,7 @@ from scipy import integrate
 
 from ares.cli import main as cli_main
 from ares.datagen import make_bundle
-from ares.evaluation import auroc, choose_gamma, evaluate, fpr95
+from ares.evaluation import ablation_variants, auroc, choose_gamma, fpr95, run_variants
 from ares.network import GradientTape, MlpNetwork
 from ares.numerics import (
     Gauss1d,
@@ -26,8 +26,8 @@ from ares.numerics import (
 )
 from ares.rng import Rng
 from ares.synthesis import sample_virtual_outliers
-from ares.training import TrainConfig, batch_terms, compute_batch_loss, train
-from gradcheck import finite_difference_grads, max_relative_error
+from ares.training import TrainConfig, batch_terms
+from gradcheck import compute_batch_loss, finite_difference_grads, max_relative_error
 
 BENCH_DATA = {
     "n_train": 1200,
@@ -52,46 +52,41 @@ def report(number: int, name: str, ok: bool, detail: str, soft: bool = False, ev
 
 
 # ---------------------------------------------------------------------------
-# shared benchmark runs (trained once, reused by criteria 6, 7, 8, 10)
+# shared benchmark runs (trained once, in one pool, reused by criteria 6, 7, 8, 10)
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def bench():
-    bundles = {s: make_bundle(BENCH_DATA, seed=s) for s in BENCH_SEEDS}
-    cache: dict = {"bundles": bundles, "runs": {}, "train_seconds": []}
-
-    def run(variant: str, seed: int, **kw):
-        key = (variant, seed)
-        if key not in cache["runs"]:
-            cfg = TrainConfig(seed=seed, **{**DESK, **kw})
-            t0 = time.perf_counter()
-            net, log = train(cfg, bundles[seed])
-            cache["train_seconds"].append(time.perf_counter() - t0)
-            rep = evaluate(net, bundles[seed], variant=variant, seed=seed)
-            cache["runs"][key] = (rep, log)
-        return cache["runs"][key]
-
-    cache["run"] = run
-    return cache
+    """Report per (variant, seed): each seed's ablation matrix and its
+    classification-only baseline."""
+    rows = []
+    for s in BENCH_SEEDS:
+        cfg = TrainConfig(seed=s, **DESK)
+        bundle = make_bundle(BENCH_DATA, seed=s)
+        variants = ablation_variants(cfg) + [("baseline", cfg.replace(beta=0.0))]
+        rows += [(name, c, bundle) for name, c in variants]
+    reports = run_variants(rows)
+    assert [r.error for r in reports if r.error] == []
+    return {(r.variant, r.seed): r for r in reports}
 
 
-def seed_values(bench_cache, variant: str, metric: str, seeds=BENCH_SEEDS, **kw) -> list[float]:
-    return [bench_cache["run"](variant, s, **kw)[0].average[metric] for s in seeds]
+def seed_values(bench_runs, variant: str, metric: str, seeds=BENCH_SEEDS) -> list[float]:
+    return [bench_runs[variant, s].average[metric] for s in seeds]
 
 
-def mean_metric(bench_cache, variant: str, metric: str, seeds=BENCH_SEEDS, **kw) -> float:
-    return float(np.mean(seed_values(bench_cache, variant, metric, seeds, **kw)))
+def mean_metric(bench_runs, variant: str, metric: str, seeds=BENCH_SEEDS) -> float:
+    return float(np.mean(seed_values(bench_runs, variant, metric, seeds)))
 
 
-def per_seed_evidence(bench_cache, metric: str, higher_better: bool, variants: dict) -> str:
+def per_seed_evidence(bench_runs, metric: str, higher_better: bool, variants) -> str:
     """Detail lines behind a comparison of means (printed only, never
-    gated): the per-seed ``metric`` of ``full`` and of each variant (name ->
-    train overrides), each variant's paired per-seed difference against
-    ``full`` with its win count, and every run whose AUROC is below 0.5."""
-    full = seed_values(bench_cache, "full", metric)
+    gated): the per-seed ``metric`` of ``full`` and of each named variant,
+    each variant's paired per-seed difference against ``full`` with its
+    win count, and every run whose AUROC is below 0.5."""
+    full = seed_values(bench_runs, "full", metric)
     lines, inverted = [], []
-    for name, kw in {"full": {}, **variants}.items():
-        vals = seed_values(bench_cache, name, metric, **kw)
+    for name in ["full", *variants]:
+        vals = seed_values(bench_runs, name, metric)
         line = f"{name} {metric} per seed " + " ".join(f"{v:.3f}" for v in vals)
         if name != "full":
             diffs = [v - f for v, f in zip(vals, full)]
@@ -99,7 +94,7 @@ def per_seed_evidence(bench_cache, metric: str, higher_better: bool, variants: d
             line += (" | minus full " + " ".join(f"{d:+.3f}" for d in diffs)
                      + f" | {name} better on {wins}/{len(diffs)}")
         lines.append(line)
-        aurocs = seed_values(bench_cache, name, "auroc", **kw)
+        aurocs = seed_values(bench_runs, name, "auroc")
         inverted += [f"{name} seed {s} ({a:.3f})" for s, a in zip(BENCH_SEEDS, aurocs) if a < 0.5]
     lines.append("AUROC < 0.5 (inverted scores): " + (", ".join(inverted) or "none"))
     return "".join("\n    " + line for line in lines)
@@ -266,14 +261,15 @@ def test_criterion_5_gradients():
 
 def test_criterion_6_end_to_end(bench):
     full = mean_metric(bench, "full", "auroc")
-    base = mean_metric(bench, "baseline", "auroc", beta=0.0)
-    budget_ok = all(s < SECONDS_PER_SEED_BUDGET for s in bench["train_seconds"])
+    base = mean_metric(bench, "baseline", "auroc")
+    train_seconds = [sum(r.stage_times.values()) for r in bench.values()]
+    budget_ok = all(s < SECONDS_PER_SEED_BUDGET for s in train_seconds)
     ok = full >= 0.85 and full - base >= 0.05 and budget_ok
     report(6, "full pipeline beats classification-only baseline", ok,
            f"mean AUROC full={full:.3f} (>=0.85), baseline={base:.3f}, "
            f"gap={full - base:+.3f} (>=0.05), max train time "
-           f"{max(bench['train_seconds']):.1f}s (<{SECONDS_PER_SEED_BUDGET:.0f}s/seed)",
-           evidence=per_seed_evidence(bench, "auroc", True, {"baseline": {"beta": 0.0}}))
+           f"{max(train_seconds):.1f}s (<{SECONDS_PER_SEED_BUDGET:.0f}s/seed)",
+           evidence=per_seed_evidence(bench, "auroc", True, ["baseline"]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +278,8 @@ def test_criterion_6_end_to_end(bench):
 
 def test_criterion_7_stage_ablation(bench):
     full = mean_metric(bench, "full", "fpr95")
-    stage_off = {
-        "no-escape": {"escape": False},
-        "no-expansion": {"expansion": False},
-        "no-estimation": {"estimation": False},
-    }
-    masks = {k: mean_metric(bench, k, "fpr95", **kw) for k, kw in stage_off.items()}
+    stage_off = ["no-escape", "no-expansion", "no-estimation"]
+    masks = {k: mean_metric(bench, k, "fpr95") for k in stage_off}
     detail = f"full FPR95={full:.3f} vs " + ", ".join(f"{k}={v:.3f}" for k, v in masks.items())
     evidence = per_seed_evidence(bench, "fpr95", False, stage_off)
     worst_violation = max(full - v for v in masks.values())
@@ -308,12 +300,10 @@ def test_criterion_7_stage_ablation(bench):
 
 def test_criterion_8_loss_ablation(bench):
     jsd = mean_metric(bench, "full", "fpr95")
-    ce = mean_metric(bench, "loss-ce", "fpr95", loss_kind="ce")
-    nce = mean_metric(bench, "loss-nce", "fpr95", loss_kind="nce")
+    ce = mean_metric(bench, "loss-ce", "fpr95")
+    nce = mean_metric(bench, "loss-nce", "fpr95")
     detail = f"FPR95 jsd={jsd:.3f}, ce={ce:.3f}, nce={nce:.3f}"
-    evidence = per_seed_evidence(
-        bench, "fpr95", False, {"loss-ce": {"loss_kind": "ce"}, "loss-nce": {"loss_kind": "nce"}}
-    )
+    evidence = per_seed_evidence(bench, "fpr95", False, ["loss-ce", "loss-nce"])
     worst_violation = max(jsd - ce, jsd - nce)
     if worst_violation <= 0:
         report(8, "divergence loss beats ce/nce ablations on FPR95", True, detail, evidence=evidence)
@@ -368,9 +358,7 @@ def test_criterion_9_determinism(tmp_path):
 def test_criterion_10_epoch_budgets(bench):
     seeds = BENCH_SEEDS[:3]
     short = mean_metric(bench, "full", "auroc", seeds=seeds)
-    long = mean_metric(
-        bench, "epochs-200", "auroc", seeds=seeds, total_epochs=200, pretrain_epochs=80
-    )
+    long = mean_metric(bench, "epochs-200", "auroc", seeds=seeds)
     diff = abs(short - long)
     detail = f"mean AUROC 100-epoch={short:.3f}, 200-epoch={long:.3f}, |diff|={diff:.3f}"
     report(10, "100- vs 200-epoch budgets agree within 5 points", diff <= 0.05, detail,

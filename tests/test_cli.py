@@ -301,6 +301,9 @@ def test_eval_artifacts_and_consistency(smoke, tmp_path):
     assert report["per_set"]["ring"]["fpr95"] == pytest.approx(fpr95(id_scores, ring_scores), abs=0)
     header = (eval_dir / "report.csv").read_text().split("\n")[0]
     assert header.startswith("variant,seed,gamma")
+    # the report has no stage times, so the table has no stage-time columns
+    assert header.endswith(",average_fpr95,average_auroc,average_auroc_oriented,error")
+    assert not [col for col in header.split(",") if col.endswith("_s")]
     hist = (eval_dir / "energy_hist.csv").read_text().strip().split("\n")
     assert hist[0] == "bin_left,bin_right,count_id,count_ood,count_virtual"
     assert len(hist) == 51

@@ -15,8 +15,10 @@ import ares.training as training_mod
 from ares.datagen import DataBundle, LabeledDataset, make_bundle
 from ares.escape import EscapeConfig
 from ares.evaluation import (
+    ABLATION_SUBSETS,
     SCORE_BLOCK,
     _average_ranks,
+    _failed_report,
     _train_and_evaluate,
     ablation_variants,
     auroc,
@@ -24,12 +26,13 @@ from ares.evaluation import (
     evaluate,
     fpr95,
     run_ablation_suite,
+    run_variants,
     score_bundle,
     write_reports_csv,
 )
 from ares.network import MlpNetwork, energy_score_batch
 from ares.rng import Rng
-from ares.training import TrainConfig, _warmup_key
+from ares.training import STAGES, TrainConfig, _warmup_key
 
 
 # ---- oracles -----------------------------------------------------------------
@@ -458,11 +461,19 @@ def micro_cfg():
     )
 
 
+MICRO_DATA = {"n_train": 120, "n_test": 60, "k": 3, "d": 2, "n_ood": 60, "ood_sets": "ring"}
+
+
 @pytest.fixture(scope="module")
 def micro_bundle():
-    return make_bundle(
-        {"n_train": 120, "n_test": 60, "k": 3, "d": 2, "n_ood": 60, "ood_sets": "ring"}, seed=3
-    )
+    return make_bundle(MICRO_DATA, seed=3)
+
+
+def micro_matrix(only=None):
+    """The rows of ``ablation_variants(micro_cfg())`` that ``only`` selects,
+    by the suite's own naming rule."""
+    return [(name, cfg) for name, cfg in ablation_variants(micro_cfg())
+            if only is None or name.startswith(ABLATION_SUBSETS[only])]
 
 
 def test_suite_default_matrix_size(micro_bundle):
@@ -536,9 +547,7 @@ def test_suite_survives_a_dead_worker(micro_bundle, monkeypatch):
 
 @pytest.mark.parametrize("only", ["stages", None])
 def test_suite_equals_in_process_runs(micro_bundle, only):
-    matrix = ablation_variants(micro_cfg())
-    if only == "stages":
-        matrix = matrix[:4]
+    matrix = micro_matrix(only)
     reports = run_ablation_suite(micro_cfg(), micro_bundle, only=only)
     assert [r.variant for r in reports] == [name for name, _cfg in matrix]
     for report, (name, cfg) in zip(reports, matrix):
@@ -680,11 +689,57 @@ def test_suite_prefix_failure_reports_each_variant(micro_bundle, monkeypatch, tm
 def test_suite_reruns_the_variants_of_a_dead_prefix(micro_bundle, monkeypatch):
     # the prefix's worker dies: each variant that waited on it trains alone, from scratch
     monkeypatch.setattr(eval_mod, "_warmup", lambda cfg, bundle: os._exit(3))
-    matrix = ablation_variants(micro_cfg())[:4]
+    matrix = micro_matrix("stages")
     reports = run_ablation_suite(micro_cfg(), micro_bundle, only="stages")
     for report, (name, cfg) in zip(reports, matrix):
         assert report.error is None
         assert report.average == _train_and_evaluate(name, cfg, micro_bundle).average
+
+
+def _values(report):
+    """A report without its wall-clock stage times."""
+    return dataclasses.replace(report, stage_times=None)
+
+
+def test_variants_over_two_seeds_equal_per_seed_suites(micro_bundle):
+    # one call over two seeds' bundles returns, in row order, each seed's suite
+    other_cfg, other_bundle = micro_cfg().replace(seed=4), make_bundle(MICRO_DATA, seed=4)
+    rows = [(name, cfg, micro_bundle) for name, cfg in micro_matrix()]
+    rows += [(name, cfg.replace(seed=4), other_bundle) for name, cfg in micro_matrix()]
+    want = run_ablation_suite(micro_cfg(), micro_bundle) + run_ablation_suite(other_cfg, other_bundle)
+    reports = run_variants(rows)
+    assert [(r.variant, r.seed) for r in reports] == [(name, cfg.seed) for name, cfg, _b in rows]
+    assert [r.error for r in reports] == [None] * len(rows)
+    assert list(map(_values, reports)) == list(map(_values, want))
+    assert reports[0].average != reports[len(rows) // 2].average
+
+
+def test_variants_share_no_run_across_bundles(micro_bundle, monkeypatch, tmp_path):
+    # equal configs on two bundle objects are two runs from two prefixes, even
+    # when the bundles hold the same points
+    twin, other = make_bundle(MICRO_DATA, seed=3), make_bundle(MICRO_DATA, seed=4)
+    rows = [("a", micro_cfg(), micro_bundle), ("b", micro_cfg(), twin), ("c", micro_cfg(), other)]
+    path = tmp_path / "runs.txt"
+    _count_runs(monkeypatch, path)
+    reports = run_variants(rows)
+    lines = path.read_text().split()
+    assert (lines.count("prefix"), lines.count("tail")) == (3, 3)
+    assert [r.extra for r in reports] == [{}] * 3
+    for report, (name, cfg, bundle) in zip(reports, rows):
+        assert _values(report) == _values(_train_and_evaluate(name, cfg, bundle))
+    assert reports[0].average == reports[1].average != reports[2].average
+
+
+def test_variants_rerun_a_dead_prefix_on_their_own_bundles(micro_bundle, monkeypatch):
+    # each row that waited on a dead prefix trains alone, from scratch, on its own bundle
+    monkeypatch.setattr(eval_mod, "_warmup", lambda cfg, bundle: os._exit(3))
+    other = make_bundle(MICRO_DATA, seed=4)
+    rows = [("here", micro_cfg(), micro_bundle), ("there", micro_cfg(), other)]
+    reports = run_variants(rows)
+    for report, (name, cfg, bundle) in zip(reports, rows):
+        assert report.error is None
+        assert _values(report) == _values(_train_and_evaluate(name, cfg, bundle))
+    assert reports[0].average != reports[1].average
 
 
 def test_reports_csv_layout(tmp_path, micro_bundle):
@@ -700,3 +755,30 @@ def test_reports_csv_layout(tmp_path, micro_bundle):
     assert header[-7:] == stage_cols + ["error"]
     assert all(float(x) >= 0.0 for line in lines[1:] for x in line.split(",")[-7:-1])
     assert len(lines) == 5
+
+
+def test_reports_csv_stage_columns_only_with_stage_times(tmp_path, micro_bundle):
+    # the six stage-time columns come with the first report that has stage
+    # times; a bare evaluate() report, or a table of failed runs, has none
+    plain = evaluate(MlpNetwork(2, (8,), 4, 3, Rng(0)), micro_bundle)
+    timed = dataclasses.replace(plain, stage_times=dict.fromkeys(STAGES, 0.5))
+    failed = _failed_report("full", micro_cfg(), "RuntimeError: injected")
+    stage_cols = [f"{stage}_s" for stage in STAGES]
+    metric_cols = ["average_fpr95", "average_auroc", "average_auroc_oriented"]
+
+    def header_and_rows(reports):
+        path = tmp_path / "report.csv"
+        write_reports_csv(path, reports)
+        lines = [line.split(",") for line in path.read_text().strip().split("\n")]
+        assert all(len(row) == len(lines[0]) for row in lines)
+        return lines[0], lines[1:]
+
+    header, _ = header_and_rows([plain])
+    assert header[-4:] == metric_cols + ["error"]
+    header, rows = header_and_rows([failed, failed])
+    assert header == ["variant", "seed", "gamma"] + metric_cols + ["error"]
+    assert rows[0] == ["full", "3", "nan", "", "", "", "RuntimeError: injected"]
+    header, rows = header_and_rows([failed, timed])
+    assert header[-7:] == stage_cols + ["error"]
+    assert rows[0][-7:] == [""] * 6 + ["RuntimeError: injected"]
+    assert rows[1][-7:] == ["0.5"] * 6 + [""]

@@ -23,11 +23,10 @@ from ares.rng import Rng
 from ares.training import (
     TrainConfig,
     batch_terms,
-    compute_batch_loss,
     sgd_step,
     train,
 )
-from gradcheck import finite_difference_grads, max_relative_error
+from gradcheck import compute_batch_loss, finite_difference_grads, max_relative_error
 
 
 def small_net(seed=0, input_dim=3, hidden=(5,), feature_dim=4, k=3):
