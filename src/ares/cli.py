@@ -20,7 +20,7 @@ from . import __version__
 from .config import config_hash, load_config, resolve_config, to_configs
 from .datagen import DataBundle, LabeledDataset, load_points_csv, make_bundle, save_points_csv
 from .errors import AresError, ConfigError
-from .evaluation import evaluate, run_ablation_suite, write_report_json, write_reports_csv
+from .evaluation import ABLATION_SUBSETS, evaluate, run_ablation_suite, write_report_json, write_reports_csv
 from .losses import write_energy_histogram_csv
 from .network import RunState, energy_score_batch, load_checkpoint, save_checkpoint
 from .training import check_resume, train
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, data=True)
     p.add_argument("--stage-mask", choices=STAGE_MASKS, default=None)
     p.add_argument("--loss", choices=("jsd", "ce", "nce"), default=None)
-    p.add_argument("--only", choices=("stages", "losses", "epochs"), default=None,
+    p.add_argument("--only", choices=tuple(ABLATION_SUBSETS), default=None,
                    help="restrict the ablation matrix")
     p.set_defaults(func=cmd_ablate)
     return parser

@@ -36,8 +36,10 @@ __all__ = [
 
 TPR_TARGET = 0.95
 # rows per forward pass in score_bundle; each block is zero-padded to a
-# multiple of PAD_ROWS rows, of which SCORE_BLOCK is one
-SCORE_BLOCK = 4096
+# multiple of PAD_ROWS rows, of which SCORE_BLOCK is one. At 1024 rows the
+# workspace (the input rows and every layer output: 149 doubles a row for a
+# 2-d, 3-class default network) is 1.2 MB, within a 2 MiB per-core L2
+SCORE_BLOCK = 1024
 PAD_ROWS = 8
 
 
@@ -77,27 +79,19 @@ def fpr95(id_scores, ood_scores) -> float:
     return _pass_rate(ood_scores, choose_gamma(id_scores))
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values)  # tied values share one rank, so any order of ties will do
-    sorted_vals = values[order]
-    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])  # tie groups
-    ends = np.r_[starts[1:], values.size] - 1  # last sorted index of each group
-    ranks = np.empty(values.size, dtype=float)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    return ranks
-
-
 def auroc(id_scores, ood_scores) -> float:
-    """P(inlier score > outlier score) + 0.5 P(equal), via rank sums."""
-    e = _scores(id_scores, "auroc")
-    f = _scores(ood_scores, "auroc")
+    """P(inlier score > outlier score) + 0.5 P(equal), counted exactly on
+    the sorted score lists: for each outlier score, the inlier scores at or
+    below it and those strictly below it."""
+    e = np.sort(_scores(id_scores, "auroc"))
+    f = np.sort(_scores(ood_scores, "auroc"))
     if e.size == 0 or f.size == 0:
         raise ValueError("auroc: empty score list")
-    ranks = _average_ranks(np.concatenate([e, f]))
-    r_id = ranks[: e.size].sum()
-    u = r_id - e.size * (e.size + 1) / 2.0
-    return float(u / (e.size * f.size))
+    at_or_below = int(np.searchsorted(e, f, "right").sum())
+    below = int(np.searchsorted(e, f, "left").sum())
+    pairs = e.size * f.size
+    u = pairs - at_or_below + 0.5 * (at_or_below - below)  # wins + ties / 2, exact below 2**52
+    return float(u / pairs)
 
 
 @dataclass

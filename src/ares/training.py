@@ -4,12 +4,12 @@ repulsion with per-epoch candidate synthesis, plain SGD, and a cosine
 learning-rate schedule. All randomness flows from ``cfg.seed`` through
 named child streams, so a run is bitwise reproducible.
 
-Training runs on one BLAS thread, on the calling thread. After each
-epoch an accuracy pass scores the training set on the trained network,
-into one layer workspace that every pass of the run reuses. A caller that
-does not read the accuracy (the ablation suite) trains with
-``accuracy=False``: no pass runs, and every other number of the run is
-unchanged."""
+Training runs on one BLAS thread, on the calling thread. A run
+allocates one layer workspace: the joint-start feature extraction
+forwards into it, and so does the accuracy pass that scores the training
+set on the trained network after each epoch. A caller that does not read
+the accuracy (the ablation suite) trains with ``accuracy=False``: no pass
+runs, and every other number of the run is unchanged."""
 
 from __future__ import annotations
 
@@ -233,28 +233,36 @@ class _Clock:
 
 
 class _SynthesisState:
-    """Candidate pool and fitted region model of one joint epoch, drawn from
-    the features of the joint-start network on the epoch's own streams and
-    built at the epoch's start. The pool holds one candidate per training
-    point, so no batch asks for more than it has. The caller's ``clock`` is on
-    ``expansion`` for the mixing; the fit and ranking go to ``estimation``."""
+    """Candidate pools and fitted region models of a run's joint epochs,
+    drawn from ``feats``, the features of the joint-start network. Each
+    joint epoch builds its own at its start, on the epoch's own streams
+    (:meth:`start_epoch`). A pool holds one candidate per training point, so
+    no batch asks for more than it has. Without expansion the pool is
+    ``feats`` itself, fixed for the run, so one fit and ranking serve every
+    epoch."""
 
-    def __init__(self, cfg: TrainConfig, feats: np.ndarray, epoch: int, clock: _Clock):
+    def __init__(self, cfg: TrainConfig, feats: np.ndarray):
+        self.cfg, self.feats = cfg, feats
+        self.ranked = None
+
+    def start_epoch(self, epoch: int, clock: _Clock) -> None:
+        """Build epoch ``epoch``'s pool and, with estimation, its ranking.
+        The caller's ``clock`` is on ``expansion`` for the mixing; the fit
+        and ranking go to ``estimation``."""
+        cfg = self.cfg
         root = Rng(cfg.seed)
         self.eps_rng = root.child("epsilon", epoch)
-        pool = feats
+        self.candidates = self.feats
         if cfg.expansion:
-            expand_rng = root.child("expand", epoch)
-            pool = expand_features(feats, cfg.alpha2, feats.shape[0], expand_rng)
-        self.candidates = pool
-        self.ranked = None
+            self.candidates = expand_features(self.feats, cfg.alpha2, len(self.feats),
+                                              root.child("expand", epoch))
         clock.switch(_ESTIMATION)
-        if cfg.estimation:
+        if cfg.estimation and (cfg.expansion or self.ranked is None):
             # one class-agnostic Gaussian: real outliers scatter across the whole space
-            model = fit_gaussian(pool, ridge_scale=cfg.ridge_scale)
+            model = fit_gaussian(self.candidates, ridge_scale=cfg.ridge_scale)
             # the pool and the model are fixed for the epoch, so every
             # batch's bottom-B is a prefix of this one ranking's first batch
-            self.ranked = sample_virtual_outliers(pool, model, count=cfg.batch_size)
+            self.ranked = sample_virtual_outliers(self.candidates, model, count=cfg.batch_size)
         clock.switch(_STEP)
 
     def draw_outliers(self, b_eff: int) -> np.ndarray:
@@ -469,14 +477,15 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
             clock.switch(_ESCAPE)
             dstar = escape_dataset(data.id_train, data.aux, cfg.escape_cfg, root.child("escape"))
             clock.switch(_STEP)
-    feats = None  # the joint-start features, extracted at the first joint epoch
+    synth = None  # built at the first joint epoch
 
     x_train, y_train = data.id_train.x, data.id_train.y
-    if accuracy:
-        workspace = net.workspace(len(x_train))  # every pass of the run scores into it
+    # the joint-start feature extraction and every accuracy pass forward into it
+    workspace = net.workspace(len(x_train))
 
     while state.epoch < end:
-        rec, state, feats = _train_epoch(cfg, state, feats, net, dstar, root, checkpoint_dir, clock)
+        rec, state, synth = _train_epoch(cfg, state, synth, net, dstar, root, workspace, checkpoint_dir,
+                                         clock)
         if accuracy:  # otherwise the record keeps its NaN
             clock.switch(_ACCURACY)
             pred = np.argmax(net.forward(x_train, workspace).logits, axis=1)
@@ -494,16 +503,16 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
     return net, log
 
 
-def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, net: MlpNetwork,
-                 dstar: LabeledDataset, root: Rng, checkpoint_dir, clock: _Clock):
+def _train_epoch(cfg: TrainConfig, state: RunState, synth: _SynthesisState | None, net: MlpNetwork,
+                 dstar: LabeledDataset, root: Rng, workspace: list, checkpoint_dir, clock: _Clock):
     """Train epoch ``state.epoch`` of a run on ``dstar``, the network ``net``
-    holding ``state``'s parameters: a joint epoch first builds its synthesis
-    from ``feats``, the joint-start features (extracted here when None),
-    then every batch takes one SGD step. Returns the epoch's record, whose
-    accuracy and times the caller fills in, the run state after the
-    epoch, and the joint-start features. A non-finite loss raises
-    :class:`TrainingDiverged` with the state at the epoch's start (also
-    written to ``checkpoint_dir`` when given)."""
+    holding ``state``'s parameters: a joint epoch first starts its synthesis
+    on ``synth`` (built here, when None, from the joint-start features,
+    extracted into ``workspace``), then every batch takes one SGD step.
+    Returns the epoch's record, whose accuracy and times the caller fills
+    in, the run state after the epoch, and the synthesis. A non-finite loss
+    raises :class:`TrainingDiverged` with the state at the epoch's start
+    (also written to ``checkpoint_dir`` when given)."""
     epoch, virtual = state.epoch, state.virtual
     tape = GradientTape(net)
     lr = cosine_lr(epoch, cfg.total_epochs, cfg.lr_start, cfg.lr_end)
@@ -515,14 +524,16 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
 
     if joint:
         clock.switch(_EXPANSION)
-        if feats is None:
+        if synth is None:
             # the features are snapshotted once at joint start, from the
             # joint-start parameters the run state keeps; fresh mixtures are
-            # still drawn from the snapshot every epoch
+            # still drawn from the snapshot every epoch. They are copied out
+            # of the workspace, which the accuracy passes overwrite
             if state.joint_start is None:
                 state = replace(state, joint_start=state.params)
-            feats = state.network(state.joint_start).forward(dstar.x).feats
-        synth = _SynthesisState(cfg, feats, epoch, clock)
+            feats = state.network(state.joint_start).forward(dstar.x, workspace).feats
+            synth = _SynthesisState(cfg, feats.copy())
+        synth.start_epoch(epoch, clock)
 
     cls_sum = dis_sum = tot_sum = 0.0
     n_batches = 0
@@ -570,4 +581,4 @@ def _train_epoch(cfg: TrainConfig, state: RunState, feats: np.ndarray | None, ne
         total_loss=tot_sum / n_batches,
         train_accuracy=math.nan,  # filled in from the accuracy pass, if one runs
     )
-    return rec, RunState.of(net, epoch + 1, state.joint_start, virtual), feats
+    return rec, RunState.of(net, epoch + 1, state.joint_start, virtual), synth

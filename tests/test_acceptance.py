@@ -40,6 +40,7 @@ BENCH_DATA = {
     "ring_outer": 10.0,
 }
 BENCH_SEEDS = (0, 1, 2, 3, 4)
+BUDGET_SEEDS = BENCH_SEEDS[:3]  # criterion 10 compares the two epoch budgets on these
 DESK = dict(total_epochs=100, pretrain_epochs=40, batch_size=128)
 SECONDS_PER_SEED_BUDGET = 120.0
 
@@ -58,12 +59,15 @@ def report(number: int, name: str, ok: bool, detail: str, soft: bool = False, ev
 @pytest.fixture(scope="module")
 def bench():
     """Report per (variant, seed): each seed's ablation matrix and its
-    classification-only baseline."""
+    classification-only baseline; the doubled epoch budget (``epochs-200``)
+    only on ``BUDGET_SEEDS``, the seeds criterion 10 reads."""
     rows = []
     for s in BENCH_SEEDS:
         cfg = TrainConfig(seed=s, **DESK)
         bundle = make_bundle(BENCH_DATA, seed=s)
-        variants = ablation_variants(cfg) + [("baseline", cfg.replace(beta=0.0))]
+        variants = [(name, c) for name, c in ablation_variants(cfg)
+                    if name != "epochs-200" or s in BUDGET_SEEDS]
+        variants.append(("baseline", cfg.replace(beta=0.0)))
         rows += [(name, c, bundle) for name, c in variants]
     reports = run_variants(rows)
     assert [r.error for r in reports if r.error] == []
@@ -356,9 +360,8 @@ def test_criterion_9_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_epoch_budgets(bench):
-    seeds = BENCH_SEEDS[:3]
-    short = mean_metric(bench, "full", "auroc", seeds=seeds)
-    long = mean_metric(bench, "epochs-200", "auroc", seeds=seeds)
+    short = mean_metric(bench, "full", "auroc", seeds=BUDGET_SEEDS)
+    long = mean_metric(bench, "epochs-200", "auroc", seeds=BUDGET_SEEDS)
     diff = abs(short - long)
     detail = f"mean AUROC 100-epoch={short:.3f}, 200-epoch={long:.3f}, |diff|={diff:.3f}"
     report(10, "100- vs 200-epoch budgets agree within 5 points", diff <= 0.05, detail,

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,39 @@ def test_no_ranking_without_estimation(monkeypatch):
     train(cfg, tiny_bundle())
     assert not [e for e in events if e[0] == "rank"]
     assert len(events) == 3 * (cfg.total_epochs - cfg.pretrain_epochs)
+
+
+def test_no_expansion_fits_once_per_run(monkeypatch, tmp_path):
+    # without expansion the pool is the joint-start features, fixed for the
+    # run: one fit and ranking serve every joint epoch, and the run has the
+    # bits of one that fits and ranks again at every joint epoch's start
+    bundle, cfg = tiny_bundle(), tiny_cfg(expansion=False)
+    fits = {"n": 0}
+    real_fit, real_start = training_mod.fit_gaussian, training_mod._SynthesisState.start_epoch
+
+    def fit(pool, **kw):
+        fits["n"] += 1
+        return real_fit(pool, **kw)
+
+    def refit(self, epoch, clock):
+        self.ranked = None
+        real_start(self, epoch, clock)
+
+    def run(tag):
+        fits["n"] = 0
+        net, log = train(cfg, bundle)
+        log.write_csv(tmp_path / f"{tag}.csv")
+        save_checkpoint(log.state, tmp_path / f"{tag}.json")
+        return fits["n"], net.flat.tobytes()
+
+    monkeypatch.setattr(training_mod, "fit_gaussian", fit)
+    once = run("once")
+    monkeypatch.setattr(training_mod._SynthesisState, "start_epoch", refit)
+    every = run("every-epoch")
+    assert (once[0], every[0]) == (1, cfg.total_epochs - cfg.pretrain_epochs)
+    assert once[1] == every[1]
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"once.{ext}").read_bytes() == (tmp_path / f"every-epoch.{ext}").read_bytes()
 
 
 def test_escape_mask_trains_on_original_points(monkeypatch):
@@ -562,8 +596,17 @@ def test_progress_lines_in_order_before_divergence(monkeypatch):
     assert seen == [0, 1, 2, 3]
 
 
-def _no_pass(*args, **kwargs):
-    raise AssertionError("an accuracy pass ran")
+def _no_pass_over(x_train):
+    """An ``MlpNetwork.forward`` that fails an accuracy pass, which forwards
+    ``x_train`` itself (the run's escaped points are another array)."""
+    real = MlpNetwork.forward
+
+    def forward(self, x, out=None):
+        if x is x_train:
+            raise AssertionError("an accuracy pass ran")
+        return real(self, x, out)
+
+    return forward
 
 
 def _deterministic_bytes(log):
@@ -573,7 +616,7 @@ def _deterministic_bytes(log):
 
 
 def test_run_without_accuracy_moves_no_other_bit(monkeypatch, tmp_path):
-    # accuracy=False makes no workspace, so scores nothing: every record's
+    # accuracy=False runs no pass over the training set: every record's
     # train_accuracy is NaN, and every other column, every parameter and the
     # checkpoint equal the run whose passes ran; the warmup prefix, which
     # runs no pass, has the records of that run's first epochs
@@ -584,7 +627,7 @@ def test_run_without_accuracy_moves_no_other_bit(monkeypatch, tmp_path):
     assert not any(math.isnan(r.train_accuracy) for r in log.records)
     seen.clear()
     with monkeypatch.context() as m:
-        m.setattr(MlpNetwork, "workspace", _no_pass)
+        m.setattr(MlpNetwork, "forward", _no_pass_over(bundle.id_train.x))
         bare_net, bare = train(cfg, bundle, progress=progress, accuracy=False)
         prefix = training_mod._warmup(cfg, bundle)
     assert seen == list(range(cfg.total_epochs))
@@ -630,6 +673,24 @@ def test_accuracy_passes_reuse_one_workspace():
     out = subprocess.run([sys.executable, "-c", REPEATED_RUN_FAULTS], env=env, check=True,
                          capture_output=True, text=True)
     assert int(out.stdout) < 1000
+
+
+def test_joint_start_forwards_into_the_run_workspace():
+    # the joint-start features are extracted into the run's one workspace
+    # (1200 rows of four layers, 1.41 MB) and copied out: fresh 1200-row
+    # layer arrays beside the workspace lift the traced peak of this run
+    # from 2.18 to 3.04 MB. It resumes from its warmup prefix, so runs no
+    # escape stage, and without expansion its synthesis allocates little
+    bundle = make_bundle(BENCH_DATA, seed=0)
+    cfg = TrainConfig(total_epochs=3, pretrain_epochs=1, batch_size=128, expansion=False)
+    prefix = training_mod._warmup(cfg, bundle)
+    tracemalloc.start()
+    try:
+        train(cfg, bundle, resume=prefix.state)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6e6, peak
 
 
 def _fail_fit_at(monkeypatch, *epochs):
