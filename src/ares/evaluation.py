@@ -1,4 +1,4 @@
-"""Post-training discrimination and metrics.
+"""Post-training scoring, discrimination and metrics.
 
 The decision rule is "inlier iff energy score >= gamma" with gamma chosen
 so at least 95% of held-out inliers pass. FPR95 is the fraction of
@@ -35,12 +35,6 @@ __all__ = [
 ]
 
 TPR_TARGET = 0.95
-# rows per forward pass in score_bundle; each block is zero-padded to a
-# multiple of PAD_ROWS rows, of which SCORE_BLOCK is one. At 1024 rows the
-# workspace (the input rows and every layer output: 149 doubles a row for a
-# 2-d, 3-class default network) is 1.2 MB, within a 2 MiB per-core L2
-SCORE_BLOCK = 1024
-PAD_ROWS = 8
 
 
 def _scores(values, where: str) -> np.ndarray:
@@ -124,53 +118,18 @@ class RunReport:
         }
 
 
-def _padded(n: int) -> int:
-    """``n`` rounded up to a multiple of ``PAD_ROWS``."""
-    return -(-n // PAD_ROWS) * PAD_ROWS
-
-
-def _block_energies(net: MlpNetwork, x: np.ndarray, ws: tuple) -> np.ndarray:
-    """Energy score of each row of ``x``, computed ``SCORE_BLOCK`` rows at
-    a time in the workspace ``ws`` = (input rows, layer outputs). Each
-    block is copied into the input rows and zero-padded to a multiple of
-    ``PAD_ROWS`` rows; the padded rows' scores are dropped."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:  # the copy below would broadcast a 1-wide x
-        raise ValueError(f"score_bundle: expected (n, {net.input_dim}) points, got {x.shape}")
-    xs, layers = ws
-    out = np.empty(len(x))
-    for lo in range(0, len(x), SCORE_BLOCK):
-        block = x[lo : lo + SCORE_BLOCK]
-        m, rows = len(block), _padded(len(block))
-        xs[:m] = block
-        xs[m:rows] = 0.0
-        logits = net.forward(xs[:rows], out=layers).logits
-        out[lo : lo + m] = energy_score_batch(net, logits[:m])
-    return out
-
-
 def score_bundle(net: MlpNetwork, bundle: DataBundle) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Energy scores for the held-out inliers and each outlier set.
-
-    Each set is scored in consecutive blocks of ``SCORE_BLOCK`` rows
-    through one workspace, allocated once per call and sized to the
-    smaller of the largest set and one block, so the memory a call needs
-    is bounded by the block, not by the set size, and no block maps fresh
-    pages. Each block is zero-padded to a multiple of ``PAD_ROWS`` rows:
-    the last ``n mod 4`` rows of an n-row GEMM take OpenBLAS's row-tail
-    path and can round differently than inside a longer block, and a
-    one-row matmul runs down another BLAS path. Padded, a row's score does
-    not depend on the block it is scored in (checked on the ``SkylakeX``
-    kernel). Blocks also keep every GEMM below the size (20,834 rows) at
-    which OpenBLAS moves the logits matmul to another kernel, which
-    changes the bits of about 30 % of the rows.
-    """
+    """Energy scores for the held-out inliers and each outlier set, each
+    set forwarded by :meth:`MlpNetwork.forward_blocks` through one block
+    workspace per call: a call's memory is bounded by one block, and a
+    row's score does not depend on the size of its set."""
     sets = [bundle.id_test.x, *bundle.ood_eval.values()]
-    rows = min(SCORE_BLOCK, _padded(max(map(len, sets))))
-    ws = (np.empty((rows, net.input_dim)), net.workspace(rows))
-    id_scores = _block_energies(net, bundle.id_test.x, ws)
-    ood_scores = {name: _block_energies(net, pts, ws) for name, pts in bundle.ood_eval.items()}
-    return id_scores, ood_scores
+    ws = net.block_workspace(max(map(len, sets)))
+    scores = [np.empty(len(x)) for x in sets]
+    for x, out in zip(sets, scores):
+        for rows, cache in net.forward_blocks(x, ws):
+            out[rows] = energy_score_batch(net, cache.logits)
+    return scores[0], dict(zip(bundle.ood_eval, scores[1:]))
 
 
 def evaluate(net: MlpNetwork, bundle: DataBundle, variant: str = "full", seed: int = 0) -> RunReport:

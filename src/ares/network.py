@@ -2,11 +2,13 @@
 learnable energy weights, with explicit forward caching and hand-derived
 reverse-mode gradients.
 
-One forward pass serves training, the accuracy pass, the anchor features
-and scoring. It computes each layer in place in one array per layer,
-fresh or taken from a reusable workspace, and caches the post-ReLU
+One forward pass serves training, the accuracy pass, the joint-start
+features and scoring. It computes each layer in place in one array per
+layer, fresh or taken from a reusable workspace, and caches the post-ReLU
 activations, which are all the backward pass needs: each layer's input,
 and its ReLU mask (``act > 0`` exactly where the pre-activation is ``> 0``).
+A whole point set goes through :meth:`MlpNetwork.forward_blocks`, in
+padded row blocks whose outputs do not depend on the size of the set.
 
 Parameters are named, reshaped views of one contiguous float64 vector,
 ``MlpNetwork.flat``, addressed by name through ``MlpNetwork.params()``; a
@@ -37,6 +39,18 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
 ]
+
+# Rows per forward of MlpNetwork.forward_blocks: a block's workspace for the
+# 2-d, 3-class default network (149 doubles a row) is 1.2 MB, within a 2 MiB
+# per-core L2, and every GEMM stays below the 20,834 rows at which OpenBLAS
+# moves its logits matmul to another kernel, changing ~30 % of the rows' bits.
+# Each block is zero-padded to a multiple of PAD_ROWS rows: the last n mod 4
+# rows of an n-row GEMM take OpenBLAS's row-tail path, and a one-row matmul
+# another path, so unpadded a row could round differently in a short block.
+# Padded, a row's outputs do not depend on its block (tested on the SkylakeX
+# and Haswell kernels).
+BLOCK_ROWS = 1024
+PAD_ROWS = 8
 
 
 class MlpNetwork:
@@ -118,6 +132,29 @@ class MlpNetwork:
         then the logits: the ``out`` of :meth:`forward`, reusable across
         calls of up to ``rows`` rows."""
         return [np.empty((rows, width)) for width in (*self.hidden_dims, self.feature_dim, self.n_classes)]
+
+    def block_workspace(self, n: int) -> list[np.ndarray]:
+        """The ``ws`` of :meth:`forward_blocks` for arrays of up to ``n``
+        rows: input rows and a :meth:`workspace`, at most one block each."""
+        rows = min(BLOCK_ROWS, n + -n % PAD_ROWS)  # n rounded up to a multiple of PAD_ROWS
+        return [np.empty((rows, self.input_dim)), *self.workspace(rows)]
+
+    def forward_blocks(self, x: np.ndarray, ws: list):
+        """Forward an (n, d) array ``BLOCK_ROWS`` rows at a time through
+        ``ws``, a :meth:`block_workspace` for n rows, each block copied into
+        its input rows and zero-padded to a multiple of ``PAD_ROWS`` rows;
+        yield each block's slice of ``x`` and its cache, trimmed to the
+        block's own rows, which the next block overwrites."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:  # the copy below would broadcast a 1-wide x
+            raise ValueError(f"forward_blocks: expected (n, {self.input_dim}) points, got {x.shape}")
+        for lo in range(0, len(x), BLOCK_ROWS):
+            m = min(BLOCK_ROWS, len(x) - lo)
+            xs = ws[0][: m + -m % PAD_ROWS]
+            xs[:m], xs[m:] = x[lo : lo + m], 0.0
+            cache = self.forward(xs, out=ws[1:])
+            acts = [a[:m] for a in cache.acts]
+            yield slice(lo, lo + m), ForwardCache(xs[:m], acts, cache.logits[:m], cache.version)
 
     # ---- backward ---------------------------------------------------------
 
@@ -272,11 +309,14 @@ def _param_block(params: dict) -> dict:
 def _read_tensor(t: dict, name: str, shape: tuple) -> np.ndarray:
     if tuple(t["shape"]) != shape:
         raise ValueError(f"{name} has shape {tuple(t['shape'])}, expected {shape}")
-    return np.asarray(t["data"], dtype=float).reshape(shape)
+    a = np.asarray(t["data"], dtype=float).reshape(shape)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return a
 
 
-def _read_param_block(block: dict, like: dict) -> dict[str, np.ndarray]:
-    return {name: _read_tensor(block[name], f"parameter {name}", p.shape) for name, p in like.items()}
+def _read_param_block(block: dict, like: dict, what: str) -> dict[str, np.ndarray]:
+    return {name: _read_tensor(block[name], f"{what} {name}", p.shape) for name, p in like.items()}
 
 
 def save_checkpoint(state: RunState, path) -> None:
@@ -313,8 +353,10 @@ def _check_arch(arch: dict) -> None:
 def load_checkpoint(path) -> RunState:
     """The run state stored at ``path``. A missing file, a file that is not
     a checkpoint, another format version, an architecture that is not one
-    (a width that is not a positive integer, fewer than two classes) or a
-    malformed tensor block is a :class:`ConfigError` naming the file."""
+    (a width that is not a positive integer, fewer than two classes), an
+    epoch that is not a non-negative integer, or a malformed tensor block
+    (a wrong shape, a non-finite entry) is a :class:`ConfigError` naming
+    the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -333,15 +375,17 @@ def load_checkpoint(path) -> RunState:
         arch = {key: doc["arch"][key] for key in ("input_dim", "hidden_dims", "feature_dim", "n_classes")}
         _check_arch(arch)
         like = MlpNetwork(**arch, rng=Rng(0)).params()
-        joint, virtual = doc["joint_start"], doc["virtual"]
+        joint, virtual, epoch = doc["joint_start"], doc["virtual"], doc["epoch"]
+        if type(epoch) is not int or epoch < 0:
+            raise ValueError(f"epoch = {epoch!r} is not a non-negative integer")
         if virtual is not None:  # (n, feature_dim), n read off the data
             width = arch["feature_dim"]
             virtual = _read_tensor(virtual, "virtual", (len(virtual["data"]) // width, width))
         return RunState(
             arch=arch,
-            params=_read_param_block(doc["params"], like),
-            epoch=int(doc["epoch"]),
-            joint_start=None if joint is None else _read_param_block(joint, like),
+            params=_read_param_block(doc["params"], like, "parameter"),
+            epoch=epoch,
+            joint_start=None if joint is None else _read_param_block(joint, like, "joint_start parameter"),
             virtual=virtual,
         )
     except (KeyError, TypeError, ValueError) as err:

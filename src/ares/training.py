@@ -4,12 +4,12 @@ repulsion with per-epoch candidate synthesis, plain SGD, and a cosine
 learning-rate schedule. All randomness flows from ``cfg.seed`` through
 named child streams, so a run is bitwise reproducible.
 
-Training runs on one BLAS thread, on the calling thread. A run
-allocates one layer workspace: the joint-start feature extraction
-forwards into it, and so does the accuracy pass that scores the training
-set on the trained network after each epoch. A caller that does not read
-the accuracy (the ablation suite) trains with ``accuracy=False``: no pass
-runs, and every other number of the run is unchanged."""
+Training runs on one BLAS thread, on the calling thread. A run allocates
+one block workspace (at most one block): the joint-start features, and
+the accuracy pass that scores the training set after each epoch, forward
+through it. A caller that does not read the accuracy (the ablation suite)
+trains with ``accuracy=False``: no pass runs, and every other number of
+the run is unchanged."""
 
 from __future__ import annotations
 
@@ -480,16 +480,16 @@ def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNet
     synth = None  # built at the first joint epoch
 
     x_train, y_train = data.id_train.x, data.id_train.y
-    # the joint-start feature extraction and every accuracy pass forward into it
-    workspace = net.workspace(len(x_train))
+    workspace = net.block_workspace(len(x_train))
 
     while state.epoch < end:
         rec, state, synth = _train_epoch(cfg, state, synth, net, dstar, root, workspace, checkpoint_dir,
                                          clock)
-        if accuracy:  # otherwise the record keeps its NaN
+        if accuracy:  # otherwise the record keeps its NaN; hits / n is (pred == y).mean()
             clock.switch(_ACCURACY)
-            pred = np.argmax(net.forward(x_train, workspace).logits, axis=1)
-            rec.train_accuracy = float((pred == y_train).mean())
+            hits = sum(np.count_nonzero(np.argmax(cache.logits, axis=1) == y_train[rows])
+                       for rows, cache in net.forward_blocks(x_train, workspace))
+            rec.train_accuracy = float(hits / len(x_train))
         rec.times = clock.take()
         log.records.append(rec)
         if progress is not None:
@@ -508,7 +508,7 @@ def _train_epoch(cfg: TrainConfig, state: RunState, synth: _SynthesisState | Non
     """Train epoch ``state.epoch`` of a run on ``dstar``, the network ``net``
     holding ``state``'s parameters: a joint epoch first starts its synthesis
     on ``synth`` (built here, when None, from the joint-start features,
-    extracted into ``workspace``), then every batch takes one SGD step.
+    forwarded through ``workspace``), then every batch takes one SGD step.
     Returns the epoch's record, whose accuracy and times the caller fills
     in, the run state after the epoch, and the synthesis. A non-finite loss
     raises :class:`TrainingDiverged` with the state at the epoch's start
@@ -527,12 +527,13 @@ def _train_epoch(cfg: TrainConfig, state: RunState, synth: _SynthesisState | Non
         if synth is None:
             # the features are snapshotted once at joint start, from the
             # joint-start parameters the run state keeps; fresh mixtures are
-            # still drawn from the snapshot every epoch. They are copied out
-            # of the workspace, which the accuracy passes overwrite
+            # still drawn from the snapshot every epoch
             if state.joint_start is None:
                 state = replace(state, joint_start=state.params)
-            feats = state.network(state.joint_start).forward(dstar.x, workspace).feats
-            synth = _SynthesisState(cfg, feats.copy())
+            feats = np.empty((len(dstar), net.feature_dim))
+            for rows, cache in state.network(state.joint_start).forward_blocks(dstar.x, workspace):
+                feats[rows] = cache.feats
+            synth = _SynthesisState(cfg, feats)
         synth.start_epoch(epoch, clock)
 
     cls_sum = dis_sum = tot_sum = 0.0

@@ -377,6 +377,23 @@ def test_eval_rejects_zero_width_checkpoint(smoke, tmp_path, capsys):
     assert not (tmp_path / "e").exists()
 
 
+def test_non_finite_parameter_exits_before_output(smoke, tmp_path, capsys):
+    # a NaN parameter once reached choose_gamma as 20000 non-finite scores,
+    # after manifest.json was written; eval and train --resume refuse it first
+    cfg, data_dir, out_dir = smoke
+    doc = json.loads((out_dir / "checkpoint.json").read_text())
+    doc["params"]["cls_b"]["data"][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    for command in (["eval", "--checkpoint", str(bad)], ["train", "--resume", str(bad)]):
+        out = tmp_path / command[0]
+        rc = main(command + ["--config", str(cfg), "--data", str(data_dir), "--out", str(out)])
+        assert rc == 2, command[0]
+        err = capsys.readouterr().err
+        assert "nan.json: malformed checkpoint (parameter cls_b holds a non-finite value)" in err, err
+        assert not out.exists(), command[0]
+
+
 def test_resume_bad_checkpoint_exits_before_output(smoke, tmp_path, capsys):
     cfg, data_dir, out_dir = smoke
     doc = json.loads((out_dir / "checkpoint.json").read_text())
@@ -400,7 +417,7 @@ def test_resume_bad_checkpoint_exits_before_output(smoke, tmp_path, capsys):
         "v2.json": "version 2",
         "d3.json": "3-d inputs but data is 2-d",
         "epoch500.json": "epoch: 500 is outside [0, total_epochs = 8]",
-        "epoch-1.json": "epoch: -1 is outside [0, total_epochs = 8]",
+        "epoch-1.json": "malformed checkpoint (epoch = -1 is not a non-negative integer)",
     }
     for name, why in cases.items():
         path = data_dir / name if name == "aux.csv" else tmp_path / name

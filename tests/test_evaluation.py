@@ -16,7 +16,6 @@ from ares.datagen import DataBundle, LabeledDataset, make_bundle
 from ares.escape import EscapeConfig
 from ares.evaluation import (
     ABLATION_SUBSETS,
-    SCORE_BLOCK,
     _failed_report,
     _train_and_evaluate,
     ablation_variants,
@@ -29,7 +28,7 @@ from ares.evaluation import (
     score_bundle,
     write_reports_csv,
 )
-from ares.network import MlpNetwork, energy_score_batch
+from ares.network import BLOCK_ROWS, PAD_ROWS, MlpNetwork, energy_score_batch
 from ares.rng import Rng
 from ares.training import STAGES, TrainConfig, _warmup_key
 
@@ -294,8 +293,8 @@ def blas_threads(n):
 
 def padded_energies(net, x):
     """Energy of each row of ``x`` from one forward of the whole array,
-    zero-padded to a multiple of 8 rows."""
-    xs = np.zeros((-(-len(x) // 8) * 8, x.shape[1]))
+    zero-padded to a multiple of ``PAD_ROWS`` (8) rows."""
+    xs = np.zeros((-(-len(x) // PAD_ROWS) * PAD_ROWS, x.shape[1]))
     xs[: len(x)] = x
     return energy_score_batch(net, net.forward(xs).logits)[: len(x)]
 
@@ -304,7 +303,7 @@ def padded_energies(net, x):
 def test_score_bundle_blocks_equal_whole_array_bitwise(threads):
     # B + 1 and 2B + 1 leave a one-row block, whose matmul would run down
     # another BLAS path; padded to 8 rows, it scores as inside the whole array
-    b = SCORE_BLOCK
+    b = BLOCK_ROWS
     net = _default_net(31)
     net.energy_u[...] = Rng(32).standard_normal(3)
     rng = Rng(33)

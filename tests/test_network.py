@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from ares.datagen import make_bundle
 from ares.errors import ConfigError
 from ares.losses import DIV_GUARD, LogisticHead, ce_logistic_grad, jsd_discrimination_grad, nce_grad, total_loss
 from ares.network import (
+    BLOCK_ROWS,
+    PAD_ROWS,
     GradientTape,
     MlpNetwork,
     RunState,
@@ -191,6 +195,36 @@ def test_forward_into_workspace_equals_fresh_forward_bitwise(threads):
                 assert act.tobytes() == fresh.tobytes(), n
                 assert np.shares_memory(act, buf)
             assert np.shares_memory(got.logits, ws[-1])
+    finally:
+        if before is not None:
+            training_mod._set_blas_threads(before)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_forward_blocks_equal_padded_whole_forward_bitwise(threads):
+    # each block's cache holds its own rows of one forward of the whole
+    # array, zero-padded to a multiple of PAD_ROWS rows, every layer bit for
+    # bit, through a workspace of at most BLOCK_ROWS rows; the 1- and 5-row
+    # tail blocks run padded to 8 rows
+    net = oracle_net("dead")
+    rng = Rng(25)
+    before = training_mod._set_blas_threads(threads)
+    try:
+        for n in (0, 1, 5, 8, 600, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5):
+            x = 3.0 * rng.standard_normal((n, 2))
+            padded = -(-n // PAD_ROWS) * PAD_ROWS
+            xs = np.zeros((padded, 2))
+            xs[:n] = x
+            want = net.forward(xs)
+            ws = net.block_workspace(n)
+            assert [len(buf) for buf in ws] == [min(padded, BLOCK_ROWS)] * 5, n
+            done = 0
+            for rows, cache in net.forward_blocks(x, ws):
+                assert rows == slice(done, min(done + BLOCK_ROWS, n)), n
+                for got, full in zip([cache.x, *cache.acts, cache.logits], [xs, *want.acts, want.logits]):
+                    assert got.tobytes() == full[rows].tobytes(), n
+                done = rows.stop
+            assert done == n
     finally:
         if before is not None:
             training_mod._set_blas_threads(before)
@@ -586,6 +620,34 @@ def test_checkpoint_rejects_bad_architecture(tmp_path, field, value):
     doc["arch"][field] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=f"ckpt.json: malformed checkpoint \\(arch {field}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("epoch", [2.5, True, "3", -4, 1e300])
+def test_checkpoint_rejects_non_integer_epoch(tmp_path, epoch):
+    # each of these once loaded as an int (2, 1, 3, -4 and a 301-digit int)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(_run_state(0, 1), path)
+    doc = json.loads(path.read_text())
+    doc["epoch"] = epoch
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(f"ckpt.json: malformed checkpoint (epoch = {epoch!r} ")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("block, tensor, name", [
+    ("params", "cls_b", "parameter cls_b"),
+    ("joint_start", "ext_w0", "joint_start parameter ext_w0"),
+    ("virtual", None, "virtual"),
+])
+def test_checkpoint_rejects_non_finite_entry(tmp_path, block, tensor, name, value):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(_run_state(0, 1), path)
+    doc = json.loads(path.read_text())
+    (doc[block] if tensor is None else doc[block][tensor])["data"][1] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(f"ckpt.json: malformed checkpoint ({name} holds a non-finite")):
         load_checkpoint(path)
 
 

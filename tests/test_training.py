@@ -597,16 +597,16 @@ def test_progress_lines_in_order_before_divergence(monkeypatch):
 
 
 def _no_pass_over(x_train):
-    """An ``MlpNetwork.forward`` that fails an accuracy pass, which forwards
-    ``x_train`` itself (the run's escaped points are another array)."""
-    real = MlpNetwork.forward
+    """An ``MlpNetwork.forward_blocks`` that fails an accuracy pass, which
+    forwards ``x_train`` itself (the run's escaped points are another array)."""
+    real = MlpNetwork.forward_blocks
 
-    def forward(self, x, out=None):
+    def forward_blocks(self, x, ws):
         if x is x_train:
             raise AssertionError("an accuracy pass ran")
-        return real(self, x, out)
+        return real(self, x, ws)
 
-    return forward
+    return forward_blocks
 
 
 def _deterministic_bytes(log):
@@ -627,7 +627,7 @@ def test_run_without_accuracy_moves_no_other_bit(monkeypatch, tmp_path):
     assert not any(math.isnan(r.train_accuracy) for r in log.records)
     seen.clear()
     with monkeypatch.context() as m:
-        m.setattr(MlpNetwork, "forward", _no_pass_over(bundle.id_train.x))
+        m.setattr(MlpNetwork, "forward_blocks", _no_pass_over(bundle.id_train.x))
         bare_net, bare = train(cfg, bundle, progress=progress, accuracy=False)
         prefix = training_mod._warmup(cfg, bundle)
     assert seen == list(range(cfg.total_epochs))
@@ -676,11 +676,12 @@ def test_accuracy_passes_reuse_one_workspace():
 
 
 def test_joint_start_forwards_into_the_run_workspace():
-    # the joint-start features are extracted into the run's one workspace
-    # (1200 rows of four layers, 1.41 MB) and copied out: fresh 1200-row
-    # layer arrays beside the workspace lift the traced peak of this run
-    # from 2.18 to 3.04 MB. It resumes from its warmup prefix, so runs no
-    # escape stage, and without expansion its synthesis allocates little
+    # the joint-start features are forwarded through the run's one block
+    # workspace (1024 rows of the input and four layers, 1.22 MB) into one
+    # 1200 x 16 array: the traced peak of this run is 1.99 MB, and fresh
+    # 1200-row layer arrays beside the workspace lifted it to 3.04 MB. It
+    # resumes from its warmup prefix, so runs no escape stage, and without
+    # expansion its synthesis allocates little
     bundle = make_bundle(BENCH_DATA, seed=0)
     cfg = TrainConfig(total_epochs=3, pretrain_epochs=1, batch_size=128, expansion=False)
     prefix = training_mod._warmup(cfg, bundle)
@@ -691,6 +692,51 @@ def test_joint_start_forwards_into_the_run_workspace():
     finally:
         tracemalloc.stop()
     assert peak < 2.6e6, peak
+
+
+def _padded_forward(net, x):
+    """The features and logits of one forward of the whole of ``x``,
+    zero-padded to a multiple of 8 rows, trimmed to ``x``'s rows."""
+    xs = np.zeros((-(-len(x) // 8) * 8, x.shape[1]))
+    xs[: len(x)] = x
+    cache = net.forward(xs)
+    return cache.feats[: len(x)], cache.logits[: len(x)]
+
+
+@pytest.mark.parametrize("n", [1025, 1029])
+def test_training_passes_equal_padded_whole_array_bitwise(monkeypatch, n):
+    # after one 1024-row block, the accuracy pass and the joint-start
+    # features end in a 1- or 5-row block; padded, its rows come out as
+    # inside one padded forward of the whole training set
+    bundle, cfg = tiny_bundle(n=n), TrainConfig(total_epochs=2, pretrain_epochs=1, batch_size=128)
+    seen, escape, synthesis = {}, training_mod.escape_dataset, training_mod._SynthesisState
+    monkeypatch.setattr(training_mod, "escape_dataset", lambda *a: seen.setdefault("dstar", escape(*a)))
+    monkeypatch.setattr(training_mod, "_SynthesisState", lambda *a: seen.setdefault("synth", synthesis(*a)))
+    _net, log = train(cfg, bundle)
+    prefix = training_mod._warmup(cfg, bundle).state
+    state = log.state
+    feats = _padded_forward(state.network(state.joint_start), seen["dstar"].x)[0]
+    assert seen["synth"].feats.tobytes() == feats.tobytes()
+    for rec, params in zip(log.records, (prefix.params, state.params)):
+        logits = _padded_forward(state.network(params), bundle.id_train.x)[1]
+        want = float((np.argmax(logits, axis=1) == bundle.id_train.y).mean())
+        assert type(rec.train_accuracy) is float, rec.epoch
+        assert rec.train_accuracy.hex() == want.hex(), rec.epoch
+
+
+def test_train_memory_bounded_by_block():
+    # the accuracy passes and the joint-start features go through one block
+    # workspace of at most 1024 rows: the traced peak is 3.69 MB, where
+    # 4100-row layer arrays took it to 7.31 MB
+    bundle = tiny_bundle(n=4100)
+    cfg = TrainConfig(total_epochs=2, pretrain_epochs=1, batch_size=128, escape=False, expansion=False)
+    tracemalloc.start()
+    try:
+        train(cfg, bundle)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6, peak
 
 
 def _fail_fit_at(monkeypatch, *epochs):
