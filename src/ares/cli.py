@@ -18,8 +18,9 @@ import numpy as np
 
 from . import __version__
 from .config import config_hash, load_config, resolve_config, to_configs
-from .datagen import DataBundle, LabeledDataset, load_points_csv, make_bundle, save_points_csv
-from .errors import AresError, ConfigError
+from .datagen import (MIN_DIM, MIN_GATE_SCORES, DataBundle, LabeledDataset, load_points_csv, make_bundle,
+                      save_points_csv)
+from .errors import AresError, ConfigError, TrainingDiverged
 from .evaluation import ABLATION_SUBSETS, evaluate, run_ablation_suite, write_report_json, write_reports_csv
 from .losses import write_energy_histogram_csv
 from .network import RunState, energy_score_batch, load_checkpoint, save_checkpoint
@@ -64,20 +65,31 @@ def _stage_mask_overrides(mask: str | None) -> dict:
 
 
 def _load_bundle(data_dir) -> DataBundle:
+    """The point files ``ares gen`` writes in ``data_dir``, checked against
+    the world it writes: every file has id_train.csv's dimension, at least
+    ``MIN_DIM``, id_test.csv has the ``MIN_GATE_SCORES`` rows the gate needs,
+    and each outlier set has a row; anything else is a ConfigError."""
     def need(name):
         path = os.path.join(data_dir, name)
         if not os.path.exists(path):
             raise ConfigError(f"missing data file: {path}")
         return path
 
-    def load(path):
+    def load(path, dim=None, min_rows=0):
         x, y, meta = load_points_csv(path)
         if not np.isfinite(x).all():  # ares gen writes none; one would fail deep inside a command
             raise ConfigError(f"{path}: every coordinate must be finite")
+        if dim is not None and x.shape[1] != dim:
+            raise ConfigError(f"{path}: {x.shape[1]}-d points, but id_train.csv is {dim}-d")
+        if len(x) < min_rows:
+            raise ConfigError(f"{path}: {len(x)} rows, need at least {min_rows}")
         return x, y, meta
 
     train_path = need("id_train.csv")
     x_tr, y_tr, meta = load(train_path)
+    d = x_tr.shape[1]
+    if d < MIN_DIM:
+        raise ConfigError(f"{train_path}: {d}-d points, need at least {MIN_DIM} coordinates")
     if y_tr is not None and meta.get("classes") is not None:
         # the network's class count is read off the labels, so a declared
         # class that no training row uses would silently narrow it
@@ -86,12 +98,12 @@ def _load_bundle(data_dir) -> DataBundle:
         if missing:
             raise ConfigError(f"{train_path}: no row has label(s) {missing} "
                               f"of the header's classes={meta['classes']}")
-    x_te, y_te, _ = load(need("id_test.csv"))
-    aux, _, _ = load(need("aux.csv"))
+    x_te, y_te, _ = load(need("id_test.csv"), d, MIN_GATE_SCORES)
+    aux, _, _ = load(need("aux.csv"), d)
     ood = {}
     for fname in sorted(os.listdir(data_dir)):
         if fname.startswith("ood_") and fname.endswith(".csv"):
-            pts, _, _ = load(os.path.join(data_dir, fname))
+            pts, _, _ = load(os.path.join(data_dir, fname), d, 1)
             ood[fname[len("ood_") : -len(".csv")]] = pts
     if y_tr is None or y_te is None:
         raise ConfigError("id_train.csv / id_test.csv must carry labels")
@@ -143,7 +155,13 @@ def cmd_train(args) -> int:
     artifacts = ["checkpoint.json", "train_log.csv", "train_timings.csv", "manifest.json"]
     _write_manifest(args.out, args.config, resolved, cfg.seed, artifacts)
 
-    _, log = train(cfg, bundle, checkpoint_dir=args.out, resume=resume, progress=print)
+    try:
+        _, log = train(cfg, bundle, resume=resume, progress=print)
+    except TrainingDiverged as err:
+        path = os.path.join(args.out, "last_good_checkpoint.json")
+        save_checkpoint(err.state, path)
+        print(f"error: {err} written to {path}", file=sys.stderr)
+        return 1
     save_checkpoint(log.state, os.path.join(args.out, "checkpoint.json"))
     log.write_csv(os.path.join(args.out, "train_log.csv"))
     log.write_timings_csv(os.path.join(args.out, "train_timings.csv"))

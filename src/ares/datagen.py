@@ -25,6 +25,7 @@ from .rng import Rng
 
 __all__ = [
     "AUX_BURN_IN",
+    "MIN_DIM",
     "MIN_GATE_SCORES",
     "DataBundle",
     "DataConfig",
@@ -44,6 +45,8 @@ AUX_BURN_IN = 20
 # fewest held-out inlier scores the 95%-TPR gate (evaluation.choose_gamma)
 # is defined on: below it, 5% of the scores is less than one score
 MIN_GATE_SCORES = 20
+# fewest coordinates a point has: geometric_transform acts on a coordinate pair
+MIN_DIM = 2
 # rows per formatted block in save_points_csv
 _CSV_BLOCK = 4096
 # bytes of the CSV digest that opens each binary point-file copy (sha256)
@@ -91,7 +94,7 @@ class DataConfig:
             raise ConfigError(f"generator: moons2d requires k=2 and d=2, got k={self.k} d={self.d}")
         if self.generator == "rings" and self.d != 2:
             raise ConfigError(f"generator: rings requires d=2, got d={self.d}")
-        lows = (("k", 2), ("d", 2), ("n_train", self.k), ("n_test", max(self.k, MIN_GATE_SCORES)),
+        lows = (("k", 2), ("d", MIN_DIM), ("n_train", self.k), ("n_test", max(self.k, MIN_GATE_SCORES)),
                 ("n_ood", 1), ("aux_size", 0), ("ifs_maps", 2))
         for name, low in lows:
             if getattr(self, name) < low:
@@ -265,8 +268,8 @@ def geometric_transform(x: np.ndarray, kind: str, rng: Rng, center: np.ndarray) 
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
-    if d < 2:
-        raise ValueError(f"geometric_transform: need dimension >= 2, got {d}")
+    if d < MIN_DIM:
+        raise ValueError(f"geometric_transform: need dimension >= {MIN_DIM}, got {d}")
     center = np.asarray(center, dtype=float)
     out = x.copy()
     if kind == "rotate2d":

@@ -15,20 +15,18 @@ class NumericalError(AresError, ArithmeticError):
 
 class TrainingDiverged(AresError, RuntimeError):
     """Training produced a non-finite loss ``term`` (``cls``, ``dis`` or ``total``); carries
-    the last good run ``state`` to resume from, and ``checkpoint_path``, where it was
-    written (``None`` when no checkpoint directory was given)."""
+    the last good run ``state`` to resume from. Nothing is written to disk: a caller that
+    wants the state on file saves it (``ares train`` writes ``last_good_checkpoint.json``)."""
 
-    def __init__(self, epoch: int, batch: int, term: str, state, checkpoint_path: str | None = None):
+    def __init__(self, epoch: int, batch: int, term: str, state):
         self.epoch = epoch
         self.batch = batch
         self.term = term
         self.state = state
-        self.checkpoint_path = checkpoint_path
-        where = f"written to {checkpoint_path}" if checkpoint_path else "not written to disk"
         super().__init__(
             f"non-finite {term} loss at epoch {epoch}, batch {batch}; "
-            f"last good state (epoch {state.epoch}) {where}"
+            f"last good state (epoch {state.epoch})"
         )
 
     def __reduce__(self):
-        return type(self), (self.epoch, self.batch, self.term, self.state, self.checkpoint_path)
+        return type(self), (self.epoch, self.batch, self.term, self.state)

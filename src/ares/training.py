@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import os
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -38,7 +37,6 @@ from .network import (
     RunState,
     cross_entropy_batch,
     energy_gradients,
-    save_checkpoint,
 )
 from .numerics import RIDGE_SCALE, fit_gaussian
 from .rng import Rng
@@ -110,6 +108,8 @@ class TrainConfig:
             raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if self.beta_warmup_epochs < 0:
             raise ConfigError("beta_warmup_epochs must be >= 0")
+        if self.seed < 0:  # np.random.SeedSequence, under Rng, takes no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def replace(self, **kw) -> "TrainConfig":
         return replace(self, **kw)
@@ -403,7 +403,6 @@ class _Prefix(RunState):
 def train(
     cfg: TrainConfig,
     data: DataBundle,
-    checkpoint_dir=None,
     resume: RunState | None = None,
     progress=None,
     accuracy: bool = True,
@@ -414,9 +413,10 @@ def train(
     ``resume`` continues a run, exactly, from a :class:`RunState` whose
     architecture matches ``cfg`` and ``data`` (see :func:`check_resume`).
     ``progress`` is an optional callable receiving one machine-parseable
-    line per epoch, in epoch order. Raises :class:`TrainingDiverged` (with
-    the last good run state, also written to ``checkpoint_dir`` when given)
-    if a loss goes non-finite; the lines of every finished epoch come first.
+    line per epoch, in epoch order. Raises :class:`TrainingDiverged`, which
+    carries the last good run state, if a loss goes non-finite; the lines
+    of every finished epoch come first. The call writes no file: a caller
+    that wants that state on disk saves ``err.state``.
 
     After each epoch, an accuracy pass scores the (unescaped) training set
     for the record's ``train_accuracy``. With ``accuracy=False`` no pass
@@ -426,7 +426,7 @@ def train(
     The call caps OpenBLAS at one thread and restores the caller's count on
     return or raise.
     """
-    return _train(cfg, data, cfg.total_epochs, accuracy, checkpoint_dir, resume, progress)
+    return _train(cfg, data, cfg.total_epochs, accuracy, resume, progress)
 
 
 def _warmup(cfg: TrainConfig, data: DataBundle) -> TrainLog:
@@ -438,9 +438,13 @@ def _warmup(cfg: TrainConfig, data: DataBundle) -> TrainLog:
     return _train(cfg, data, cfg.pretrain_epochs, False)[1]
 
 
-def _train(cfg: TrainConfig, data: DataBundle, end: int, accuracy: bool, checkpoint_dir=None,
+def _train(cfg: TrainConfig, data: DataBundle, end: int, accuracy: bool,
            resume: RunState | None = None, progress=None) -> tuple[MlpNetwork, TrainLog]:
-    """:func:`train`, stopped before epoch ``end``."""
+    """:func:`train`, stopped before epoch ``end``: the escape stage (unless
+    ``resume`` is a :class:`_Prefix`, which brings its training set), then
+    each epoch trained by :func:`_train_epoch` and, when ``accuracy``,
+    scored on the training set. A run that stops before ``total_epochs``
+    returns a :class:`_Prefix`, with the clock's untaken times."""
     clock = _Clock(resume.times if isinstance(resume, _Prefix) else None)
     root = Rng(cfg.seed)
     if resume is not None:
@@ -450,69 +454,56 @@ def _train(cfg: TrainConfig, data: DataBundle, end: int, accuracy: bool, checkpo
         MlpNetwork(d_in, cfg.hidden_dims, cfg.feature_dim, k, root.child("init")), 0
     )
     net = state.network()
+    log = TrainLog(state=state)
     if state.epoch == cfg.total_epochs:  # a finished run: nothing to escape or train
-        return net, TrainLog(state=state)
+        return net, log
 
     blas_threads = _set_blas_threads(1)
     try:
-        return _run_epochs(cfg, data, state, net, root, end, checkpoint_dir, progress, accuracy, clock)
+        if isinstance(state, _Prefix):
+            dstar = state.escaped
+        else:
+            dstar = data.id_train  # no-escape trains on the inliers themselves
+            if cfg.escape:
+                clock.switch(_ESCAPE)
+                dstar = escape_dataset(data.id_train, data.aux, cfg.escape_cfg, root.child("escape"))
+                clock.switch(_STEP)
+        synth = None  # built at the first joint epoch
+        x_train, y_train = data.id_train.x, data.id_train.y
+        workspace = net.block_workspace(len(x_train))
+
+        while state.epoch < end:
+            rec, state, synth = _train_epoch(cfg, state, synth, net, dstar, root, workspace, clock)
+            if accuracy:  # otherwise the record keeps its NaN; hits / n is (pred == y).mean()
+                clock.switch(_ACCURACY)
+                hits = sum(np.count_nonzero(np.argmax(cache.logits, axis=1) == y_train[rows])
+                           for rows, cache in net.forward_blocks(x_train, workspace))
+                rec.train_accuracy = float(hits / len(x_train))
+            rec.times = clock.take()
+            log.records.append(rec)
+            if progress is not None:
+                progress(
+                    f"epoch={rec.epoch} cls={rec.cls_loss:.6g} dis={rec.dis_loss:.6g} "
+                    f"lr={rec.lr:.6g} acc={rec.train_accuracy:.4f}"
+                )
+        if end < cfg.total_epochs:
+            state = _Prefix(**vars(state), escaped=dstar, times=clock.take())
+        log.state = state
+        return net, log
     finally:
         if blas_threads is not None:
             _set_blas_threads(blas_threads)
 
 
-def _run_epochs(cfg: TrainConfig, data: DataBundle, state: RunState, net: MlpNetwork, root: Rng,
-                end: int, checkpoint_dir, progress, accuracy: bool, clock) -> tuple[MlpNetwork, TrainLog]:
-    """The epochs of :func:`train` from ``state`` up to ``end``, each trained
-    by :func:`_train_epoch` and then, when ``accuracy``, scored on the
-    training set. A :class:`_Prefix` state brings its training set; a run
-    that stops before ``total_epochs`` returns one, with ``clock``'s untaken times."""
-    log = TrainLog()
-
-    if isinstance(state, _Prefix):
-        dstar = state.escaped
-    else:
-        dstar = data.id_train  # no-escape trains on the inliers themselves
-        if cfg.escape:
-            clock.switch(_ESCAPE)
-            dstar = escape_dataset(data.id_train, data.aux, cfg.escape_cfg, root.child("escape"))
-            clock.switch(_STEP)
-    synth = None  # built at the first joint epoch
-
-    x_train, y_train = data.id_train.x, data.id_train.y
-    workspace = net.block_workspace(len(x_train))
-
-    while state.epoch < end:
-        rec, state, synth = _train_epoch(cfg, state, synth, net, dstar, root, workspace, checkpoint_dir,
-                                         clock)
-        if accuracy:  # otherwise the record keeps its NaN; hits / n is (pred == y).mean()
-            clock.switch(_ACCURACY)
-            hits = sum(np.count_nonzero(np.argmax(cache.logits, axis=1) == y_train[rows])
-                       for rows, cache in net.forward_blocks(x_train, workspace))
-            rec.train_accuracy = float(hits / len(x_train))
-        rec.times = clock.take()
-        log.records.append(rec)
-        if progress is not None:
-            progress(
-                f"epoch={rec.epoch} cls={rec.cls_loss:.6g} dis={rec.dis_loss:.6g} "
-                f"lr={rec.lr:.6g} acc={rec.train_accuracy:.4f}"
-            )
-    if end < cfg.total_epochs:
-        state = _Prefix(**vars(state), escaped=dstar, times=clock.take())
-    log.state = state
-    return net, log
-
-
 def _train_epoch(cfg: TrainConfig, state: RunState, synth: _SynthesisState | None, net: MlpNetwork,
-                 dstar: LabeledDataset, root: Rng, workspace: list, checkpoint_dir, clock: _Clock):
+                 dstar: LabeledDataset, root: Rng, workspace: list, clock: _Clock):
     """Train epoch ``state.epoch`` of a run on ``dstar``, the network ``net``
     holding ``state``'s parameters: a joint epoch first starts its synthesis
     on ``synth`` (built here, when None, from the joint-start features,
     forwarded through ``workspace``), then every batch takes one SGD step.
     Returns the epoch's record, whose accuracy and times the caller fills
     in, the run state after the epoch, and the synthesis. A non-finite loss
-    raises :class:`TrainingDiverged` with the state at the epoch's start
-    (also written to ``checkpoint_dir`` when given)."""
+    raises :class:`TrainingDiverged` with the state at the epoch's start."""
     epoch, virtual = state.epoch, state.virtual
     tape = GradientTape(net)
     lr = cosine_lr(epoch, cfg.total_epochs, cfg.lr_start, cfg.lr_end)
@@ -561,11 +552,7 @@ def _train_epoch(cfg: TrainConfig, state: RunState, synth: _SynthesisState | Non
 
         for term, value in (("cls", cls_loss), ("dis", dis), ("total", batch_total)):
             if not math.isfinite(value):
-                path = None
-                if checkpoint_dir is not None:
-                    path = os.path.join(checkpoint_dir, "last_good_checkpoint.json")
-                    save_checkpoint(state, path)
-                raise TrainingDiverged(epoch, b, term, state, checkpoint_path=path)
+                raise TrainingDiverged(epoch, b, term, state)
 
         net.backward(cache, tape, dlogits)
         sgd_step(net, tape, lr)

@@ -122,6 +122,7 @@ def test_bad_config_value_rejected_at_resolve(tmp_path, capsys):
         ("train", "alpha2", "inf"),
         ("train", "nce_temperature", "0"),
         ("train", "lr_start", "inf"),
+        ("train", "seed", "-1"),  # numpy takes no negative seed; eval only records the seed
         # non-finite values: each failed only inside numerics, generation or training
         ("escape", "alpha1", "inf"),
         ("train", "beta", "inf"),
@@ -254,6 +255,46 @@ def test_non_finite_coordinate_exits_before_output(smoke, tmp_path, capsys, name
         rc = main(command + ["--config", str(cfg), "--data", str(data), "--out", str(out)])
         assert rc == 2, command[0]
         assert f"{name}.csv: every coordinate must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+POINT_FILES = ("id_train", "id_test", "aux", "ood_ring", "ood_uniform", "ood_shifted-blobs")
+
+
+def _third_coordinate(x, y):
+    return np.column_stack((x, np.zeros(len(x)))), y
+
+
+# (files rewritten, their edit, the file the error names, what it says about it)
+@pytest.mark.parametrize("names, edit, named, says", [
+    (["ood_ring"], _third_coordinate, "ood_ring", "3-d points, but id_train.csv is 2-d"),
+    (["id_test"], _third_coordinate, "id_test", "3-d points, but id_train.csv is 2-d"),
+    (["aux"], _third_coordinate, "aux", "3-d points, but id_train.csv is 2-d"),
+    (POINT_FILES, lambda x, y: (x[:, :1], y), "id_train", "1-d points, need at least 2"),
+    (POINT_FILES, lambda x, y: (x[:, :0], y), "id_train", "0-d points, need at least 2"),
+    (["id_test"], lambda x, y: (x[:10], y[:10]), "id_test", "10 rows, need at least 20"),
+    (["ood_ring"], lambda x, y: (x[:0], y), "ood_ring", "0 rows, need at least 1"),
+], ids=["ood-3d", "id_test-3d", "aux-3d", "1d", "0d", "id_test-10-rows", "ood-empty"])
+def test_point_files_ares_gen_never_writes_exit_before_output(smoke, tmp_path, capsys, names, edit,
+                                                             named, says):
+    # every point file has id_train.csv's dimension, at least [data] d's
+    # lowest, id_test.csv has the rows the 95%-TPR gate needs and each outlier
+    # set has a row; anything else stops each command before its output,
+    # instead of failing inside training or scoring
+    cfg, data_dir, out_dir = smoke
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    for name in names:
+        x, y, meta = load_points_csv(data / f"{name}.csv")
+        save_points_csv(data / f"{name}.csv", *edit(x, y), meta["role"], int(meta.get("classes", 0)))
+    commands = [["train"], ["eval", "--checkpoint", str(out_dir / "checkpoint.json")],
+                ["ablate", "--only", "stages"]]
+    for command in commands:
+        out = tmp_path / command[0]
+        rc = main(command + ["--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert rc == 2, command[0]
+        err = capsys.readouterr().err
+        assert f"{data / named}.csv: {says}" in err, (command[0], err)
         assert not out.exists()
 
 
@@ -458,9 +499,10 @@ def test_resume_other_architecture_exits_before_output(smoke, tmp_path, capsys, 
 
 # pretrain epochs 0-2, beta ramp over epochs 3-4 (smoke config), joint to 7
 @pytest.mark.parametrize("at", [2, 4, 7], ids=["pretrain", "warmup-ramp", "late-joint"])
-def test_cli_resume_is_exact(smoke, tmp_path, monkeypatch, at):
+def test_cli_resume_is_exact(smoke, tmp_path, monkeypatch, capsys, at):
     # interrupt the smoke run at the first batch of epoch ``at``, resume from
-    # the last-good checkpoint it leaves, and compare with the smoke run
+    # the last-good checkpoint ares train writes from the error's state, and
+    # compare with the smoke run
     cfg, data_dir, out_dir = smoke
     real = training_mod.cross_entropy_batch
     calls = {"n": 0}
@@ -474,10 +516,17 @@ def test_cli_resume_is_exact(smoke, tmp_path, monkeypatch, at):
     with monkeypatch.context() as m:
         m.setattr(training_mod, "cross_entropy_batch", poisoned)
         assert main(["train", "--config", str(cfg), "--data", str(data_dir), "--out", str(cut)]) == 1
+    last_good = cut / "last_good_checkpoint.json"
+    assert capsys.readouterr().err == (
+        f"error: non-finite cls loss at epoch {at}, batch 0; last good state (epoch {at}) "
+        f"written to {last_good}\n"
+    )
+    assert not (cut / "checkpoint.json").exists()
+    assert load_checkpoint(last_good).epoch == at
     resumed = tmp_path / "resumed"
     assert main([
         "train", "--config", str(cfg), "--data", str(data_dir), "--out", str(resumed),
-        "--resume", str(cut / "last_good_checkpoint.json"),
+        "--resume", str(last_good),
     ]) == 0
     full_rows = (out_dir / "train_log.csv").read_text().split("\n")
     resumed_rows = (resumed / "train_log.csv").read_text().split("\n")

@@ -563,15 +563,15 @@ def test_suite_equals_in_process_runs(micro_bundle, only):
 def test_suite_workers_run_no_accuracy_pass(micro_bundle, monkeypatch):
     # no report reads a training accuracy, so a worker runs no accuracy pass;
     # the check fails the variant of any worker that would
-    parent, real = os.getpid(), training_mod._run_epochs
+    parent, real = os.getpid(), training_mod._train
 
-    def run_epochs(*args):
-        run = inspect.signature(real).bind(*args).arguments
-        if os.getpid() != parent and run["accuracy"]:
+    def run(*args, **kwargs):
+        call = inspect.signature(real).bind(*args, **kwargs).arguments
+        if os.getpid() != parent and call["accuracy"]:
             raise AssertionError("an accuracy pass would run in a pool worker")
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(training_mod, "_run_epochs", run_epochs)
+    monkeypatch.setattr(training_mod, "_train", run)
     reports = run_ablation_suite(micro_cfg(), micro_bundle, only="stages")
     assert [r.error for r in reports] == [None] * 4
 

@@ -349,24 +349,33 @@ def _diverge_at(monkeypatch, epoch, steps_per_epoch, batch=0):
 
 
 def test_divergence_abort_carries_checkpoint(tmp_path, monkeypatch):
+    # the error hands back the state at the start of the diverging epoch, a
+    # checkpoint the caller can save and resume from
     bundle = tiny_bundle()
     cfg = tiny_cfg(total_epochs=4, pretrain_epochs=0)
+    want = training_mod._train(cfg, bundle, 1, False)[1].state  # the run stopped after epoch 0
     _diverge_at(monkeypatch, 1, steps_per_epoch=4)  # 120 surrogates, batches of 30
     with pytest.raises(TrainingDiverged) as exc:
-        train(cfg, bundle, checkpoint_dir=tmp_path)
+        train(cfg, bundle)
     err = exc.value
     assert (err.epoch, err.batch, err.term) == (1, 0, "cls")
-    assert "non-finite cls loss at epoch 1, batch 0" in str(err)
-    assert err.checkpoint_path == str(tmp_path / "last_good_checkpoint.json")
-    written = load_checkpoint(err.checkpoint_path)
+    assert str(err) == "non-finite cls loss at epoch 1, batch 0; last good state (epoch 1)"
+    assert err.state.epoch == want.epoch == 1
+    assert err.state.joint_start is not None  # the joint phase began at epoch 0
+    for name, p in want.params.items():
+        assert err.state.params[name].tobytes() == p.tobytes(), name
+        assert err.state.joint_start[name].tobytes() == want.joint_start[name].tobytes(), name
+    save_checkpoint(err.state, tmp_path / "last_good_checkpoint.json")
+    written = load_checkpoint(tmp_path / "last_good_checkpoint.json")
     assert written.epoch == err.state.epoch == 1
-    assert written.joint_start is not None  # the joint phase began at epoch 0
     for name, p in err.state.params.items():
         assert np.array_equal(written.params[name], p)
         assert np.array_equal(written.joint_start[name], err.state.joint_start[name])
 
 
 def test_divergence_without_checkpoint_dir_writes_no_file(tmp_path, monkeypatch):
+    # train() writes no file anywhere on divergence: saving the state is the
+    # caller's call
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
@@ -374,7 +383,6 @@ def test_divergence_without_checkpoint_dir_writes_no_file(tmp_path, monkeypatch)
     _diverge_at(monkeypatch, 1, steps_per_epoch=4)
     with pytest.raises(TrainingDiverged) as exc:
         train(tiny_cfg(), tiny_bundle())
-    assert exc.value.checkpoint_path is None
     assert exc.value.state.epoch == 1
     assert [p.name for p in tmp_path.rglob("*")] == ["tmp"]
 
@@ -398,16 +406,15 @@ def test_divergence_state_does_not_follow_the_live_network(monkeypatch):
 def test_errors_survive_pickling():
     net = MlpNetwork(2, (4,), 3, 3, Rng(41))
     state = RunState.of(net, 2, joint_start=net.params(), virtual=Rng(42).standard_normal((5, 3)))
-    for path in ("run/last_good_checkpoint.json", None):
-        err = TrainingDiverged(3, 1, "dis", state, path)
-        back = pickle.loads(pickle.dumps(err))
-        assert type(back) is TrainingDiverged and str(back) == str(err)
-        assert (back.epoch, back.batch, back.term, back.checkpoint_path) == (3, 1, "dis", path)
-        assert (back.state.arch, back.state.epoch) == (state.arch, state.epoch)
-        assert back.state.virtual.tobytes() == state.virtual.tobytes()
-        for name, p in state.params.items():
-            assert back.state.params[name].tobytes() == p.tobytes(), name
-            assert back.state.joint_start[name].tobytes() == state.joint_start[name].tobytes(), name
+    err = TrainingDiverged(3, 1, "dis", state)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is TrainingDiverged and str(back) == str(err)
+    assert (back.epoch, back.batch, back.term) == (3, 1, "dis")
+    assert (back.state.arch, back.state.epoch) == (state.arch, state.epoch)
+    assert back.state.virtual.tobytes() == state.virtual.tobytes()
+    for name, p in state.params.items():
+        assert back.state.params[name].tobytes() == p.tobytes(), name
+        assert back.state.joint_start[name].tobytes() == state.joint_start[name].tobytes(), name
 
 
 def test_resume_continues_epoch_numbering():
